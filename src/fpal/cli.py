@@ -68,6 +68,8 @@ def load_config(path: str | None) -> Config:
                 raise ConfigError(f"format must be 'json' or 'text', not {value!r}")
         elif not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ConfigError(f"{f.name} must be a nonnegative integer")
+    if cfg.sample_count < 1:
+        raise ConfigError("sample_count must be at least 1")
     return cfg
 
 

@@ -9,6 +9,11 @@ is then a single table gather.  Checking an equation means enumerating or
 sampling interpretations of its symbols and comparing the two evaluated
 tables; a counterexample refutes the equation, but a completed check only
 reports that none was found.
+
+Each side of an equation is compiled once per check into a function from
+the symbol tables to its table: subterms without symbols become constant
+tables at compile time, so an interpretation only pays for the nodes that
+read a symbol.
 """
 
 from __future__ import annotations
@@ -17,13 +22,20 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .errors import ThresholdExceededError
-from .term import Comp, Dagger, Equation, Morphism, Proj, Sym, Tup
+from .term import Comp, Dagger, Equation, Morphism, Proj, Sym, Tup, symbols_of
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 100_000
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 1729
+
+# Cache bounds.  A run checks over a few posets at a few arities each, and
+# count_monotone is keyed by the cap as well.
+_POSET_CACHE_SIZE = 16
+_PLAN_CACHE_SIZE = 64
+_COUNT_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -148,7 +160,7 @@ def _decode(code: int, size: int, width: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _cover_preds(poset: PosetModel, arity: int) -> tuple:
     """For every point of P^arity, the indices of its immediate
     predecessors (one coordinate lowered to a cover)."""
@@ -159,7 +171,6 @@ def _cover_preds(poset: PosetModel, arity: int) -> tuple:
     for idx in range(total):
         digits = _decode(idx, size, arity)
         preds = []
-        stride = total // size if arity else 1
         s = total
         for pos in range(arity):
             s //= size
@@ -169,83 +180,119 @@ def _cover_preds(poset: PosetModel, arity: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _topo_order(poset: PosetModel, arity: int) -> tuple:
-    """A linear extension of P^arity: sort by total rank, then by index."""
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _fill_plan(poset: PosetModel, arity: int) -> tuple:
+    """The points of P^arity in a linear extension (total rank, then
+    index), each paired with a getter for the values at its immediate
+    predecessors.  Filling a table in this order sees every predecessor's
+    value before the point itself."""
     ranks = poset.ranks()
     size = poset.size
-    total = size ** arity
+    preds = _cover_preds(poset, arity)
 
-    def key(idx):
+    def rank(idx):
         return (sum(ranks[d] for d in _decode(idx, size, arity)), idx)
 
-    return tuple(sorted(range(total), key=key))
+    # only the all-bottom point has no predecessor
+    return tuple(
+        (idx, itemgetter(*preds[idx]) if preds[idx] else _no_values)
+        for idx in sorted(range(size ** arity), key=rank)
+    )
+
+
+def _no_values(table) -> tuple:
+    return ()
+
+
+class _UpperBounds(dict):
+    """Memo from the values below a point (the predecessor getter's
+    result: one value or a tuple) to the ascending tuple of values that
+    lie above all of them, i.e. the values the point may take."""
+
+    def __init__(self, poset: PosetModel):
+        super().__init__()
+        self.leq = poset.leq
+        self.size = poset.size
+
+    def __missing__(self, below) -> tuple:
+        lower = below if isinstance(below, tuple) else (below,)
+        leq = self.leq
+        bounds = self[below] = tuple(
+            v for v in range(self.size) if all(leq[lo][v] for lo in lower)
+        )
+        return bounds
+
+
+@lru_cache(maxsize=_POSET_CACHE_SIZE)
+def _upper_bounds(poset: PosetModel) -> _UpperBounds:
+    return _UpperBounds(poset)
+
+
+def _monotone_tables(poset: PosetModel, arity: int):
+    """Yield every monotone table P^arity -> P as a fresh list, by a
+    depth-first search along the fill plan that tries each point's
+    candidates in ascending order."""
+    plan = _fill_plan(poset, arity)
+    bounds = _upper_bounds(poset)
+    table = [0] * len(plan)
+    last = len(plan) - 1
+    # stack[k] iterates the values still to try at plan position k
+    stack = [iter(bounds[plan[0][1](table)])]
+    while stack:
+        k = len(stack) - 1
+        v = next(stack[k], None)
+        if v is None:
+            stack.pop()
+            continue
+        table[plan[k][0]] = v
+        if k == last:
+            yield table[:]
+        else:
+            stack.append(iter(bounds[plan[k + 1][1](table)]))
 
 
 def enumerate_monotone(poset: PosetModel, in_arity: int, limit: int | None = None):
     """Yield every monotone function P^in_arity -> P as a TableFn, in a
     fixed deterministic order.  With ``limit``, raise once more than that
     many functions exist."""
-    order = _topo_order(poset, in_arity)
-    preds = _cover_preds(poset, in_arity)
-    size = poset.size
-    leq = poset.leq
-    total = size ** in_arity
-    table = [0] * total
-    count = 0
-
-    def candidates(idx):
-        lower = [table[p] for p in preds[idx]]
-        return [v for v in range(size) if all(leq[lo][v] for lo in lower)]
-
-    def rec(k):
-        nonlocal count
-        if k == len(order):
-            count += 1
-            if limit is not None and count > limit:
-                raise ThresholdExceededError(
-                    f"more than {limit} monotone functions; sample instead"
-                )
-            yield TableFn(poset, in_arity, 1, table)
-            return
-        idx = order[k]
-        for v in candidates(idx):
-            table[idx] = v
-            yield from rec(k + 1)
-        table[idx] = 0
-
-    yield from rec(0)
+    for count, table in enumerate(_monotone_tables(poset, in_arity), 1):
+        if limit is not None and count > limit:
+            raise ThresholdExceededError(
+                f"more than {limit} monotone functions; sample instead"
+            )
+        yield TableFn(poset, in_arity, 1, table)
 
 
+@lru_cache(maxsize=_COUNT_CACHE_SIZE)
 def count_monotone(poset: PosetModel, in_arity: int, cap: int) -> int:
     """Number of monotone functions, counting no further than cap + 1."""
     count = 0
-    for _ in enumerate_monotone(poset, in_arity):
+    for _ in _monotone_tables(poset, in_arity):
         count += 1
         if count > cap:
-            return count
+            break
     return count
+
+
+def _random_table(plan: tuple, bounds: _UpperBounds, randrange) -> list:
+    """Fill a table along the plan, drawing each entry uniformly among the
+    values its predecessors allow; start over when a point has none."""
+    while True:
+        table = [0] * len(plan)
+        for idx, below in plan:
+            cand = bounds[below(table)]
+            if not cand:
+                break
+            table[idx] = cand[randrange(len(cand))]
+        else:
+            return table
 
 
 def random_monotone(poset: PosetModel, in_arity: int, rng: random.Random) -> TableFn:
     """A random monotone function, filled greedily along a linear
     extension.  Every monotone function has positive probability."""
-    order = _topo_order(poset, in_arity)
-    preds = _cover_preds(poset, in_arity)
-    size = poset.size
-    leq = poset.leq
-    while True:
-        table = [0] * (size ** in_arity)
-        ok = True
-        for idx in order:
-            lower = [table[p] for p in preds[idx]]
-            cand = [v for v in range(size) if all(leq[lo][v] for lo in lower)]
-            if not cand:
-                ok = False
-                break
-            table[idx] = cand[rng.randrange(len(cand))]
-        if ok:
-            return TableFn(poset, in_arity, 1, table)
+    table = _random_table(_fill_plan(poset, in_arity), _upper_bounds(poset), rng.randrange)
+    return TableFn(poset, in_arity, 1, table)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +319,33 @@ def _bottom_code(poset: PosetModel, width: int) -> int:
     return code
 
 
+def _fixed_point_solver(poset: PosetModel, m: int, p: int, height: int):
+    """``body -> table``: for ``body: P^m x P^p -> P^m`` as a table, the
+    least fixed point at every parameter value, iterating all parameters
+    together from bottom.  From bottom a monotone body climbs a chain of
+    P^m, which has at most ``m * (height - 1) + 1`` elements; one more step
+    is allowed before the body is declared not monotone."""
+    span = poset.size ** p
+    bottom = _bottom_code(poset, m)
+    start = [bottom] * span
+    first = slice(bottom * span, (bottom + 1) * span)
+    steps = range(m * (height - 1) + 2)
+
+    def solve(body: list) -> list:
+        xs = start
+        nxt = body[first]
+        for _ in steps:
+            if nxt == xs:
+                return xs
+            xs = nxt
+            nxt = [body[x * span + c] for c, x in enumerate(xs)]
+        raise RuntimeError(
+            "fixed-point iteration failed to stabilize; interpretation not monotone"
+        )
+
+    return solve
+
+
 def lfp(fn: TableFn, params=()) -> int:
     """Least fixed point of ``fn: P x P^p -> P`` at the given parameters,
     by iteration from bottom."""
@@ -284,67 +358,110 @@ def lfp(fn: TableFn, params=()) -> int:
         raise ValueError(f"expected {fn.in_arity - 1} parameters, got {len(params)}")
     for v in params:
         c = c * poset.size + v
-    return _iterate_dagger(fn, 1, c)
+    return _fixed_point_solver(poset, 1, fn.in_arity - 1, poset.height())(fn.table)[c]
 
 
-def _iterate_dagger(body: TableFn, m: int, param_code: int) -> int:
-    poset = body.poset
+def _compile(m: Morphism, poset: PosetModel, height: int, slots: dict) -> tuple:
+    """Compile a term in one walk.  A term without symbols becomes its
+    constant table, returned as ``(table, None)``; any other term becomes
+    ``(None, run)``, where ``run(tables)`` maps the symbol tables, indexed
+    by ``slots``, to the term's table."""
     size = poset.size
-    span = size ** (body.in_arity - m)
-    x = _bottom_code(poset, m)
-    for _ in range(m * (poset.height() - 1) + 2):
-        nxt = body.table[x * span + param_code]
-        if nxt == x:
-            return x
-        x = nxt
-    raise RuntimeError(
-        "fixed-point iteration failed to stabilize; interpretation not monotone"
-    )
+    if isinstance(m, Proj):
+        span = size ** (m.n - m.i)
+        return [(idx // span) % size for idx in range(size ** m.n)], None
+    if isinstance(m, Sym):
+        return None, itemgetter(slots[m.symbol.name])
+    if isinstance(m, Tup):
+        return _compile_tup(m, poset, height, slots)
+    if isinstance(m, Comp):
+        inner, inner_run = _compile(m.f, poset, height, slots)
+        outer, outer_run = _compile(m.g, poset, height, slots)
+        if inner is not None and outer is not None:
+            return [outer[v] for v in inner], None
+        if inner is not None:
+            if inner == list(range(len(inner))):
+                return None, outer_run
+            return None, lambda tables: list(map(outer_run(tables).__getitem__, inner))
+        if outer is not None:
+            if outer == list(range(len(outer))):
+                return None, inner_run
+            gather = outer.__getitem__
+            return None, lambda tables: list(map(gather, inner_run(tables)))
+        return None, lambda tables: list(map(outer_run(tables).__getitem__, inner_run(tables)))
+    if isinstance(m, Dagger):
+        body, body_run = _compile(m.body, poset, height, slots)
+        solve = _fixed_point_solver(poset, m.m, m.source, height)
+        if body is not None:
+            return solve(body), None
+        return None, lambda tables: solve(body_run(tables))
+    raise ValueError(f"cannot evaluate {m!r}")
+
+
+def _compile_tup(m: Tup, poset: PosetModel, height: int, slots: dict) -> tuple:
+    """Tupling packs each entry's component outputs in mixed radix:
+    ``code = code * size**width + part``.  Nested tuplings are spliced,
+    empty components (width 0) dropped, and adjacent constant components
+    packed into one constant before any symbol is read."""
+    size = poset.size
+    leaves = []
+    todo = list(reversed(m.parts))
+    while todo:
+        part = todo.pop()
+        if isinstance(part, Tup):
+            todo.extend(reversed(part.parts))
+        elif part.target:
+            leaves.append(part)
+    steps = []  # [constant table or None, run or None, scale]
+    for part in leaves:
+        table, run = _compile(part, poset, height, slots)
+        scale = size ** part.target
+        if table is not None and steps and steps[-1][0] is not None:
+            prev = steps[-1]
+            prev[0] = [a * scale + b for a, b in zip(prev[0], table)]
+            prev[2] *= scale
+        else:
+            steps.append([table, run, scale])
+    if not steps:
+        return [0] * size ** m.source, None
+    if len(steps) == 1:
+        return steps[0][0], steps[0][1]
+    first_table, first_run = steps[0][0], steps[0][1]
+    rest = [(table, run, scale) for table, run, scale in steps[1:]]
+
+    def run_tup(tables):
+        acc = first_table if first_run is None else first_run(tables)
+        for table, run, scale in rest:
+            part = table if run is None else run(tables)
+            acc = [a * scale + b for a, b in zip(acc, part)]
+        return acc
+
+    return None, run_tup
+
+
+def _evaluator(m: Morphism, poset: PosetModel, height: int, slots: dict):
+    """``tables -> table`` for a term, compiled once."""
+    table, run = _compile(m, poset, height, slots)
+    return run if run is not None else lambda tables: table
 
 
 def eval_morphism(m: Morphism, interp: Interpretation) -> TableFn:
     """Interpret a term as a TableFn over the interpretation's poset."""
-    poset = interp.poset
-    size = poset.size
-    if isinstance(m, Proj):
-        span = size ** (m.n - m.i)
-        table = [(idx // span) % size for idx in range(size ** m.n)]
-        return TableFn(poset, m.n, 1, table)
-    if isinstance(m, Sym):
-        fn = interp.by_name.get(m.symbol.name)
+    tables = []
+    slots = {}
+    for name, symbol in symbols_of(m).items():
+        fn = interp.by_name.get(name)
         if fn is None:
-            raise ValueError(f"no interpretation for symbol {m.symbol.name!r}")
-        if fn.in_arity != m.symbol.in_arity:
+            raise ValueError(f"no interpretation for symbol {name!r}")
+        if fn.in_arity != symbol.in_arity:
             raise ValueError(
-                f"symbol {m.symbol.name!r} has arity {m.symbol.in_arity}, "
+                f"symbol {name!r} has arity {symbol.in_arity}, "
                 f"interpreted with {fn.in_arity}"
             )
-        return fn
-    if isinstance(m, Tup):
-        parts = [eval_morphism(p, interp) for p in m.parts]
-        total = size ** m.source
-        table = [0] * total
-        for part in parts:
-            scale = size ** part.out_arity
-            ptab = part.table
-            for idx in range(total):
-                table[idx] = table[idx] * scale + ptab[idx]
-        return TableFn(poset, m.source, m.target, table)
-    if isinstance(m, Comp):
-        inner = eval_morphism(m.f, interp)
-        outer = eval_morphism(m.g, interp)
-        return TableFn(
-            poset, inner.in_arity, outer.out_arity,
-            [outer.table[v] for v in inner.table],
-        )
-    if isinstance(m, Dagger):
-        body = eval_morphism(m.body, interp)
-        p = body.in_arity - m.m
-        table = [
-            _iterate_dagger(body, m.m, c) for c in range(size ** p)
-        ]
-        return TableFn(poset, p, m.m, table)
-    raise ValueError(f"cannot evaluate {m!r}")
+        slots[name] = len(tables)
+        tables.append(fn.table)
+    table = _evaluator(m, interp.poset, interp.poset.height(), slots)(tables)
+    return TableFn(interp.poset, m.source, m.target, table)
 
 
 # ---------------------------------------------------------------------------
@@ -382,20 +499,15 @@ class CheckResult:
         return out
 
 
-def _counterexample(eq: Equation, poset: PosetModel, interp: Interpretation,
-                    lhs: TableFn, rhs: TableFn) -> dict:
+def _counterexample(eq: Equation, poset: PosetModel, tables, lhs: list, rhs: list) -> dict:
     size = poset.size
-    for idx in range(len(lhs.table)):
-        if lhs.table[idx] != rhs.table[idx]:
-            return {
-                "symbols": {
-                    name: list(fn.table) for name, fn in sorted(interp.by_name.items())
-                },
-                "input": list(_decode(idx, size, lhs.in_arity)),
-                "lhs": list(lhs.decode_out(lhs.table[idx])),
-                "rhs": list(rhs.decode_out(rhs.table[idx])),
-            }
-    raise AssertionError("tables differ but no differing entry found")
+    idx = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return {
+        "symbols": {s.name: list(table) for s, table in zip(eq.symbols, tables)},
+        "input": list(_decode(idx, size, eq.lhs.source)),
+        "lhs": list(_decode(lhs[idx], size, eq.lhs.target)),
+        "rhs": list(_decode(rhs[idx], size, eq.rhs.target)),
+    }
 
 
 def interpretation_count(eq: Equation, poset: PosetModel, cap: int) -> int:
@@ -421,7 +533,9 @@ def check_equation(
 
     ``mode`` is "exhaustive", "sampled", or "auto" (exhaustive when the
     interpretation count fits under ``threshold``).  Sampling uses ``seed``
-    (default fixed) and ``samples`` draws.
+    (default fixed) and ``samples`` draws, at least one.  Both sides are
+    compiled once; each interpretation is then a sequence of symbol tables
+    in ``eq.symbols`` order.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -436,40 +550,35 @@ def check_equation(
             mode = "sampled"
         else:
             mode = "exhaustive"
-    else:
-        total = None
-
-    names = [s.name for s in eq.symbols]
-    if mode == "exhaustive":
-        pools = [list(enumerate_monotone(poset, s.in_arity)) for s in eq.symbols]
-        checked = 0
-        for combo in iproduct(*pools):
-            interp = Interpretation(poset, dict(zip(names, combo)))
-            lhs = eval_morphism(eq.lhs, interp)
-            rhs = eval_morphism(eq.rhs, interp)
-            checked += 1
-            if lhs.table != rhs.table:
-                return CheckResult(
-                    eq.name, poset.name, "exhaustive", None, checked, False,
-                    _counterexample(eq, poset, interp, lhs, rhs),
-                )
-        return CheckResult(eq.name, poset.name, "exhaustive", None, checked, True, None)
-
-    seed = DEFAULT_SEED if seed is None else seed
-    samples = DEFAULT_SAMPLES if samples is None else samples
-    rng = random.Random(seed)
-    checked = 0
-    for _ in range(samples):
-        interp = Interpretation(
-            poset,
-            {s.name: random_monotone(poset, s.in_arity, rng) for s in eq.symbols},
+    if mode == "sampled":
+        seed = DEFAULT_SEED if seed is None else seed
+        samples = DEFAULT_SAMPLES if samples is None else samples
+        if samples < 1:
+            raise ValueError(f"a sampled check needs at least one sample, got {samples}")
+        rng = random.Random(seed)
+        bounds = _upper_bounds(poset)
+        plans = [_fill_plan(poset, s.in_arity) for s in eq.symbols]
+        interpretations = (
+            [_random_table(plan, bounds, rng.randrange) for plan in plans]
+            for _ in range(samples)
         )
-        lhs = eval_morphism(eq.lhs, interp)
-        rhs = eval_morphism(eq.rhs, interp)
+    else:
+        seed = None
+        pools = [list(_monotone_tables(poset, s.in_arity)) for s in eq.symbols]
+        interpretations = iproduct(*pools)
+
+    slots = {s.name: k for k, s in enumerate(eq.symbols)}
+    height = poset.height()
+    lhs = _evaluator(eq.lhs, poset, height, slots)
+    rhs = _evaluator(eq.rhs, poset, height, slots)
+    checked = 0
+    for tables in interpretations:
         checked += 1
-        if lhs.table != rhs.table:
+        lhs_table = lhs(tables)
+        rhs_table = rhs(tables)
+        if lhs_table != rhs_table:
             return CheckResult(
-                eq.name, poset.name, "sampled", seed, checked, False,
-                _counterexample(eq, poset, interp, lhs, rhs),
+                eq.name, poset.name, mode, seed, checked, False,
+                _counterexample(eq, poset, tables, lhs_table, rhs_table),
             )
-    return CheckResult(eq.name, poset.name, "sampled", seed, checked, True, None)
+    return CheckResult(eq.name, poset.name, mode, seed, checked, True, None)

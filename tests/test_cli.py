@@ -187,6 +187,29 @@ def test_check_sampled_seed_determinism(tmp_path, capsys):
     assert blob3["results"][0]["seed"] == 8
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_refuses_zero_samples(tmp_path, capsys, samples):
+    eq = tmp_path / "x.eq"
+    eq.write_text("name x\nsym f 1\nsym(f) = sym(f)\n")
+    code, out, err = run_cli(["check", str(eq), "--samples", samples], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[bad-input]:")
+
+
+def test_check_wide_symbol(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exhaustive_threshold": 10, "sample_count": 3}))
+    monkeypatch.setenv("FPAL_CONFIG", str(cfg))
+    eq = tmp_path / "wide.eq"
+    eq.write_text("name wide\nsym f 10\nsym(f) = sym(f)\n")
+    code, blob = run_json(["check", str(eq)], capsys)
+    assert code == 0
+    [result] = blob["results"]
+    assert result["strategy"] == "sampled"
+    assert result["interpretations_checked"] == 3
+
+
 def test_family_verdicts(write_aut, capsys):
     code, blob = run_json(["family", "symmetric"], capsys)
     assert code == 0
@@ -275,7 +298,13 @@ def test_config_rejects_unknown_keys(tmp_path, write_aut, capsys, monkeypatch):
 
 def test_config_rejects_bad_values(tmp_path, write_aut, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    for payload in ({"format": "yaml"}, {"seed": "twelve"}, {"monoid_cap": -1}):
+    for payload in (
+        {"format": "yaml"},
+        {"seed": "twelve"},
+        {"monoid_cap": -1},
+        {"sample_count": 0},
+        {"sample_count": -3},
+    ):
         cfg.write_text(json.dumps(payload))
         monkeypatch.setenv("FPAL_CONFIG", str(cfg))
         code, out, err = run_cli(["monoid", write_aut(counter(3))], capsys)

@@ -1,12 +1,18 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
 
+from fpal.cli import main
 from fpal.cpo_model import (
     Interpretation,
     PosetModel,
     TableFn,
+    _cover_preds,
+    _fill_plan,
+    _upper_bounds,
     chain,
     check_equation,
     count_monotone,
@@ -17,7 +23,12 @@ from fpal.cpo_model import (
     random_monotone,
 )
 from fpal.errors import ThresholdExceededError
-from fpal.identities import power_identity
+from fpal.identities import (
+    adding_id_instance,
+    conway_library,
+    cycle_transposition_identity,
+    power_identity,
+)
 from fpal.term import (
     Comp,
     Dagger,
@@ -35,6 +46,56 @@ from fpal.term import (
 
 C2 = chain(2)
 C3 = chain(3)
+# bottom 0 below two incomparable elements: not a lattice
+V = PosetModel(3, ((1, 1, 1), (0, 1, 0), (0, 0, 1)), 0, "V")
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def reference_eval(m, interp: Interpretation) -> TableFn:
+    """Oracle: interpret a term by a direct recursive walk, one table per
+    node, with each dagger entry iterated from bottom on its own."""
+    poset = interp.poset
+    size = poset.size
+    if isinstance(m, Proj):
+        span = size ** (m.n - m.i)
+        return TableFn(poset, m.n, 1, [(idx // span) % size for idx in range(size ** m.n)])
+    if isinstance(m, Sym):
+        fn = interp.by_name[m.symbol.name]
+        assert fn.in_arity == m.symbol.in_arity
+        return fn
+    if isinstance(m, Tup):
+        total = size ** m.source
+        table = [0] * total
+        for part in (reference_eval(p, interp) for p in m.parts):
+            scale = size ** part.out_arity
+            for idx in range(total):
+                table[idx] = table[idx] * scale + part.table[idx]
+        return TableFn(poset, m.source, m.target, table)
+    if isinstance(m, Comp):
+        inner = reference_eval(m.f, interp)
+        outer = reference_eval(m.g, interp)
+        return TableFn(poset, inner.in_arity, outer.out_arity,
+                       [outer.table[v] for v in inner.table])
+    if isinstance(m, Dagger):
+        body = reference_eval(m.body, interp)
+        p = body.in_arity - m.m
+        span = size ** p
+        bottom = 0
+        for _ in range(m.m):
+            bottom = bottom * size + poset.bottom
+        table = []
+        for c in range(size ** p):
+            x = bottom
+            for _ in range(m.m * (poset.height() - 1) + 2):
+                nxt = body.table[x * span + c]
+                if nxt == x:
+                    break
+                x = nxt
+            else:
+                raise RuntimeError("fixed-point iteration failed to stabilize")
+            table.append(x)
+        return TableFn(poset, p, m.m, table)
+    raise AssertionError(f"cannot evaluate {m!r}")
 
 
 def brute_force_monotone_count(poset: PosetModel, arity: int) -> int:
@@ -105,6 +166,27 @@ def test_random_monotone_is_monotone():
     for _ in range(40):
         arity = rng.randint(1, 4)
         assert random_monotone(C3, arity, rng).is_monotone()
+    # on V some partial fillings have no allowed value and start over
+    for _ in range(40):
+        assert random_monotone(V, 2, rng).is_monotone()
+
+
+def test_enumeration_order_is_fixed():
+    # exhaustive checks walk this order, so interpretations_checked and the
+    # first counterexample depend on it
+    assert [fn.table for fn in enumerate_monotone(C2, 2)] == [
+        [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1], [1, 1, 1, 1],
+    ]
+    assert [fn.table for fn in enumerate_monotone(V, 1)] == [
+        [0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 1, 0], [0, 1, 1], [0, 1, 2],
+        [0, 2, 0], [0, 2, 1], [0, 2, 2], [1, 1, 1], [2, 2, 2],
+    ]
+    assert count_monotone(V, 2, 10**6) == brute_force_monotone_count(V, 2) == 197
+
+
+def test_model_caches_are_bounded():
+    for cache in (_cover_preds, _fill_plan, _upper_bounds, count_monotone):
+        assert cache.cache_info().maxsize is not None
 
 
 def test_tablefn_call_and_encoding():
@@ -303,8 +385,87 @@ def test_counterexample_is_replayable():
     assert lhs(args) != rhs(args)
 
 
+def library_equations() -> list:
+    return (
+        conway_library()
+        + [cycle_transposition_identity(n, 1) for n in (3, 4)]
+        + [adding_id_instance(n, 1) for n in (1, 2)]
+        + [make() for make in CORRUPTED]
+    )
+
+
+@pytest.mark.parametrize("poset", [C2, C3], ids=["chain2", "chain3"])
+def test_eval_matches_reference_oracle(poset):
+    rng = random.Random(2024 + poset.size)
+    for eq in library_equations():
+        for _ in range(4):
+            interp = Interpretation(
+                poset, {s.name: random_monotone(poset, s.in_arity, rng) for s in eq.symbols}
+            )
+            for side in (eq.lhs, eq.rhs):
+                assert eval_morphism(side, interp) == reference_eval(side, interp), eq.name
+
+
+def test_dagger_of_non_monotone_table_raises():
+    flip = TableFn(C2, 1, 1, [1, 0])
+    interp = Interpretation(C2, {"f": flip})
+    with pytest.raises(RuntimeError):
+        eval_morphism(Dagger(Sym(Symbol("f", 1)), 1), interp)
+    with pytest.raises(RuntimeError):
+        reference_eval(Dagger(Sym(Symbol("f", 1)), 1), interp)
+
+
+# Seeded outputs recorded before the evaluator and sampler were rewritten:
+# the random stream, the interpretation order and every counterexample must
+# stay byte-identical.
+GOLDEN_REFUTATIONS = [
+    (corrupted_fixed_point, 2, "exhaustive", None, None),
+    (corrupted_fixed_point, 2, "sampled", 11, 400),
+    (corrupted_fixed_point, 3, "sampled", 5, 400),
+    (corrupted_double_dagger, 3, "sampled", 7, 400),
+]
+
+
+def test_golden_refutations():
+    out = {}
+    for make, k, mode, seed, samples in GOLDEN_REFUTATIONS:
+        r = check_equation(make(), chain(k), mode=mode, seed=seed, samples=samples)
+        out[f"{make.__name__} chain({k}) {mode} seed={seed} samples={samples}"] = r.to_json()
+    assert json.dumps(out, indent=2) + "\n" == (GOLDEN / "refutations.json").read_text()
+
+
+def test_golden_library_check(capsys, monkeypatch):
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    code = main(["check", "--builtin", "conway", "--samples", "25", "--seed", "1729"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / "check_conway_samples25_seed1729.json").read_text()
+
+
 def test_sampled_check_finds_injected_fault():
     eq = corrupted_fixed_point()
     r = check_equation(eq, C2, mode="sampled", seed=11, samples=400)
     assert not r.holds
     assert r.counterexample is not None
+
+
+# -- regressions ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_check_refuses_fewer_than_one_sample(samples):
+    eq = power_identity(2, 1)
+    with pytest.raises(ValueError):
+        check_equation(eq, C2, mode="sampled", samples=samples)
+    with pytest.raises(ValueError):
+        check_equation(eq, C2, mode="auto", threshold=2, samples=samples)
+
+
+@pytest.mark.parametrize("poset, arity", [(C2, 10), (C3, 7)])
+def test_wide_symbol_gets_a_verdict(poset, arity):
+    # |P|^arity table entries, far past the interpreter's recursion limit
+    f = Sym(Symbol("f", arity))
+    r = check_equation(Equation.of("wide", f, f), poset, threshold=10, samples=3)
+    assert r.holds
+    assert r.strategy == "sampled"
+    assert r.interpretations_checked == 3
