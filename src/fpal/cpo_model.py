@@ -358,7 +358,9 @@ def lfp(fn: TableFn, params=()) -> int:
         raise ValueError(f"expected {fn.in_arity - 1} parameters, got {len(params)}")
     for v in params:
         c = c * poset.size + v
-    return _fixed_point_solver(poset, 1, fn.in_arity - 1, poset.height())(fn.table)[c]
+    # the body at these parameters alone: x -> fn(x, params)
+    at_params = fn.table[c::poset.size ** len(params)]
+    return _fixed_point_solver(poset, 1, 0, poset.height())(at_params)[0]
 
 
 def _compile(m: Morphism, poset: PosetModel, height: int, slots: dict) -> tuple:
@@ -373,70 +375,43 @@ def _compile(m: Morphism, poset: PosetModel, height: int, slots: dict) -> tuple:
     if isinstance(m, Sym):
         return None, itemgetter(slots[m.symbol.name])
     if isinstance(m, Tup):
-        return _compile_tup(m, poset, height, slots)
+        if not m.parts:
+            return [0] * size ** m.source, None
+        parts = [_compile(part, poset, height, slots) for part in m.parts]
+        scales = [size ** part.target for part in m.parts[1:]]
+        if all(run is None for _, run in parts):
+            return _pack([table for table, _ in parts], scales), None
+        return None, lambda tables: _pack(
+            [table if run is None else run(tables) for table, run in parts], scales
+        )
     if isinstance(m, Comp):
         inner, inner_run = _compile(m.f, poset, height, slots)
         outer, outer_run = _compile(m.g, poset, height, slots)
-        if inner is not None and outer is not None:
+        if inner_run is None and outer_run is None:
             return [outer[v] for v in inner], None
-        if inner is not None:
-            if inner == list(range(len(inner))):
-                return None, outer_run
+        if inner_run is None:
             return None, lambda tables: list(map(outer_run(tables).__getitem__, inner))
-        if outer is not None:
-            if outer == list(range(len(outer))):
-                return None, inner_run
+        if outer_run is None:
             gather = outer.__getitem__
             return None, lambda tables: list(map(gather, inner_run(tables)))
         return None, lambda tables: list(map(outer_run(tables).__getitem__, inner_run(tables)))
     if isinstance(m, Dagger):
         body, body_run = _compile(m.body, poset, height, slots)
         solve = _fixed_point_solver(poset, m.m, m.source, height)
-        if body is not None:
+        if body_run is None:
             return solve(body), None
         return None, lambda tables: solve(body_run(tables))
     raise ValueError(f"cannot evaluate {m!r}")
 
 
-def _compile_tup(m: Tup, poset: PosetModel, height: int, slots: dict) -> tuple:
-    """Tupling packs each entry's component outputs in mixed radix:
-    ``code = code * size**width + part``.  Nested tuplings are spliced,
-    empty components (width 0) dropped, and adjacent constant components
-    packed into one constant before any symbol is read."""
-    size = poset.size
-    leaves = []
-    todo = list(reversed(m.parts))
-    while todo:
-        part = todo.pop()
-        if isinstance(part, Tup):
-            todo.extend(reversed(part.parts))
-        elif part.target:
-            leaves.append(part)
-    steps = []  # [constant table or None, run or None, scale]
-    for part in leaves:
-        table, run = _compile(part, poset, height, slots)
-        scale = size ** part.target
-        if table is not None and steps and steps[-1][0] is not None:
-            prev = steps[-1]
-            prev[0] = [a * scale + b for a, b in zip(prev[0], table)]
-            prev[2] *= scale
-        else:
-            steps.append([table, run, scale])
-    if not steps:
-        return [0] * size ** m.source, None
-    if len(steps) == 1:
-        return steps[0][0], steps[0][1]
-    first_table, first_run = steps[0][0], steps[0][1]
-    rest = [(table, run, scale) for table, run, scale in steps[1:]]
-
-    def run_tup(tables):
-        acc = first_table if first_run is None else first_run(tables)
-        for table, run, scale in rest:
-            part = table if run is None else run(tables)
-            acc = [a * scale + b for a, b in zip(acc, part)]
-        return acc
-
-    return None, run_tup
+def _pack(parts: list, scales: list) -> list:
+    """Tupling: pack each entry's component outputs in mixed radix,
+    ``code = code * size**width + part``, where ``scales`` holds
+    ``size**width`` for every component after the first."""
+    acc = parts[0]
+    for part, scale in zip(parts[1:], scales):
+        acc = [a * scale + b for a, b in zip(acc, part)]
+    return acc
 
 
 def _evaluator(m: Morphism, poset: PosetModel, height: int, slots: dict):
@@ -501,7 +476,9 @@ class CheckResult:
 
 def _counterexample(eq: Equation, poset: PosetModel, tables, lhs: list, rhs: list) -> dict:
     size = poset.size
-    idx = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    idx = next((i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+    if idx is None:
+        raise AssertionError("tables differ but no differing entry found")
     return {
         "symbols": {s.name: list(table) for s, table in zip(eq.symbols, tables)},
         "input": list(_decode(idx, size, eq.lhs.source)),

@@ -214,6 +214,14 @@ def test_lfp_with_parameters():
         assert lfp(f, (y,)) == y
 
 
+def test_lfp_iterates_only_the_requested_parameters():
+    # f(x, 0) = 0 has a fixed point; f(x, 1) = not x has none
+    f = TableFn(C2, 2, 1, [0, 1, 0, 0])
+    assert lfp(f, (0,)) == 0
+    with pytest.raises(RuntimeError):
+        lfp(f, (1,))
+
+
 def test_eval_projection_and_tuple():
     interp = Interpretation(C2, {})
     swap = eval_morphism(base_from_function([2, 1], 2), interp)
@@ -385,12 +393,31 @@ def test_counterexample_is_replayable():
     assert lhs(args) != rhs(args)
 
 
+def bottom_constant_equation() -> Equation:
+    """A valid equation whose sides compose a symbol with constants of
+    source 0: on a chain, the constant bottom ``dagger(pi(1,1),1)`` has the
+    table [0], which looks like an identity table but is not one."""
+    f = Sym(Symbol("f", 1))
+    lhs = Comp(f, Dagger(Proj(1, 1), 1))
+    rhs = Dagger(Comp(f, Dagger(Proj(1, 2), 1)), 1)
+    return Equation.of("bottom constant", lhs, rhs)
+
+
+def widening_constant_equation() -> Equation:
+    """``g(bottom, x) = g(bottom, x)`` through a constant of source 1 and
+    target 2, whose table on chain(2) is [0, 1]."""
+    g = Sym(Symbol("g", 2))
+    widen = Tup((Comp(Dagger(Proj(1, 1), 1), Tup((), 1)), Proj(1, 1)), 1)
+    return Equation.of("widening constant", Comp(g, widen), Comp(g, widen))
+
+
 def library_equations() -> list:
     return (
         conway_library()
         + [cycle_transposition_identity(n, 1) for n in (3, 4)]
         + [adding_id_instance(n, 1) for n in (1, 2)]
         + [make() for make in CORRUPTED]
+        + [bottom_constant_equation(), widening_constant_equation()]
     )
 
 
@@ -450,6 +477,19 @@ def test_sampled_check_finds_injected_fault():
 
 
 # -- regressions ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("poset, count", [(C2, 3), (C3, 10)], ids=["chain2", "chain3"])
+def test_constant_of_source_zero_is_not_an_identity(poset, count):
+    # both sides are f(bottom); a table [0] of source 0 once passed for an
+    # identity and the lhs came out as all of f's table
+    r = check_equation(bottom_constant_equation(), poset)
+    assert r.holds
+    assert r.strategy == "exhaustive"
+    assert r.interpretations_checked == count
+    interp = Interpretation(poset, {"f": TableFn(poset, 1, 1, list(range(poset.size)))})
+    lhs = eval_morphism(bottom_constant_equation().lhs, interp)
+    assert (lhs.in_arity, lhs.table) == (0, [poset.bottom])
 
 
 @pytest.mark.parametrize("samples", [0, -3])
