@@ -12,14 +12,44 @@ brute force over explicit tables, guarded by size caps.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from .automaton import DEFAULT_MONOID_CAP, Automaton, Transformation
+from .automaton import (
+    DEFAULT_MONOID_CAP,
+    Automaton,
+    Transformation,
+    _transformation_closure,
+)
 from .errors import CapExceededError
 
 DEFAULT_SUBGROUP_CAP = 1024
+
+# Entries kept by each of the module's caches: a few times the distinct
+# group tables (76) and monoids (61) that one pass of perfbench's
+# divisors-groups workload creates, so such a pass evicts nothing.
+SUBGROUP_CACHE_SIZE = 256
+MONOID_CACHE_SIZE = 256
+
+
+def _remember(cache: dict, key, value, maxsize: int):
+    """Store ``value`` in a dict used as a bounded cache, dropping the
+    oldest entry when it is full."""
+    if len(cache) >= maxsize:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per row, the row's bytes, so that two rows share a
+    key only when they are equal.  (Reading a row as a base-n integer
+    wraps an int64 from 16 states on.)"""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 class TransformationMonoid:
@@ -34,11 +64,10 @@ class TransformationMonoid:
         self.elements = tuple(elements)
         self.witnesses = tuple(witnesses)
         self.letters = tuple(letters)
-        self._index = {t.map: i for i, t in enumerate(self.elements)}
         ident = Transformation.identity(self.elements[0].n)
-        if ident.map not in self._index:
+        if ident not in self.elements:
             raise ValueError("transformation monoid must contain the identity")
-        self.identity_index = self._index[ident.map]
+        self.identity_index = self.elements.index(ident)
         self._table = None
 
     @property
@@ -49,12 +78,6 @@ class TransformationMonoid:
     def n_states(self) -> int:
         return self.elements[0].n
 
-    def index_of(self, t: Transformation) -> int:
-        try:
-            return self._index[t.map]
-        except KeyError:
-            raise ValueError(f"{t.map} is not an element of this monoid") from None
-
     def product(self, i: int, j: int) -> int:
         """Index of element i followed by element j."""
         return int(self.table[i, j])
@@ -62,16 +85,14 @@ class TransformationMonoid:
     @property
     def table(self) -> np.ndarray:
         if self._table is None:
-            n = self.n_states
             maps = np.array([t.map for t in self.elements], dtype=np.int64) - 1
-            powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-            keys = maps @ powers
+            keys = _row_keys(maps)
             sort = np.argsort(keys)
             sorted_keys = keys[sort]
             table = np.empty((self.order, self.order), dtype=np.int32)
             for i in range(self.order):
                 composed = maps[:, maps[i]]  # row j is "element i, then element j"
-                pos = np.searchsorted(sorted_keys, composed @ powers)
+                pos = np.searchsorted(sorted_keys, _row_keys(composed))
                 table[i] = sort[pos]
             self._table = table
         return self._table
@@ -82,22 +103,7 @@ class TransformationMonoid:
 
 def transition_monoid(q: Automaton, cap: int = DEFAULT_MONOID_CAP) -> TransformationMonoid:
     """Breadth-first closure of the letter actions under composition."""
-    start = Transformation.identity(q.n_states)
-    gens = q.letter_transformations()
-    witness = {start: ()}
-    frontier = deque([start])
-    while frontier:
-        t = frontier.popleft()
-        base = witness[t]
-        for j, g in enumerate(gens):
-            nxt = t.then(g)
-            if nxt not in witness:
-                witness[nxt] = base + (q.letters[j],)
-                frontier.append(nxt)
-                if len(witness) > cap:
-                    raise CapExceededError(
-                        f"transition monoid exceeds cap {cap}"
-                    )
+    witness = _transformation_closure(q, cap)
     elements = sorted(witness, key=lambda t: t.map)
     return TransformationMonoid(elements, [witness[t] for t in elements], q.letters)
 
@@ -117,7 +123,7 @@ class FiniteGroup:
     subgroups carry monoid element indices, quotients carry coset labels.
     """
 
-    def __init__(self, table, labels=None, check: bool = True):
+    def __init__(self, table, labels=None):
         self.table = np.asarray(table, dtype=np.int32)
         if self.table.ndim != 2 or self.table.shape[0] != self.table.shape[1]:
             raise ValueError("group table must be square")
@@ -133,8 +139,7 @@ class FiniteGroup:
         if len(ident) != 1:
             raise ValueError("table has no two-sided identity")
         self.identity = ident[0]
-        if check:
-            self._check_basic()
+        self._check_basic()
         self._inverse = None
 
     def _check_basic(self):
@@ -220,22 +225,24 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_from_permutations([cycle, swap])
 
 
+def _rank(t: Transformation) -> int:
+    return len(set(t.map))
+
+
 def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
     """The group of invertible elements of e M e, the largest group inside
-    the monoid whose unit is the idempotent e."""
+    the monoid whose unit is the idempotent e.  These are the elements of
+    e M e with the rank of e: such an x permutes the image of e, so some
+    power of x is e."""
     if m.product(e, e) != e:
         raise ValueError(f"element {e} is not idempotent")
-    local = sorted({m.product(m.product(e, x), e) for x in range(m.order)})
-    local_set = set(local)
-    units = []
-    for x in local:
-        if any(m.product(x, y) == e and m.product(y, x) == e for y in local_set):
-            units.append(x)
-    pos = {x: i for i, x in enumerate(units)}
-    table = np.array(
-        [[pos[m.product(x, y)] for y in units] for x in units], dtype=np.int32
+    table = m.table
+    rank = _rank(m.elements[e])
+    units = np.array(
+        [x for x in np.unique(table[table[e], e]).tolist() if _rank(m.elements[x]) == rank]
     )
-    return FiniteGroup(table, labels=units)
+    return FiniteGroup(np.searchsorted(units, table[np.ix_(units, units)]),
+                       labels=units.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +263,7 @@ def _closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
         cur = merged
 
 
-def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
+def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
     """Every subgroup, as a sorted tuple of element indices.  Subgroups are
     generated by repeatedly joining with cyclic subgroups, which reaches
     everything because each subgroup is reachable from a maximal chain."""
@@ -293,8 +300,7 @@ def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
                 found[kb] = k
                 queue.append(k)
     out = sorted((tuple(int(v) for v in arr) for arr in found.values()), key=lambda t: (len(t), t))
-    _subgroup_cache[key] = out
-    return out
+    return _remember(_subgroup_cache, key, tuple(out), SUBGROUP_CACHE_SIZE)
 
 
 def _conjugacy_classes(g: FiniteGroup, subgroup_sets) -> list:
@@ -518,26 +524,19 @@ class DivisorWitness:
 
 
 def _group_divisors_with_witnesses(g: FiniteGroup, cap: int) -> dict:
-    """Simple divisors of a group: every composition factor of every
-    subgroup.  Witnesses come from scanning (subgroup, maximal normal)
-    pairs, which produce the same set; both routes are computed and
-    compared as an internal consistency check."""
-    reps = subgroups(g, cap)
-    from_factors = set()
-    for k in reps:
-        from_factors.update(composition_factors(k, cap))
+    """Simple divisors of a group, which are the simple quotients of its
+    subgroups, each with the first (subgroup, maximal normal subgroup)
+    pair found.  Conjugate subgroups have the same quotients, so one
+    subgroup per conjugacy class is scanned."""
     witnesses: dict = {}
-    for k in reps:
-        k_indices = {i: lab for i, lab in enumerate(k.labels)}
+    for k in subgroups(g, cap):
         for n_set in sorted(_maximal_proper_normals(k, cap), key=lambda s: (len(s), s)):
             fp = _fingerprint_unchecked(_quotient_by_indices(k, n_set))
             if fp not in witnesses:
                 witnesses[fp] = DivisorWitness(
-                    subgroup=tuple(k_indices[i] for i in range(k.order)),
-                    normal=tuple(k_indices[i] for i in n_set),
+                    subgroup=k.labels,
+                    normal=tuple(k.labels[i] for i in n_set),
                 )
-    if set(witnesses) != from_factors:
-        raise AssertionError("divisor witness scan disagrees with factor union")
     return witnesses
 
 
@@ -546,35 +545,41 @@ def simple_divisors_group(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> se
     return set(_group_divisors_with_witnesses(g, cap))
 
 
-_monoid_divisor_cache: dict = {}
+class _IdempotentWalk(NamedTuple):
+    subgroup_orders: tuple  # order of the maximal subgroup at each idempotent
+    witnesses: MappingProxyType  # simple divisor -> DivisorWitness, sorted
+
+
+_walk_cache: dict = {}
+
+
+def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
+    """Build the maximal subgroup at each idempotent once and collect its
+    order and its simple divisors.  Every group inside a monoid sits in
+    the maximal subgroup at its unit, so the union over idempotents of the
+    group divisors is the monoid's divisor set.  Cached per monoid."""
+    key = (m.element_key(), cap)
+    cached = _walk_cache.get(key)
+    if cached is not None:
+        return cached
+    orders = []
+    out: dict = {}
+    for e in idempotents(m):
+        h = maximal_subgroup_at(m, e)
+        orders.append(h.order)
+        for fp, w in _group_divisors_with_witnesses(h, cap).items():
+            if fp not in out:
+                out[fp] = replace(w, idempotent=e, idempotent_word=m.witnesses[e])
+    walk = _IdempotentWalk(tuple(orders), MappingProxyType(dict(sorted(out.items()))))
+    return _remember(_walk_cache, key, walk, MONOID_CACHE_SIZE)
 
 
 def divisor_witnesses_monoid(
     m: TransformationMonoid, cap: int = DEFAULT_SUBGROUP_CAP
-) -> dict:
-    """Simple divisors of a monoid with witnesses.  Every group inside a
-    monoid sits in the maximal subgroup at its unit, so the union over
-    idempotents of the group divisors is the whole divisor set."""
-    key = (m.element_key(), cap)
-    cached = _monoid_divisor_cache.get(key)
-    if cached is not None:
-        return cached
-    out: dict = {}
-    for e in idempotents(m):
-        h = maximal_subgroup_at(m, e)
-        for fp, w in sorted(
-            _group_divisors_with_witnesses(h, cap).items(), key=lambda kv: kv[0]
-        ):
-            if fp not in out:
-                out[fp] = DivisorWitness(
-                    subgroup=w.subgroup,
-                    normal=w.normal,
-                    idempotent=e,
-                    idempotent_word=m.witnesses[e],
-                )
-    out = dict(sorted(out.items()))
-    _monoid_divisor_cache[key] = out
-    return out
+) -> MappingProxyType:
+    """Simple divisors of a monoid with witnesses, as a read-only mapping
+    in divisor order."""
+    return _walk_idempotents(m, cap).witnesses
 
 
 def simple_divisors_monoid(
@@ -591,90 +596,18 @@ def divides(s: SimpleGroupId, m: TransformationMonoid,
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle route
-
-def group_subsemigroups(m: TransformationMonoid, max_order: int = 64) -> list:
-    """Every subset of the monoid that is closed under the product and
-    forms a group, as sorted index tuples.  Grown from idempotent
-    singletons one generator at a time; used as an independent oracle for
-    the divisor computation."""
-    if m.order > max_order:
-        raise CapExceededError(
-            f"group subsemigroup enumeration capped at monoid order {max_order}"
-        )
-    table = m.table
-
-    def is_group(indices) -> bool:
-        members = list(indices)
-        member_set = set(members)
-        units = [u for u in members
-                 if all(int(table[u, x]) == x and int(table[x, u]) == x for x in members)]
-        if len(units) != 1:
-            return False
-        u = units[0]
-        return all(
-            any(int(table[x, y]) == u and int(table[y, x]) == u for y in members)
-            for x in members
-        )
-
-    seeds = [(e,) for e in idempotents(m)]
-    found = {s: True for s in seeds}
-    queue = deque(seeds)
-    while queue:
-        h = queue.popleft()
-        h_set = set(h)
-        for x in range(m.order):
-            if x in h_set:
-                continue
-            k = _closure(table, np.array(sorted(h_set | {x}), dtype=np.int64))
-            kt = tuple(int(v) for v in k)
-            if kt in found:
-                continue
-            if is_group(kt):
-                found[kt] = True
-                queue.append(kt)
-    return sorted(found, key=lambda t: (len(t), t))
-
-
-def group_from_monoid_indices(m: TransformationMonoid, indices) -> FiniteGroup:
-    """Present a group subsemigroup of the monoid as a FiniteGroup with
-    monoid element indices as labels."""
-    indices = sorted(indices)
-    pos = {x: i for i, x in enumerate(indices)}
-    try:
-        table = [[pos[m.product(x, y)] for y in indices] for x in indices]
-    except KeyError:
-        raise ValueError("index set is not closed under the monoid product") from None
-    return FiniteGroup(table, labels=indices)
-
-
-def simple_divisors_monoid_bruteforce(m: TransformationMonoid) -> set:
-    """Oracle: fingerprints of all simple quotients of all group
-    subsemigroups, enumerated directly rather than through maximal
-    subgroups."""
-    out = set()
-    for indices in group_subsemigroups(m):
-        k = group_from_monoid_indices(m, indices)
-        for n_set in normal_subgroup_sets(k):
-            q = _quotient_by_indices(k, n_set)
-            if q.order >= 2 and len(normal_subgroup_sets(q)) == 2:
-                out.add(_fingerprint_unchecked(q))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # report
 
 
 def algebra_report(m: TransformationMonoid, cap: int = DEFAULT_SUBGROUP_CAP) -> dict:
     """JSON-ready summary: order, idempotents, maximal subgroup orders and
-    the sorted simple divisors."""
-    idem = idempotents(m)
+    the sorted simple divisors with their witnesses."""
+    walk = _walk_idempotents(m, cap)
     return {
         "order": m.order,
-        "idempotents": len(idem),
-        "maximal_subgroup_orders": [maximal_subgroup_at(m, e).order for e in idem],
+        "idempotents": len(walk.subgroup_orders),
+        "maximal_subgroup_orders": list(walk.subgroup_orders),
         "simple_divisors": [
-            fp.to_json() for fp in sorted(simple_divisors_monoid(m, cap))
+            {**fp.to_json(), "witness": w.to_json()} for fp, w in walk.witnesses.items()
         ],
     }

@@ -16,6 +16,12 @@ from .errors import CapExceededError, NotInitiallyConnectedError
 DEFAULT_MONOID_CAP = 5040
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: JSON ``true`` loads as a bool, which
+    Python counts as the int 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Transformation:
     """A map on states 1..n, stored as the tuple of images."""
@@ -61,8 +67,8 @@ class Automaton:
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
         object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        if self.n_states < 1:
-            raise ValueError(f"automaton needs at least one state, got {self.n_states}")
+        if not _is_int(self.n_states) or self.n_states < 1:
+            raise ValueError(f"automaton needs at least one state, got {self.n_states!r}")
         if not self.letters:
             raise ValueError("automaton needs at least one letter")
         if len(set(self.letters)) != len(self.letters):
@@ -77,7 +83,7 @@ class Automaton:
                     f"delta row {s} has {len(row)} entries for {len(self.letters)} letters"
                 )
             for v in row:
-                if not isinstance(v, int) or not 1 <= v <= self.n_states:
+                if not _is_int(v) or not 1 <= v <= self.n_states:
                     raise ValueError(f"delta row {s} target {v!r} out of range [1..{self.n_states}]")
         object.__setattr__(
             self, "_letter_pos", {name: j for j, name in enumerate(self.letters)}
@@ -117,29 +123,22 @@ class InitializedAutomaton:
             )
 
 
-def _as_word(q: Automaton, word) -> list:
-    """Normalize a word to a list of letter names.  A plain string is read
-    one character at a time."""
-    if isinstance(word, str):
-        return list(word)
-    return list(word)
-
-
 def induced(q: Automaton, word) -> Transformation:
-    """The state transformation induced by a word (empty word: identity)."""
+    """The state transformation induced by a word (empty word: identity).
+    A plain string is read one letter per character."""
     t = Transformation.identity(q.n_states)
-    for name in _as_word(q, word):
+    for name in word:
         t = t.then(q.letter_transformation(q.letter_index(name)))
     return t
 
 
-def _transformation_closure(q: Automaton, cap: int | None = None):
-    """All word-induced transformations, with a shortest witness word each
-    (ties broken by letter order).  Returned in discovery order."""
+def _transformation_closure(q: Automaton, cap: int | None = None) -> dict:
+    """Every word-induced transformation, mapped to a shortest word
+    inducing it (ties broken toward earlier letters), in breadth-first
+    discovery order."""
     start = Transformation.identity(q.n_states)
     gens = q.letter_transformations()
     witness = {start: ()}
-    order = [start]
     frontier = [start]
     while frontier:
         new = []
@@ -149,14 +148,13 @@ def _transformation_closure(q: Automaton, cap: int | None = None):
                 nxt = t.then(g)
                 if nxt not in witness:
                     witness[nxt] = base + (q.letters[j],)
-                    order.append(nxt)
                     new.append(nxt)
-                    if cap is not None and len(order) > cap:
+                    if cap is not None and len(witness) > cap:
                         raise CapExceededError(
                             f"transition monoid exceeds cap {cap}"
                         )
         frontier = new
-    return order, witness
+    return witness
 
 
 def is_extension(qp: Automaton, q: Automaton) -> bool:
@@ -171,8 +169,7 @@ def is_extension(qp: Automaton, q: Automaton) -> bool:
             return False
         if qp.letter_transformation(qp.letter_index(name)).map != q.letter_transformation(j).map:
             return False
-    elements, _ = _transformation_closure(q)
-    available = {t.map for t in elements}
+    available = {t.map for t in _transformation_closure(q)}
     for name in qp.letters:
         if name in q.letters:
             continue
@@ -208,8 +205,7 @@ def saturate(q: Automaton, cap: int = DEFAULT_MONOID_CAP) -> Automaton:
     """Extend the alphabet with one fresh letter per word-induced
     transformation, ordered by their state maps.  The transition monoid is
     unchanged."""
-    elements, _ = _transformation_closure(q, cap)
-    elements = sorted(elements, key=lambda t: t.map)
+    elements = sorted(_transformation_closure(q, cap), key=lambda t: t.map)
     names = _fresh_letter_names(q.letters, len(elements))
     letters = q.letters + tuple(names)
     delta = tuple(
@@ -321,7 +317,7 @@ def from_dict(data: dict):
     states = data["states"]
     letters = data["letters"]
     delta = data["delta"]
-    if not isinstance(states, int):
+    if not _is_int(states):
         raise ValueError("'states' must be an integer")
     if not isinstance(letters, list) or not all(isinstance(x, str) for x in letters):
         raise ValueError("'letters' must be a list of strings")
@@ -329,7 +325,7 @@ def from_dict(data: dict):
         raise ValueError("'delta' must be a list of rows")
     q = Automaton(states, tuple(letters), tuple(tuple(row) for row in delta))
     if "initial" in data:
-        if not isinstance(data["initial"], int):
+        if not _is_int(data["initial"]):
             raise ValueError("'initial' must be an integer")
         return InitializedAutomaton(q, data["initial"])
     return q

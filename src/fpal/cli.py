@@ -149,12 +149,7 @@ def cmd_monoid(args, config: Config) -> int:
 def cmd_divisors(args, config: Config) -> int:
     q = _plain(_load_automaton(args.automaton))
     m = algebra.transition_monoid(q, cap=config.monoid_cap)
-    report = algebra.algebra_report(m, cap=config.subgroup_cap)
-    witnesses = algebra.divisor_witnesses_monoid(m, cap=config.subgroup_cap)
-    report["simple_divisors"] = [
-        {**fp.to_json(), "witness": w.to_json()} for fp, w in witnesses.items()
-    ]
-    emit(report, config)
+    emit(algebra.algebra_report(m, cap=config.subgroup_cap), config)
     return 0
 
 

@@ -17,6 +17,7 @@ from .algebra import (
     DEFAULT_SUBGROUP_CAP,
     DivisorWitness,
     SimpleGroupId,
+    _is_prime,
     cyclic_group,
     divisor_witnesses_monoid,
     fingerprint,
@@ -236,27 +237,16 @@ class FamilyReport:
         }
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _cyclic_simple_id(p: int) -> SimpleGroupId:
     return fingerprint(cyclic_group(p))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _alternating5_id() -> SimpleGroupId:
     five_cycle = (2, 3, 4, 5, 1)
     three_cycle = (2, 3, 1, 4, 5)
     return fingerprint(group_from_permutations([five_cycle, three_cycle]))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _smallest_missing(covered: set) -> SimpleGroupId:

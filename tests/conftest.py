@@ -23,6 +23,14 @@ def random_automaton(rng: random.Random, max_states: int = 4,
     return Automaton(n, letters, delta)
 
 
+def full_transformations(n: int) -> Automaton:
+    """A cycle, a swap and a rank n-1 map: they generate all of T_n."""
+    delta = tuple(
+        (s % n + 1, {1: 2, 2: 1}.get(s, s), 1 if s == 2 else s) for s in range(1, n + 1)
+    )
+    return Automaton(n, ("a", "b", "c"), delta)
+
+
 def build_corpus(size: int = CORPUS_SIZE, seed: int = CORPUS_SEED) -> list:
     """A fixed collection of small automata whose monoids stay tiny.
 

@@ -20,7 +20,6 @@ from fpal.algebra import (
     composition_factors,
     simple_divisors_group,
     simple_divisors_monoid,
-    simple_divisors_monoid_bruteforce,
     symmetric_group,
     transition_monoid,
 )
@@ -35,6 +34,7 @@ from fpal.identities import (
     gamma_init,
     power_identity,
 )
+from oracle import simple_divisors_monoid_bruteforce
 from test_algebra import group_corpus, names
 from test_cpo_model import (
     corrupted_double_dagger,

@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from conftest import full_transformations
+from fpal import algebra, entailment
 from fpal.algebra import (
     FiniteGroup,
     SimpleGroupId,
@@ -12,9 +14,7 @@ from fpal.algebra import (
     divides,
     divisor_witnesses_monoid,
     fingerprint,
-    group_from_monoid_indices,
     group_from_permutations,
-    group_subsemigroups,
     idempotents,
     is_simple,
     maximal_subgroup_at,
@@ -22,12 +22,17 @@ from fpal.algebra import (
     quotient,
     simple_divisors_group,
     simple_divisors_monoid,
-    simple_divisors_monoid_bruteforce,
     subgroups,
     symmetric_group,
     transition_monoid,
 )
-from fpal.automaton import counter, full_T2, symmetric_automaton
+from fpal.automaton import Automaton, counter, full_T2, symmetric_automaton
+from oracle import (
+    group_from_monoid_indices,
+    group_subsemigroups,
+    simple_divisors_monoid_bruteforce,
+    units_by_inverse_search,
+)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -92,6 +97,16 @@ def test_full_t2_idempotents():
     assert len(idem) == 3
     orders = sorted(maximal_subgroup_at(m, e).order for e in idem)
     assert orders == [1, 1, 2]
+
+
+
+def test_table_of_32_state_monoid():
+    # read in base 32, the two maps differ by 32**31, which is 0 mod 2**64
+    delta = tuple((s, 2 if s == 1 else s) for s in range(1, 33))
+    m = transition_monoid(Automaton(32, ("a", "b"), delta))
+    assert m.order == 2
+    assert m.table.tolist() == [[0, 1], [1, 1]]
+    assert idempotents(m) == [0, 1]
 
 
 def test_maximal_subgroup_requires_idempotent():
@@ -295,3 +310,63 @@ def test_bruteforce_oracle_on_corpus_sample(corpus):
     for q in corpus[::7]:
         m = transition_monoid(q, cap=24)
         assert simple_divisors_monoid(m) == simple_divisors_monoid_bruteforce(m)
+
+
+# -- checks kept out of the divisor path ------------------------------------------
+
+
+def test_witness_scan_equals_composition_factor_union(corpus_monoids):
+    # the divisors of a group are the composition factors of its subgroups
+    groups = group_corpus()
+    for m in corpus_monoids:
+        groups += [maximal_subgroup_at(m, e) for e in idempotents(m)]
+    for g in groups:
+        union = set()
+        for k in subgroups(g):
+            union.update(composition_factors(k))
+        assert simple_divisors_group(g) == union
+
+
+def test_units_by_rank_match_inverse_search(corpus_monoids):
+    monoids = corpus_monoids + [
+        transition_monoid(symmetric_automaton(4)),
+        transition_monoid(full_transformations(4)),
+    ]
+    checked = 0
+    for m in monoids:
+        for e in idempotents(m):
+            units = units_by_inverse_search(m, e)
+            h = maximal_subgroup_at(m, e)
+            assert list(h.labels) == units
+            assert np.array_equal(h.table, group_from_monoid_indices(m, units).table)
+            checked += 1
+    assert (len(monoids), checked) == (222, 745)
+
+
+# -- caches ---------------------------------------------------------------------
+
+
+def test_cached_divisor_table_is_read_only():
+    m = transition_monoid(counter(6))
+    table = divisor_witnesses_monoid(m)
+    original = dict(table)
+    c5 = fingerprint(cyclic_group(5))
+    with pytest.raises(TypeError):
+        table[c5] = next(iter(original.values()))
+    with pytest.raises(TypeError):
+        del table[next(iter(original))]
+    assert dict(divisor_witnesses_monoid(transition_monoid(counter(6)))) == original
+    assert isinstance(all_subgroup_sets(cyclic_group(6)), tuple)
+
+
+def test_caches_are_bounded(monkeypatch):
+    monkeypatch.setattr(algebra, "MONOID_CACHE_SIZE", 2)
+    monkeypatch.setattr(algebra, "SUBGROUP_CACHE_SIZE", 3)
+    monkeypatch.setattr(algebra, "_walk_cache", {})
+    monkeypatch.setattr(algebra, "_subgroup_cache", {})
+    for n in range(2, 7):
+        assert simple_divisors_monoid(transition_monoid(counter(n)))
+    assert len(algebra._walk_cache) == 2
+    assert len(algebra._subgroup_cache) == 3
+    assert entailment._cyclic_simple_id.cache_info().maxsize == 256
+    assert entailment._alternating5_id.cache_info().maxsize == 1

@@ -198,6 +198,25 @@ def test_from_dict_rejects_bad_payloads():
         from_dict([1, 2, 3])
 
 
+
+@pytest.mark.parametrize("payload", [
+    {"states": True, "letters": ["a"], "delta": [[True]]},
+    {"states": True, "letters": ["a"], "delta": [[1]]},
+    {"states": 1, "letters": ["a"], "delta": [[True]]},
+    {"states": 2, "letters": ["a"], "delta": [[2], [1]], "initial": True},
+], ids=["all", "states", "delta", "initial"])
+def test_from_dict_rejects_json_booleans(payload):
+    # bool is a subclass of int, so true once loaded as state 1
+    with pytest.raises(ValueError):
+        from_dict(payload)
+
+
+def test_automaton_rejects_booleans():
+    with pytest.raises(ValueError):
+        Automaton(True, ("a",), ((1,),))
+    with pytest.raises(ValueError):
+        Automaton(2, ("a",), ((2,), (True,)))
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_random_extension_keeps_monoid(seed):

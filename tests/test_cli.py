@@ -259,6 +259,25 @@ def test_bad_automaton_payload(tmp_path, capsys):
     assert err.startswith("error[bad-input]:")
 
 
+
+def test_json_boolean_automaton_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"states": True, "letters": ["a"], "delta": [[True]]}))
+    code, out, err = run_cli(["divisors", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[bad-input]:")
+
+
+def test_divisors_of_32_state_monoid(write_aut, capsys):
+    # the identity and b (1 -> 2) are two idempotents; integer keys in
+    # base 32 once wrapped and merged them into one table entry
+    delta = tuple((s, 2 if s == 1 else s) for s in range(1, 33))
+    code, blob = run_json(["divisors", write_aut(Automaton(32, ("a", "b"), delta))], capsys)
+    assert code == 0
+    assert blob["order"] == 2
+    assert blob["idempotents"] == 2
+    assert blob["maximal_subgroup_orders"] == [1, 1]
+
 def test_parse_error_code(tmp_path, capsys):
     eq = tmp_path / "broken.eq"
     eq.write_text("name broken\nsym f 1\nsym(f = sym(f)\n")
