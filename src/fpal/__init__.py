@@ -17,7 +17,6 @@ from .algebra import (
     fingerprint,
     group_from_permutations,
     simple_divisors_monoid,
-    subgroups,
     symmetric_group,
     transition_monoid,
 )

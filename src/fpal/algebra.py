@@ -4,9 +4,11 @@ simple divisors.
 The monoid of an automaton is the set of word-induced state maps, with
 ``x * y`` meaning "apply x, then y".  A simple group S divides a monoid M
 when S is a quotient of some subsemigroup of M that happens to be a group;
-equivalently, S is a composition factor of a subgroup of one of the
-maximal subgroups sitting at the idempotents of M.  Everything here is
-brute force over explicit tables, guarded by size caps.
+equivalently, S is a quotient K/N of a subgroup K of one of the maximal
+subgroups H sitting at the idempotents of M.  Each H is an explicit
+table; its subgroups are index sets into that table, found by one
+search of its subgroup lattice, and every section K/N is read off that
+lattice and those index sets.  The searches are guarded by size caps.
 """
 
 from __future__ import annotations
@@ -303,92 +305,26 @@ def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
     return _remember(_subgroup_cache, key, tuple(out), SUBGROUP_CACHE_SIZE)
 
 
-def _conjugacy_classes(g: FiniteGroup, subgroup_sets) -> list:
-    """Partition subgroup index-sets into conjugacy classes."""
+def _maximal_normals(g: FiniteGroup, subs, k) -> list:
+    """The maximal proper normal subgroups of the subgroup ``k`` of ``g``,
+    in the order of ``subs``, the subgroup lattice of ``g``: the members
+    of ``subs`` properly inside ``k`` that every element of ``k``
+    normalizes, less those inside a larger one.  Quotients by these are
+    exactly the simple quotients of ``k``."""
+    k_set = set(k)
+    k_arr = np.array(k, dtype=np.int64)
     table, inv = g.table, g.inverse
-    by_key = {}
-    for sub in subgroup_sets:
-        arr = np.array(sub, dtype=np.int64)
-        seenclass = set()
-        for x in range(g.order):
-            conj = np.sort(table[table[x, arr], inv[x]])
-            seenclass.add(tuple(int(v) for v in conj))
-        rep = min(seenclass)
-        by_key.setdefault(rep, seenclass)
-    return [sorted(cls) for _, cls in sorted(by_key.items())]
-
-
-def subgroup_from_indices(g: FiniteGroup, indices) -> FiniteGroup:
-    """Present a subset of ``g`` closed under multiplication as its own
-    group, with the parent's labels carried over."""
-    indices = sorted(indices)
-    pos = {x: i for i, x in enumerate(indices)}
-    try:
-        table = [[pos[int(g.table[x, y])] for y in indices] for x in indices]
-    except KeyError:
-        raise ValueError("index set is not closed under multiplication") from None
-    return FiniteGroup(table, labels=[g.labels[x] for x in indices])
-
-
-def subgroups(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
-    """One representative subgroup per conjugacy class, ordered by size
-    then by element set."""
-    classes = _conjugacy_classes(g, all_subgroup_sets(g, cap))
-    reps = sorted((cls[0] for cls in classes), key=lambda t: (len(t), t))
-    return [subgroup_from_indices(g, rep) for rep in reps]
-
-
-def normal_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
-    """Index-sets of normal subgroups: the conjugacy classes of size 1."""
-    classes = _conjugacy_classes(g, all_subgroup_sets(g, cap))
-    return sorted((cls[0] for cls in classes if len(cls) == 1), key=lambda t: (len(t), t))
-
-
-def normal_subgroups(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
-    return [subgroup_from_indices(g, s) for s in normal_subgroup_sets(g, cap)]
-
-
-def quotient(g: FiniteGroup, n: FiniteGroup) -> FiniteGroup:
-    """The quotient of ``g`` by a normal subgroup given as a FiniteGroup
-    whose labels identify elements of ``g``."""
-    label_pos = {lab: i for i, lab in enumerate(g.labels)}
-    try:
-        n_idx = sorted(label_pos[lab] for lab in n.labels)
-    except KeyError:
-        raise ValueError("subgroup labels do not identify elements of the parent") from None
-    return _quotient_by_indices(g, n_idx)
-
-
-def _quotient_by_indices(g: FiniteGroup, n_idx) -> FiniteGroup:
-    arr = np.array(sorted(n_idx), dtype=np.int64)
-    table, inv = g.table, g.inverse
-    for x in range(g.order):
-        if not np.array_equal(np.sort(table[table[x, arr], inv[x]]), arr):
-            raise ValueError("subgroup is not normal in the parent")
-    coset_of = {}
-    cosets = []
-    for x in range(g.order):
-        if x in coset_of:
+    normals = []
+    for n in subs:
+        if len(n) >= len(k) or not k_set.issuperset(n):
             continue
-        members = tuple(int(v) for v in np.sort(table[x, arr]))
-        for v in members:
-            coset_of[v] = len(cosets)
-        cosets.append(members)
-    k = len(cosets)
-    qtable = np.empty((k, k), dtype=np.int32)
-    for a, mem_a in enumerate(cosets):
-        for b, mem_b in enumerate(cosets):
-            qtable[a, b] = coset_of[int(table[mem_a[0], mem_b[0]])]
-    labels = [tuple(g.labels[v] for v in mem) for mem in cosets]
-    return FiniteGroup(qtable, labels=labels)
-
-
-def is_simple(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> bool:
-    """Nontrivial with no proper nontrivial normal subgroup.  The trivial
-    group is not simple."""
-    if g.order < 2:
-        return False
-    return len(normal_subgroup_sets(g, cap)) == 2
+        in_n = np.zeros(g.order, dtype=bool)
+        in_n[list(n)] = True
+        # x y x^-1 for every x in K and y in N
+        if in_n[table[table[np.ix_(k_arr, n)], inv[k_arr][:, None]]].all():
+            normals.append(n)
+    return [n for i, n in enumerate(normals)
+            if not any(set(n) < set(m) for m in normals[i + 1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -463,43 +399,56 @@ def _simple_name(order: int, element_orders: tuple) -> str | None:
     return _NONABELIAN_SIMPLE_NAMES.get(order)
 
 
-def _fingerprint_unchecked(g: FiniteGroup) -> SimpleGroupId:
-    orders = g.element_orders()
-    return SimpleGroupId(g.order, orders, _simple_name(g.order, orders))
+def _section_id(g: FiniteGroup, k, n) -> SimpleGroupId:
+    """Fingerprint of the section K/N, for subgroups ``n`` normal in ``k``
+    of ``g``, read off the cosets without building a quotient table: the
+    order of the coset xN is the least j with x^j in N, and each coset
+    has |N| members."""
+    in_n = np.zeros(g.order, dtype=bool)
+    in_n[list(n)] = True
+    k_arr = np.array(k, dtype=np.int64)
+    orders = np.zeros(len(k), dtype=np.int64)
+    power, j = k_arr, 1
+    while not orders.all():
+        orders[in_n[power] & (orders == 0)] = j
+        power = g.table[power, k_arr]
+        j += 1
+    coset_orders = tuple(sorted(orders.tolist())[::len(n)])
+    order = len(k) // len(n)
+    return SimpleGroupId(order, coset_orders, _simple_name(order, coset_orders))
+
+
+def is_simple(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> bool:
+    """Nontrivial with no proper nontrivial normal subgroup.  The trivial
+    group is not simple."""
+    if g.order < 2:
+        return False
+    subs = all_subgroup_sets(g, cap)
+    return _maximal_normals(g, subs, subs[-1]) == [subs[0]]
 
 
 def fingerprint(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> SimpleGroupId:
     """Fingerprint of a simple group; rejects non-simple input."""
     if not is_simple(g, cap):
         raise ValueError(f"group of order {g.order} is not simple")
-    return _fingerprint_unchecked(g)
-
-
-def _maximal_proper_normals(g: FiniteGroup, cap: int) -> list:
-    """Proper normal subgroups maximal under inclusion; quotients by these
-    are exactly the simple quotients."""
-    normals = [s for s in normal_subgroup_sets(g, cap) if len(s) < g.order]
-    sets = [set(s) for s in normals]
-    out = []
-    for i, s in enumerate(normals):
-        if any(j != i and sets[i] < sets[j] for j in range(len(normals))):
-            continue
-        out.append(s)
-    return out
+    return _section_id(g, range(g.order), (g.identity,))
 
 
 def composition_factors(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP, rng=None) -> tuple:
     """Multiset (sorted tuple) of simple factor fingerprints of any maximal
-    normal series.  The default tie-break takes the largest maximal normal
-    subgroup, then the least element set; pass ``rng`` to randomize the
-    choice (the result is the same multiset either way)."""
-    if g.order == 1:
-        return ()
-    candidates = sorted(_maximal_proper_normals(g, cap), key=lambda s: (-len(s), s))
-    chosen = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
-    top = _fingerprint_unchecked(_quotient_by_indices(g, chosen))
-    rest = composition_factors(subgroup_from_indices(g, chosen), cap, rng)
-    return tuple(sorted(rest + (top,)))
+    normal series, walked down the subgroup lattice of ``g``.  The default
+    tie-break takes the largest maximal normal subgroup, then the least
+    element set; pass ``rng`` to randomize the choice (the result is the
+    same multiset either way)."""
+    subs = all_subgroup_sets(g, cap)
+    factors = []
+    k = subs[-1]
+    while len(k) > 1:
+        candidates = sorted(_maximal_normals(g, subs, k), key=lambda s: (-len(s), s))
+        n = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
+        factors.append(_section_id(g, k, n))
+        k = n
+    return tuple(sorted(factors))
 
 
 @dataclass(frozen=True)
@@ -526,16 +475,18 @@ class DivisorWitness:
 def _group_divisors_with_witnesses(g: FiniteGroup, cap: int) -> dict:
     """Simple divisors of a group, which are the simple quotients of its
     subgroups, each with the first (subgroup, maximal normal subgroup)
-    pair found.  Conjugate subgroups have the same quotients, so one
-    subgroup per conjugacy class is scanned."""
+    pair found, subgroups taken in (size, element set) order.  Conjugate
+    subgroups have the same quotients, so the first subgroup with a given
+    quotient is the least of its conjugacy class."""
+    subs = all_subgroup_sets(g, cap)
     witnesses: dict = {}
-    for k in subgroups(g, cap):
-        for n_set in sorted(_maximal_proper_normals(k, cap), key=lambda s: (len(s), s)):
-            fp = _fingerprint_unchecked(_quotient_by_indices(k, n_set))
+    for k in subs:
+        for n in _maximal_normals(g, subs, k):
+            fp = _section_id(g, k, n)
             if fp not in witnesses:
                 witnesses[fp] = DivisorWitness(
-                    subgroup=k.labels,
-                    normal=tuple(k.labels[i] for i in n_set),
+                    subgroup=tuple(g.labels[x] for x in k),
+                    normal=tuple(g.labels[x] for x in n),
                 )
     return witnesses
 

@@ -18,9 +18,8 @@ from .algebra import (
     DivisorWitness,
     SimpleGroupId,
     _is_prime,
-    cyclic_group,
+    _simple_name,
     divisor_witnesses_monoid,
-    fingerprint,
     group_from_permutations,
     transition_monoid,
 )
@@ -32,7 +31,7 @@ from .automaton import (
     is_initially_connected,
     reachable_part,
 )
-from .errors import NotInitiallyConnectedError
+from .errors import CapExceededError, NotInitiallyConnectedError
 
 AutomatonLike = Union[Automaton, InitializedAutomaton]
 
@@ -237,32 +236,49 @@ class FamilyReport:
         }
 
 
-@functools.lru_cache(maxsize=256)
 def _cyclic_simple_id(p: int) -> SimpleGroupId:
-    return fingerprint(cyclic_group(p))
+    return SimpleGroupId(p, (1,) + (p,) * (p - 1), f"C_{p}")
 
 
-@functools.lru_cache(maxsize=1)
-def _alternating5_id() -> SimpleGroupId:
-    five_cycle = (2, 3, 4, 5, 1)
-    three_cycle = (2, 3, 1, 4, 5)
-    return fingerprint(group_from_permutations([five_cycle, three_cycle]))
+# Generators, as permutations, of the nonabelian simple groups of order
+# below 1092, the order of PSL(2,13), for which none are kept; so the scan
+# for a missing group stops at 1091.
+_NONABELIAN_GENERATORS = {
+    60: ((2, 3, 4, 5, 1), (2, 3, 1, 4, 5)),
+    168: ((2, 3, 4, 5, 6, 7, 1, 8), (8, 7, 4, 3, 6, 5, 2, 1)),
+    360: ((2, 3, 1, 4, 5, 6), (1, 3, 4, 5, 6, 2)),
+    504: ((2, 1, 4, 3, 6, 5, 8, 7, 9), (9, 2, 6, 7, 8, 3, 4, 5, 1),
+          (1, 3, 5, 7, 4, 2, 8, 6, 9)),
+    660: ((2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1, 12),
+          (12, 11, 6, 8, 9, 3, 10, 4, 5, 7, 2, 1)),
+}
+_MISSING_SCAN_LIMIT = 1091
+
+
+@functools.lru_cache(maxsize=len(_NONABELIAN_GENERATORS))
+def _nonabelian_simple_id(order: int) -> SimpleGroupId:
+    g = group_from_permutations(_NONABELIAN_GENERATORS[order])
+    element_orders = g.element_orders()
+    return SimpleGroupId(g.order, element_orders, _simple_name(g.order, element_orders))
 
 
 def _smallest_missing(covered: set) -> SimpleGroupId:
     """The least-order simple group outside the covered set, scanning
-    orders upward (prime orders, with the order-60 group interleaved)."""
-    order = 2
-    while True:
-        if order == 60:
-            candidate = _alternating5_id()
-            if candidate not in covered:
-                return candidate
-        if _is_prime(order):
+    orders upward through the primes and the nonabelian orders above;
+    refused past order 1091."""
+    for order in range(2, _MISSING_SCAN_LIMIT + 1):
+        if order in _NONABELIAN_GENERATORS:
+            candidate = _nonabelian_simple_id(order)
+        elif _is_prime(order):
             candidate = _cyclic_simple_id(order)
-            if candidate not in covered:
-                return candidate
-        order += 1
+        else:
+            continue
+        if candidate not in covered:
+            return candidate
+    raise CapExceededError(
+        f"every simple group of order up to {_MISSING_SCAN_LIMIT} is covered; "
+        "fpal cannot build PSL(2,13), the next one"
+    )
 
 
 def family_completeness(family, *,
@@ -303,7 +319,7 @@ def family_completeness(family, *,
             return FamilyReport(
                 family="cyclic",
                 complete=False,
-                witness=_alternating5_id(),
+                witness=_nonabelian_simple_id(60),
                 explanation=(
                     "modular counters only yield prime-order divisors; the "
                     "order-60 simple group never divides any of them"

@@ -31,6 +31,12 @@ def full_transformations(n: int) -> Automaton:
     return Automaton(n, ("a", "b", "c"), delta)
 
 
+def alternating5_automaton() -> Automaton:
+    """A 5-cycle and a 3-cycle: their group is A_5."""
+    gens = [(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)]
+    return Automaton(5, ("a", "b"), tuple(tuple(g[s] for g in gens) for s in range(5)))
+
+
 def build_corpus(size: int = CORPUS_SIZE, seed: int = CORPUS_SEED) -> list:
     """A fixed collection of small automata whose monoids stay tiny.
 

@@ -1,6 +1,8 @@
 """Brute-force references for the divisor pipeline, kept out of the
-library: they enumerate directly what ``fpal.algebra`` derives from the
-maximal subgroups, and the tests replay the fast routes against them."""
+library.  They enumerate directly what ``fpal.algebra`` derives from the
+maximal subgroups, and they build explicit subgroup and quotient tables
+where ``fpal.algebra`` reads sections off one subgroup lattice; the tests
+replay the fast routes against them."""
 
 from collections import deque
 
@@ -8,14 +10,23 @@ import numpy as np
 
 from fpal.algebra import (
     FiniteGroup,
+    SimpleGroupId,
     TransformationMonoid,
-    _closure,
-    _fingerprint_unchecked,
-    _quotient_by_indices,
+    all_subgroup_sets,
     idempotents,
-    normal_subgroup_sets,
 )
 from fpal.errors import CapExceededError
+
+
+def closure(table: np.ndarray, seed) -> tuple:
+    """Smallest set containing ``seed`` and closed under the table, as a
+    sorted index tuple."""
+    cur = np.unique(np.asarray(seed, dtype=np.int64))
+    while True:
+        merged = np.union1d(cur, np.unique(table[np.ix_(cur, cur)]))
+        if merged.size == cur.size:
+            return tuple(int(v) for v in cur)
+        cur = merged
 
 
 def group_subsemigroups(m: TransformationMonoid, max_order: int = 64) -> list:
@@ -49,8 +60,7 @@ def group_subsemigroups(m: TransformationMonoid, max_order: int = 64) -> list:
         for x in range(m.order):
             if x in h_set:
                 continue
-            k = _closure(table, np.array(sorted(h_set | {x}), dtype=np.int64))
-            kt = tuple(int(v) for v in k)
+            kt = closure(table, sorted(h_set | {x}))
             if kt in found:
                 continue
             if is_group(kt):
@@ -71,6 +81,111 @@ def group_from_monoid_indices(m: TransformationMonoid, indices) -> FiniteGroup:
     return FiniteGroup(table, labels=indices)
 
 
+# ---------------------------------------------------------------------------
+# subgroups and quotients as their own tables
+
+
+def conjugacy_classes(g: FiniteGroup, subgroup_sets) -> list:
+    """Partition subgroup index-sets into conjugacy classes, each class
+    sorted, the classes ordered by their least member."""
+    table, inv = g.table, g.inverse
+    by_key = {}
+    for sub in subgroup_sets:
+        arr = np.array(sub, dtype=np.int64)
+        seenclass = set()
+        for x in range(g.order):
+            conj = np.sort(table[table[x, arr], inv[x]])
+            seenclass.add(tuple(int(v) for v in conj))
+        by_key.setdefault(min(seenclass), seenclass)
+    return [sorted(cls) for _, cls in sorted(by_key.items())]
+
+
+def subgroup_from_indices(g: FiniteGroup, indices) -> FiniteGroup:
+    """Present a subset of ``g`` closed under multiplication as its own
+    group, with the parent's labels carried over."""
+    indices = sorted(indices)
+    pos = {x: i for i, x in enumerate(indices)}
+    try:
+        table = [[pos[int(g.table[x, y])] for y in indices] for x in indices]
+    except KeyError:
+        raise ValueError("index set is not closed under multiplication") from None
+    return FiniteGroup(table, labels=[g.labels[x] for x in indices])
+
+
+def subgroups(g: FiniteGroup) -> list:
+    """One representative subgroup per conjugacy class, ordered by size
+    then by element set."""
+    classes = conjugacy_classes(g, all_subgroup_sets(g))
+    reps = sorted((cls[0] for cls in classes), key=lambda t: (len(t), t))
+    return [subgroup_from_indices(g, rep) for rep in reps]
+
+
+def normal_subgroup_sets(g: FiniteGroup) -> list:
+    """Index-sets of normal subgroups: the conjugacy classes of size 1."""
+    classes = conjugacy_classes(g, all_subgroup_sets(g))
+    return sorted((cls[0] for cls in classes if len(cls) == 1), key=lambda t: (len(t), t))
+
+
+def normal_subgroups(g: FiniteGroup) -> list:
+    return [subgroup_from_indices(g, s) for s in normal_subgroup_sets(g)]
+
+
+def quotient(g: FiniteGroup, n: FiniteGroup) -> FiniteGroup:
+    """The quotient of ``g`` by a normal subgroup given as a FiniteGroup
+    whose labels identify elements of ``g``."""
+    label_pos = {lab: i for i, lab in enumerate(g.labels)}
+    try:
+        n_idx = sorted(label_pos[lab] for lab in n.labels)
+    except KeyError:
+        raise ValueError("subgroup labels do not identify elements of the parent") from None
+    return quotient_by_indices(g, n_idx)
+
+
+def quotient_by_indices(g: FiniteGroup, n_idx) -> FiniteGroup:
+    """The quotient table of ``g`` by the normal subgroup with index-set
+    ``n_idx``, labelled by cosets."""
+    arr = np.array(sorted(n_idx), dtype=np.int64)
+    table, inv = g.table, g.inverse
+    for x in range(g.order):
+        if not np.array_equal(np.sort(table[table[x, arr], inv[x]]), arr):
+            raise ValueError("subgroup is not normal in the parent")
+    coset_of = {}
+    cosets = []
+    for x in range(g.order):
+        if x in coset_of:
+            continue
+        members = tuple(int(v) for v in np.sort(table[x, arr]))
+        for v in members:
+            coset_of[v] = len(cosets)
+        cosets.append(members)
+    k = len(cosets)
+    qtable = np.empty((k, k), dtype=np.int32)
+    for a, mem_a in enumerate(cosets):
+        for b, mem_b in enumerate(cosets):
+            qtable[a, b] = coset_of[int(table[mem_a[0], mem_b[0]])]
+    labels = [tuple(g.labels[v] for v in mem) for mem in cosets]
+    return FiniteGroup(qtable, labels=labels)
+
+
+def simple_id(q: FiniteGroup) -> SimpleGroupId:
+    """The unnamed fingerprint of a group table (names are display only)."""
+    return SimpleGroupId(q.order, q.element_orders())
+
+
+def is_simple(g: FiniteGroup) -> bool:
+    return g.order >= 2 and len(normal_subgroup_sets(g)) == 2
+
+
+def composition_factors(g: FiniteGroup) -> tuple:
+    """Factors of a maximal normal series, each quotient built as a table.
+    A largest proper normal subgroup is maximal."""
+    if g.order == 1:
+        return ()
+    n = max((s for s in normal_subgroup_sets(g) if len(s) < g.order), key=len)
+    top = simple_id(quotient_by_indices(g, n))
+    return tuple(sorted(composition_factors(subgroup_from_indices(g, n)) + (top,)))
+
+
 def simple_divisors_monoid_bruteforce(m: TransformationMonoid) -> set:
     """Fingerprints of all simple quotients of all group subsemigroups,
     enumerated directly rather than through maximal subgroups."""
@@ -78,9 +193,9 @@ def simple_divisors_monoid_bruteforce(m: TransformationMonoid) -> set:
     for indices in group_subsemigroups(m):
         k = group_from_monoid_indices(m, indices)
         for n_set in normal_subgroup_sets(k):
-            q = _quotient_by_indices(k, n_set)
-            if q.order >= 2 and len(normal_subgroup_sets(q)) == 2:
-                out.add(_fingerprint_unchecked(q))
+            q = quotient_by_indices(k, n_set)
+            if is_simple(q):
+                out.add(simple_id(q))
     return out
 
 
@@ -91,3 +206,26 @@ def units_by_inverse_search(m: TransformationMonoid, e: int) -> list:
     local = sorted({m.product(m.product(e, x), e) for x in range(m.order)})
     return [x for x in local
             if any(m.product(x, y) == e and m.product(y, x) == e for y in local)]
+
+
+# ---------------------------------------------------------------------------
+# an independent route through sympy
+
+
+def composition_factor_orders_sympy(g: FiniteGroup) -> list:
+    """Sorted orders of the composition factors that ``sympy`` finds for
+    ``g`` presented as the permutation group of its table rows (row x is
+    the map y -> xy, so the rows form a faithful image of ``g``).  sympy
+    builds composition series of solvable groups only; a nonsolvable
+    group is taken only when it is simple, that is when every nontrivial
+    element has the whole group as its normal closure."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    group = PermutationGroup([Permutation(row) for row in g.table.tolist()])
+    if not group.is_solvable:
+        if any(group.normal_closure(x).order() < group.order()
+               for x in group.elements if not x.is_identity):
+            raise NotImplementedError("nonsolvable group that is not simple")
+        return [group.order()]
+    series = group.composition_series()
+    return sorted(a.order() // b.order() for a, b in zip(series, series[1:]))

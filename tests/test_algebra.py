@@ -18,15 +18,13 @@ from fpal.algebra import (
     idempotents,
     is_simple,
     maximal_subgroup_at,
-    normal_subgroups,
-    quotient,
     simple_divisors_group,
     simple_divisors_monoid,
-    subgroups,
     symmetric_group,
     transition_monoid,
 )
 from fpal.automaton import Automaton, counter, full_T2, symmetric_automaton
+import oracle
 from oracle import (
     group_from_monoid_indices,
     group_subsemigroups,
@@ -141,32 +139,36 @@ def test_group_validation_rejects_non_group():
         FiniteGroup(np.array([[0, 0], [0, 0]], dtype=np.int32))
 
 
+# The subgroup and quotient tables live in the oracle, the reference for
+# the sections that fpal.algebra reads off one subgroup lattice.
+
+
 def test_subgroups_of_s3():
     s3 = symmetric_group(3)
     assert len(all_subgroup_sets(s3)) == 6
-    reps = subgroups(s3)
+    reps = oracle.subgroups(s3)
     assert len(reps) == 4
     assert sorted(g.order for g in reps) == [1, 2, 3, 6]
 
 
 def test_normal_subgroups_of_s3():
     s3 = symmetric_group(3)
-    assert sorted(n.order for n in normal_subgroups(s3)) == [1, 3, 6]
+    assert sorted(n.order for n in oracle.normal_subgroups(s3)) == [1, 3, 6]
 
 
 def test_quotient_c6_by_c2():
     c6 = cyclic_group(6)
-    c2 = next(s for s in subgroups(c6) if s.order == 2)
-    q = quotient(c6, c2)
+    c2 = next(s for s in oracle.subgroups(c6) if s.order == 2)
+    q = oracle.quotient(c6, c2)
     assert q.order == 3
     assert str(fingerprint(q)) == "C_3"
 
 
 def test_quotient_rejects_non_normal():
     s3 = symmetric_group(3)
-    c2 = next(s for s in subgroups(s3) if s.order == 2)
+    c2 = next(s for s in oracle.subgroups(s3) if s.order == 2)
     with pytest.raises(ValueError):
-        quotient(s3, c2)
+        oracle.quotient(s3, c2)
 
 
 def test_is_simple_cases():
@@ -254,6 +256,34 @@ def test_jordan_holder_invariance_under_random_tie_breaks():
             assert shuffled == base
 
 
+def test_composition_factors_match_table_route():
+    for g in group_corpus():
+        assert composition_factors(g) == oracle.composition_factors(g)
+
+
+def test_composition_series_orders_match_sympy():
+    pytest.importorskip("sympy.combinatorics")
+    for g in group_corpus():
+        factors = composition_factors(g)
+        assert oracle.composition_factor_orders_sympy(g) == sorted(f.order for f in factors)
+
+
+def test_one_subgroup_lattice_per_group(monkeypatch):
+    calls = []
+
+    def counted(g, cap=algebra.DEFAULT_SUBGROUP_CAP):
+        calls.append(g.order)
+        return all_subgroup_sets(g, cap)
+
+    monkeypatch.setattr(algebra, "all_subgroup_sets", counted)
+    for g in group_corpus():
+        for run in (lambda: composition_factors(g),
+                    lambda: algebra._group_divisors_with_witnesses(g, algebra.DEFAULT_SUBGROUP_CAP)):
+            calls.clear()
+            run()
+            assert calls == [g.order]
+
+
 # -- divisors -------------------------------------------------------------------
 
 
@@ -316,14 +346,15 @@ def test_bruteforce_oracle_on_corpus_sample(corpus):
 
 
 def test_witness_scan_equals_composition_factor_union(corpus_monoids):
-    # the divisors of a group are the composition factors of its subgroups
+    # the divisors of a group are the composition factors of its subgroups,
+    # here taken from the oracle's subgroup and quotient tables
     groups = group_corpus()
     for m in corpus_monoids:
         groups += [maximal_subgroup_at(m, e) for e in idempotents(m)]
     for g in groups:
         union = set()
-        for k in subgroups(g):
-            union.update(composition_factors(k))
+        for k in oracle.subgroups(g):
+            union.update(oracle.composition_factors(k))
         assert simple_divisors_group(g) == union
 
 
@@ -368,5 +399,4 @@ def test_caches_are_bounded(monkeypatch):
         assert simple_divisors_monoid(transition_monoid(counter(n)))
     assert len(algebra._walk_cache) == 2
     assert len(algebra._subgroup_cache) == 3
-    assert entailment._cyclic_simple_id.cache_info().maxsize == 256
-    assert entailment._alternating5_id.cache_info().maxsize == 1
+    assert entailment._nonabelian_simple_id.cache_info().maxsize == 5

@@ -226,6 +226,16 @@ def test_family_verdicts(write_aut, capsys):
     assert json.loads(out)["witness"] == "C_3"
 
 
+def test_family_list_past_scan_limit_is_cap_exceeded(write_aut, capsys, monkeypatch):
+    from fpal import entailment
+
+    monkeypatch.setattr(entailment, "_MISSING_SCAN_LIMIT", 2)
+    code, out, err = run_cli(["family", "list", write_aut(counter(2))], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[cap-exceeded]:")
+
+
 def test_family_argument_validation(write_aut, capsys):
     code, out, err = run_cli(["family", "list"], capsys)
     assert code == 2

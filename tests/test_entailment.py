@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import extend_with_word_actions
+from conftest import alternating5_automaton, extend_with_word_actions
 from fpal.algebra import fingerprint, cyclic_group, transition_monoid
 from fpal.automaton import (
     Automaton,
@@ -21,7 +21,8 @@ from fpal.entailment import (
     family_completeness,
     initial_shift_check,
 )
-from fpal.errors import NotInitiallyConnectedError
+from fpal import entailment
+from fpal.errors import CapExceededError, NotInitiallyConnectedError
 from fpal.identities import gamma
 
 
@@ -232,6 +233,50 @@ def test_family_list_covering_all_small_primes_reports_a5():
                (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)]
     report = family_completeness(members)
     assert str(report.witness) == "A_5"
+
+
+def test_family_list_covering_primes_below_200_and_a5_reports_psl27():
+    # C_211 is uncovered too, but PSL(2,7) (order 168) is smaller
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    members = [counter(p) for p in primes] + [alternating5_automaton()]
+    report = family_completeness(members)
+    assert str(report.witness) == "PSL(2,7)"
+    assert report.witness.order == 168
+
+
+def test_missing_scan_candidates_are_the_named_simple_groups():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    expected = {60: "A_5", 168: "PSL(2,7)", 360: "A_6", 504: "PSL(2,8)", 660: "PSL(2,11)"}
+    assert list(entailment._NONABELIAN_GENERATORS) == list(expected)
+    for order, gens in entailment._NONABELIAN_GENERATORS.items():
+        candidate = entailment._nonabelian_simple_id(order)
+        assert (candidate.order, str(candidate)) == (order, expected[order])
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation([v - 1 for v in p]) for p in gens]
+        )
+        assert group.order() == order
+        # simple: every nontrivial conjugacy class generates the whole group
+        for cls in group.conjugacy_classes():
+            x = next(iter(cls))
+            if not x.is_identity:
+                assert group.normal_closure(x).order() == order
+
+
+def test_cyclic_simple_id_closed_form():
+    for p in (2, 3, 5, 7, 11, 13):
+        closed = entailment._cyclic_simple_id(p)
+        assert closed == fingerprint(cyclic_group(p))
+        assert str(closed) == f"C_{p}"
+
+
+def test_missing_scan_refuses_past_order_1091():
+    primes = [p for p in range(2, 1092) if all(p % d for d in range(2, p))]
+    covered = {entailment._cyclic_simple_id(p) for p in primes}
+    covered |= {entailment._nonabelian_simple_id(o) for o in entailment._NONABELIAN_GENERATORS}
+    with pytest.raises(CapExceededError):
+        entailment._smallest_missing(covered)
+    covered.remove(entailment._cyclic_simple_id(1091))
+    assert str(entailment._smallest_missing(covered)) == "C_1091"
 
 
 def test_family_witness_fingerprint_is_cp():

@@ -1,10 +1,12 @@
 """Byte-for-byte goldens for the algebra engine.
 
-The files under ``golden/`` were recorded before the divisor pipeline was
-reworked (units of eMe by rank, one walk over the idempotents, one BFS
-closure); the monoid and divisor output of the CLI and the entailment
-reports must stay identical.  Rerun this module as a script to rewrite
-them from the current code.
+``algebra_cli.json`` and ``entails.json`` were recorded before the divisor
+pipeline was reworked (units of eMe by rank, one walk over the
+idempotents, one BFS closure); ``group_divisors.json`` was recorded before
+sections were read off one subgroup lattice (no subgroup or quotient
+tables).  The monoid and divisor output of the CLI, the entailment
+reports and the group divisors with their witnesses must stay identical.
+Rerun this module as a script to rewrite them from the current code.
 """
 
 import contextlib
@@ -15,7 +17,8 @@ import random
 
 import pytest
 
-from conftest import full_transformations, random_automaton
+from conftest import alternating5_automaton, full_transformations, random_automaton
+from fpal.algebra import DEFAULT_SUBGROUP_CAP, _group_divisors_with_witnesses, composition_factors
 from fpal.automaton import (
     Automaton,
     InitializedAutomaton,
@@ -26,18 +29,14 @@ from fpal.automaton import (
 )
 from fpal.cli import main
 from fpal.entailment import entails
+from test_algebra import group_corpus
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CLI_GOLDEN = GOLDEN / "algebra_cli.json"
 ENTAILS_GOLDEN = GOLDEN / "entails.json"
+GROUPS_GOLDEN = GOLDEN / "group_divisors.json"
 
 RANDOM_SEEDS = (0, 3, 5, 9, 11)
-
-
-def alternating5_automaton() -> Automaton:
-    """A 5-cycle and a 3-cycle: their group is A_5."""
-    gens = [(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)]
-    return Automaton(5, ("a", "b"), tuple(tuple(g[s] for g in gens) for s in range(5)))
 
 
 def cli_inputs() -> dict:
@@ -94,6 +93,26 @@ def entails_outputs() -> dict:
     }
 
 
+def group_outputs(tmp_path) -> dict:
+    """Per corpus group: its divisors with witnesses, in the order the scan
+    finds them, and its composition factors; and ``fpal divisors`` on T4
+    (order 256, 41 idempotents)."""
+    groups = []
+    for g in group_corpus():
+        witnesses = _group_divisors_with_witnesses(g, DEFAULT_SUBGROUP_CAP)
+        groups.append({
+            "order": g.order,
+            "divisors": [{**fp.to_json(), "witness": w.to_json()} for fp, w in witnesses.items()],
+            "composition_factors": [fp.to_json() for fp in composition_factors(g)],
+        })
+    path = tmp_path / "T4.json"
+    path.write_text(json.dumps(to_dict(full_transformations(4))))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["divisors", str(path)]) == 0
+    return {"groups": groups, "T4_divisors": stdout.getvalue()}
+
+
 def test_golden_monoid_and_divisors(tmp_path, monkeypatch):
     monkeypatch.delenv("FPAL_CONFIG", raising=False)
     golden = json.loads(CLI_GOLDEN.read_text())
@@ -112,9 +131,16 @@ def test_golden_entails(label):
     assert json.dumps(got, indent=2) == json.dumps(golden[label], indent=2)
 
 
+def test_golden_group_divisors(tmp_path, monkeypatch):
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    got = json.dumps(group_outputs(tmp_path), indent=2) + "\n"
+    assert got == GROUPS_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         CLI_GOLDEN.write_text(json.dumps(cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
+        GROUPS_GOLDEN.write_text(json.dumps(group_outputs(pathlib.Path(tmp)), indent=2) + "\n")
     ENTAILS_GOLDEN.write_text(json.dumps(entails_outputs(), indent=2) + "\n")
