@@ -189,10 +189,9 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup((idx[:, None] + idx[None, :]) % n)
 
 
-def group_from_permutations(perms) -> FiniteGroup:
-    """Close a set of permutations (1-based image tuples) under
-    composition and present the result as a FiniteGroup.  Labels are the
-    permutations themselves, sorted."""
+def _permutation_closure(perms) -> list:
+    """The permutations generated by ``perms`` (1-based image tuples),
+    found by a breadth-first closure under composition, sorted."""
     gens = [tuple(p) for p in perms]
     if not gens:
         raise ValueError("need at least one permutation")
@@ -210,7 +209,14 @@ def group_from_permutations(perms) -> FiniteGroup:
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)
-    elements = sorted(seen)
+    return sorted(seen)
+
+
+def group_from_permutations(perms) -> FiniteGroup:
+    """Close a set of permutations (1-based image tuples) under
+    composition and present the result as a FiniteGroup.  Labels are the
+    permutations themselves, sorted."""
+    elements = _permutation_closure(perms)
     index = {p: i for i, p in enumerate(elements)}
     table = np.empty((len(elements), len(elements)), dtype=np.int32)
     for i, p in enumerate(elements):
@@ -253,22 +259,13 @@ def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
 _subgroup_cache: dict = {}
 
 
-def _closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Smallest set containing ``seed`` and closed under the table.  Inside
-    a finite group this is the generated subgroup."""
-    cur = np.unique(seed)
-    while True:
-        prods = np.unique(table[np.ix_(cur, cur)])
-        merged = np.union1d(cur, prods)
-        if merged.size == cur.size:
-            return cur
-        cur = merged
-
-
 def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
-    """Every subgroup, as a sorted tuple of element indices.  Subgroups are
-    generated by repeatedly joining with cyclic subgroups, which reaches
-    everything because each subgroup is reachable from a maximal chain."""
+    """Every subgroup, as a sorted tuple of element indices, in (size,
+    element set) order.  Subgroups are generated by repeatedly joining
+    with cyclic subgroups, which reaches everything because each subgroup
+    is reachable from a maximal chain.  During the search a subgroup is
+    an integer bitmask over the elements, kept with its element list and
+    the generators it was built from."""
     if g.order > cap:
         raise CapExceededError(
             f"subgroup enumeration cap {cap} exceeded by group of order {g.order}"
@@ -277,32 +274,59 @@ def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
     cached = _subgroup_cache.get(key)
     if cached is not None:
         return cached
-    table = g.table
-    cyclics = {}
+    rows = g.table.tolist()
+    cols = g.table.T.tolist()
+    e = g.identity
+    found = {}  # mask -> (elements, generators)
     for x in range(g.order):
-        orbit = [g.identity]
-        y = x
-        while y != g.identity:
-            orbit.append(y)
-            y = int(table[y, x])
-        arr = np.unique(np.array(orbit, dtype=np.int64))
-        cyclics[arr.tobytes()] = arr
-    cyclic_list = list(cyclics.values())
-    found = dict(cyclics)
-    queue = deque(cyclic_list)
+        elems, mask, y = [e], 1 << e, x
+        while y != e:
+            elems.append(y)
+            mask |= 1 << y
+            y = rows[y][x]
+        found.setdefault(mask, (elems, (x,)))
+    cyclic_gens = [gens[0] for _, gens in found.values()]
+    queue = deque(found)
     while queue:
         h = queue.popleft()
-        h_set = set(h.tolist())
-        for c in cyclic_list:
-            if all(v in h_set for v in c.tolist()):
+        h_elems, h_gens = found[h]
+        # <H, x> = <H, y> for every y in Hx or xH: mark those as done
+        done = h
+        for x in cyclic_gens:
+            if done >> x & 1:
                 continue
-            k = _closure(table, np.concatenate([h, c]))
-            kb = k.tobytes()
-            if kb not in found:
-                found[kb] = k
+            row, col = rows[x], cols[x]
+            for y in h_elems:
+                done |= 1 << row[y] | 1 << col[y]
+            gens = h_gens + (x,)
+            k, k_elems = _join(rows, cols, e, h, h_elems, gens)
+            if k not in found:
+                found[k] = (k_elems, gens)
                 queue.append(k)
-    out = sorted((tuple(int(v) for v in arr) for arr in found.values()), key=lambda t: (len(t), t))
+    out = sorted((tuple(sorted(elems)) for elems, _ in found.values()),
+                 key=lambda t: (len(t), t))
     return _remember(_subgroup_cache, key, tuple(out), SUBGROUP_CACHE_SIZE)
+
+
+def _join(rows, cols, e: int, h: int, h_elems: list, gens: tuple) -> tuple:
+    """The subgroup generated by the subgroup H (mask ``h``, elements
+    ``h_elems``) and ``gens``, which must include generators of H, as
+    (mask, elements).  It grows by whole right cosets Hr: the union of
+    the cosets found is closed once each representative r times each
+    generator lies in it (Dimino's algorithm)."""
+    mask, elems, reps = h, list(h_elems), [e]
+    for r in reps:
+        row = rows[r]
+        for s in gens:
+            z = row[s]
+            if not mask >> z & 1:
+                reps.append(z)
+                col = cols[z]
+                coset = [col[y] for y in h_elems]
+                elems += coset
+                for v in coset:
+                    mask |= 1 << v
+    return mask, elems
 
 
 def _maximal_normals(g: FiniteGroup, subs, k) -> list:

@@ -135,26 +135,28 @@ def induced(q: Automaton, word) -> Transformation:
 def _transformation_closure(q: Automaton, cap: int | None = None) -> dict:
     """Every word-induced transformation, mapped to a shortest word
     inducing it (ties broken toward earlier letters), in breadth-first
-    discovery order."""
-    start = Transformation.identity(q.n_states)
-    gens = q.letter_transformations()
+    discovery order.  The search runs on 0-based image tuples; each
+    element becomes a Transformation once, at the end."""
+    start = tuple(range(q.n_states))
+    gens = [(letter, tuple(v - 1 for v in t.map))
+            for letter, t in zip(q.letters, q.letter_transformations())]
     witness = {start: ()}
     frontier = [start]
     while frontier:
         new = []
         for t in frontier:
             base = witness[t]
-            for j, g in enumerate(gens):
-                nxt = t.then(g)
+            for letter, g in gens:
+                nxt = tuple(map(g.__getitem__, t))
                 if nxt not in witness:
-                    witness[nxt] = base + (q.letters[j],)
+                    witness[nxt] = base + (letter,)
                     new.append(nxt)
                     if cap is not None and len(witness) > cap:
                         raise CapExceededError(
                             f"transition monoid exceeds cap {cap}"
                         )
         frontier = new
-    return witness
+    return {Transformation(tuple(v + 1 for v in t)): word for t, word in witness.items()}
 
 
 def is_extension(qp: Automaton, q: Automaton) -> bool:

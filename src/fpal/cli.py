@@ -21,6 +21,7 @@ of the keys ``monoid_cap``, ``subgroup_cap``, ``exhaustive_threshold``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -276,7 +277,9 @@ def cmd_family(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fpal`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fpal",
         description="Fixed-point identities of finite automata: monoids, "

@@ -10,6 +10,7 @@ reports witnesses for each covered divisor and the divisors left over.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -18,9 +19,9 @@ from .algebra import (
     DivisorWitness,
     SimpleGroupId,
     _is_prime,
+    _permutation_closure,
     _simple_name,
     divisor_witnesses_monoid,
-    group_from_permutations,
     transition_monoid,
 )
 from .automaton import (
@@ -257,9 +258,23 @@ _MISSING_SCAN_LIMIT = 1091
 
 @functools.lru_cache(maxsize=len(_NONABELIAN_GENERATORS))
 def _nonabelian_simple_id(order: int) -> SimpleGroupId:
-    g = group_from_permutations(_NONABELIAN_GENERATORS[order])
-    element_orders = g.element_orders()
-    return SimpleGroupId(g.order, element_orders, _simple_name(g.order, element_orders))
+    elements = _permutation_closure(_NONABELIAN_GENERATORS[order])
+    element_orders = tuple(sorted(_permutation_order(p) for p in elements))
+    return SimpleGroupId(len(elements), element_orders,
+                         _simple_name(len(elements), element_orders))
+
+
+def _permutation_order(p: tuple) -> int:
+    """Order of a permutation (1-based image tuple): the least common
+    multiple of its cycle lengths."""
+    order = 1
+    for start in range(1, len(p) + 1):
+        length, v = 1, p[start - 1]
+        while v != start:
+            v = p[v - 1]
+            length += 1
+        order = math.lcm(order, length)
+    return order
 
 
 def _smallest_missing(covered: set) -> SimpleGroupId:

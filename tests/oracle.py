@@ -29,6 +29,33 @@ def closure(table: np.ndarray, seed) -> tuple:
         cur = merged
 
 
+def subgroup_sets(g: FiniteGroup) -> list:
+    """Every subgroup of ``g`` as a sorted index tuple, in (size, element
+    set) order: the cyclic subgroups, then joins with them, each join
+    closed by repeated squaring of the whole set under the table.  The
+    reference for ``all_subgroup_sets``."""
+    cyclics = set()
+    for x in range(g.order):
+        orbit, y = [g.identity], x
+        while y != g.identity:
+            orbit.append(y)
+            y = int(g.table[y, x])
+        cyclics.add(tuple(sorted(orbit)))
+    cyclic_list = sorted(cyclics)
+    found = set(cyclic_list)
+    queue = deque(cyclic_list)
+    while queue:
+        h = queue.popleft()
+        for c in cyclic_list:
+            if set(c) <= set(h):
+                continue
+            k = closure(g.table, h + c)
+            if k not in found:
+                found.add(k)
+                queue.append(k)
+    return sorted(found, key=lambda t: (len(t), t))
+
+
 def group_subsemigroups(m: TransformationMonoid, max_order: int = 64) -> list:
     """Every subset of the monoid that is closed under the product and
     forms a group, as sorted index tuples.  Grown from idempotent

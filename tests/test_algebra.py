@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import full_transformations
+from conftest import alternating5_automaton, full_transformations
 from fpal import algebra, entailment
 from fpal.algebra import (
     FiniteGroup,
@@ -266,6 +266,33 @@ def test_composition_series_orders_match_sympy():
     for g in group_corpus():
         factors = composition_factors(g)
         assert oracle.composition_factor_orders_sympy(g) == sorted(f.order for f in factors)
+
+
+def automaton_groups() -> dict:
+    """The maximal subgroups that ``fpal divisors`` searches on the S4 and
+    A5 automata: the units of their transition monoids."""
+    out = {}
+    for name, q in (("S4", symmetric_automaton(4)), ("A5", alternating5_automaton())):
+        m = transition_monoid(q)
+        out[name] = maximal_subgroup_at(m, m.identity_index)
+    return out
+
+
+def test_subgroup_lattice_matches_oracle():
+    for g in group_corpus() + list(automaton_groups().values()):
+        assert list(all_subgroup_sets(g)) == oracle.subgroup_sets(g), g.order
+
+
+@pytest.mark.parametrize("name, gens, count", [
+    ("S4", [(2, 3, 4, 1), (2, 1, 3, 4)], 30),
+    ("A5", [(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)], 59),
+    ("S5", [(2, 3, 4, 5, 1), (2, 1, 3, 4, 5)], 156),
+    ("PSL(2,7)", [(2, 3, 4, 5, 6, 7, 1, 8), (8, 7, 4, 3, 6, 5, 2, 1)], 179),
+])
+def test_known_subgroup_counts(name, gens, count):
+    subs = all_subgroup_sets(group_from_permutations(gens))
+    assert len(subs) == count
+    assert len(set(subs)) == count
 
 
 def test_one_subgroup_lattice_per_group(monkeypatch):

@@ -4,8 +4,10 @@
 pipeline was reworked (units of eMe by rank, one walk over the
 idempotents, one BFS closure); ``group_divisors.json`` was recorded before
 sections were read off one subgroup lattice (no subgroup or quotient
-tables).  The monoid and divisor output of the CLI, the entailment
-reports and the group divisors with their witnesses must stay identical.
+tables); ``subgroup_lattices.json`` was recorded before the lattice
+search moved from numpy index arrays to integer bitsets.  The monoid and
+divisor output of the CLI, the entailment reports, the group divisors
+with their witnesses and the subgroup lattices must stay identical.
 Rerun this module as a script to rewrite them from the current code.
 """
 
@@ -18,7 +20,12 @@ import random
 import pytest
 
 from conftest import alternating5_automaton, full_transformations, random_automaton
-from fpal.algebra import DEFAULT_SUBGROUP_CAP, _group_divisors_with_witnesses, composition_factors
+from fpal.algebra import (
+    DEFAULT_SUBGROUP_CAP,
+    _group_divisors_with_witnesses,
+    all_subgroup_sets,
+    composition_factors,
+)
 from fpal.automaton import (
     Automaton,
     InitializedAutomaton,
@@ -29,12 +36,13 @@ from fpal.automaton import (
 )
 from fpal.cli import main
 from fpal.entailment import entails
-from test_algebra import group_corpus
+from test_algebra import automaton_groups, group_corpus
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CLI_GOLDEN = GOLDEN / "algebra_cli.json"
 ENTAILS_GOLDEN = GOLDEN / "entails.json"
 GROUPS_GOLDEN = GOLDEN / "group_divisors.json"
+LATTICES_GOLDEN = GOLDEN / "subgroup_lattices.json"
 
 RANDOM_SEEDS = (0, 3, 5, 9, 11)
 
@@ -113,6 +121,17 @@ def group_outputs(tmp_path) -> dict:
     return {"groups": groups, "T4_divisors": stdout.getvalue()}
 
 
+def lattice_text() -> str:
+    """Every subgroup lattice of ``group_corpus()`` and of the S4 and A5
+    automaton groups, as sorted index lists in lattice order, one group
+    per line."""
+    groups = {f"corpus{i}": g for i, g in enumerate(group_corpus())}
+    groups.update(automaton_groups())
+    lines = [f"  {json.dumps(name)}: {json.dumps([list(s) for s in all_subgroup_sets(g)])}"
+             for name, g in groups.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def test_golden_monoid_and_divisors(tmp_path, monkeypatch):
     monkeypatch.delenv("FPAL_CONFIG", raising=False)
     golden = json.loads(CLI_GOLDEN.read_text())
@@ -137,6 +156,10 @@ def test_golden_group_divisors(tmp_path, monkeypatch):
     assert got == GROUPS_GOLDEN.read_text()
 
 
+def test_golden_subgroup_lattices():
+    assert lattice_text() == LATTICES_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -144,3 +167,4 @@ if __name__ == "__main__":
         CLI_GOLDEN.write_text(json.dumps(cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
         GROUPS_GOLDEN.write_text(json.dumps(group_outputs(pathlib.Path(tmp)), indent=2) + "\n")
     ENTAILS_GOLDEN.write_text(json.dumps(entails_outputs(), indent=2) + "\n")
+    LATTICES_GOLDEN.write_text(lattice_text())
