@@ -2,13 +2,15 @@
 simple divisors.
 
 The monoid of an automaton is the set of word-induced state maps, with
-``x * y`` meaning "apply x, then y".  A simple group S divides a monoid M
-when S is a quotient of some subsemigroup of M that happens to be a group;
-equivalently, S is a quotient K/N of a subgroup K of one of the maximal
-subgroups H sitting at the idempotents of M.  Each H is an explicit
-table; its subgroups are index sets into that table, found by one
-search of its subgroup lattice, and every section K/N is read off that
-lattice and those index sets.  The searches are guarded by size caps.
+``x * y`` meaning "apply x, then y"; the maps are kept in the form of
+``automaton.map_form`` and composed on demand, with no product table.
+A simple group S divides a monoid M when S is a quotient of some
+subsemigroup of M that happens to be a group; equivalently, S is a
+quotient K/N of a subgroup K of one of the maximal subgroups H sitting at
+the idempotents of M.  Each H is an explicit table; its subgroups are
+index sets into that table, found by one search of its subgroup lattice,
+and every section K/N is read off that lattice and those index sets.  The
+searches are guarded by size caps.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .automaton import (
     DEFAULT_MONOID_CAP,
     Automaton,
     Transformation,
-    _transformation_closure,
+    _map_closure,
+    map_form,
 )
 from .errors import CapExceededError
 
@@ -46,72 +49,70 @@ def _remember(cache: dict, key, value, maxsize: int):
     return value
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One sortable key per row, the row's bytes, so that two rows share a
-    key only when they are equal.  (Reading a row as a base-n integer
-    wraps an int64 from 16 states on.)"""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-
-
 class TransformationMonoid:
     """All transformations induced by words of an automaton.
 
-    Elements are sorted by their state maps; each carries a shortest
-    witness word (ties broken toward earlier letters).  The product table
-    is built lazily.
+    Elements are the maps of ``map_form``, sorted; each carries a shortest
+    witness word (ties broken toward earlier letters).  There is no
+    product table: a product is one composition and an index lookup.
     """
 
-    def __init__(self, elements, witnesses, letters):
-        self.elements = tuple(elements)
+    def __init__(self, maps, witnesses, letters):
+        self.maps = tuple(maps)
         self.witnesses = tuple(witnesses)
         self.letters = tuple(letters)
-        ident = Transformation.identity(self.elements[0].n)
-        if ident not in self.elements:
+        self.n_states = len(self.maps[0])
+        encode, pad, self.then = map_form(self.n_states)
+        self.padded = tuple(map(pad, self.maps))
+        self.index = MappingProxyType({t: i for i, t in enumerate(self.maps)})
+        ident = self.index.get(encode(range(self.n_states)))
+        if ident is None:
             raise ValueError("transformation monoid must contain the identity")
-        self.identity_index = self.elements.index(ident)
-        self._table = None
+        self.identity_index = ident
+        self._elements = None
+        self._by_image = None
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.maps)
 
     @property
-    def n_states(self) -> int:
-        return self.elements[0].n
+    def elements(self) -> tuple:
+        """The elements as Transformations (1-based), built on first use."""
+        if self._elements is None:
+            self._elements = tuple(Transformation(tuple(v + 1 for v in t))
+                                   for t in self.maps)
+        return self._elements
+
+    @property
+    def by_image(self) -> MappingProxyType:
+        """Element indices, ascending, bucketed by the image of their map."""
+        if self._by_image is None:
+            buckets: dict = {}
+            for i, t in enumerate(self.maps):
+                buckets.setdefault(frozenset(t), []).append(i)
+            self._by_image = MappingProxyType(
+                {im: tuple(xs) for im, xs in buckets.items()})
+        return self._by_image
 
     def product(self, i: int, j: int) -> int:
         """Index of element i followed by element j."""
-        return int(self.table[i, j])
-
-    @property
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            maps = np.array([t.map for t in self.elements], dtype=np.int64) - 1
-            keys = _row_keys(maps)
-            sort = np.argsort(keys)
-            sorted_keys = keys[sort]
-            table = np.empty((self.order, self.order), dtype=np.int32)
-            for i in range(self.order):
-                composed = maps[:, maps[i]]  # row j is "element i, then element j"
-                pos = np.searchsorted(sorted_keys, _row_keys(composed))
-                table[i] = sort[pos]
-            self._table = table
-        return self._table
+        return self.index[self.then(self.maps[i], self.padded[j])]
 
     def element_key(self) -> tuple:
-        return tuple(t.map for t in self.elements)
+        return self.maps
 
 
 def transition_monoid(q: Automaton, cap: int = DEFAULT_MONOID_CAP) -> TransformationMonoid:
     """Breadth-first closure of the letter actions under composition."""
-    witness = _transformation_closure(q, cap)
-    elements = sorted(witness, key=lambda t: t.map)
-    return TransformationMonoid(elements, [witness[t] for t in elements], q.letters)
+    witness = _map_closure(q, cap)
+    maps = sorted(witness)
+    return TransformationMonoid(maps, [witness[t] for t in maps], q.letters)
 
 
 def idempotents(m: TransformationMonoid) -> list:
-    return [i for i in range(m.order) if m.product(i, i) == i]
+    then = m.then
+    return [i for i, (t, p) in enumerate(zip(m.maps, m.padded)) if then(t, p) == t]
 
 
 # ---------------------------------------------------------------------------
@@ -189,40 +190,36 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup((idx[:, None] + idx[None, :]) % n)
 
 
+def _cayley_table(maps: list, then, padded: list) -> list:
+    """Row i, column j: the position in ``maps`` of "maps[i], then
+    maps[j]", for maps closed under composition."""
+    pos = {t: k for k, t in enumerate(maps)}
+    return [[pos[then(t, p)] for p in padded] for t in maps]
+
+
 def _permutation_closure(perms) -> list:
-    """The permutations generated by ``perms`` (1-based image tuples),
-    found by a breadth-first closure under composition, sorted."""
+    """The permutations generated by ``perms`` (1-based image tuples), as
+    the sorted maps of the monoid they generate, which for permutations
+    is the group."""
     gens = [tuple(p) for p in perms]
     if not gens:
         raise ValueError("need at least one permutation")
     n = len(gens[0])
-    ident = tuple(range(1, n + 1))
     for p in gens:
-        if sorted(p) != list(ident):
+        if sorted(p) != list(range(1, n + 1)):
             raise ValueError(f"{p} is not a permutation of [1..{n}]")
-    seen = {ident}
-    frontier = deque([ident])
-    while frontier:
-        p = frontier.popleft()
-        for g in gens:
-            q = tuple(g[v - 1] for v in p)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return sorted(seen)
+    letters = tuple(f"g{k}" for k in range(len(gens)))
+    return sorted(_map_closure(Automaton(n, letters, tuple(zip(*gens)))))
 
 
 def group_from_permutations(perms) -> FiniteGroup:
     """Close a set of permutations (1-based image tuples) under
     composition and present the result as a FiniteGroup.  Labels are the
     permutations themselves, sorted."""
-    elements = _permutation_closure(perms)
-    index = {p: i for i, p in enumerate(elements)}
-    table = np.empty((len(elements), len(elements)), dtype=np.int32)
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            table[i, j] = index[tuple(q[v - 1] for v in p)]
-    return FiniteGroup(table, labels=elements)
+    maps = _permutation_closure(perms)
+    _, pad, then = map_form(len(maps[0]))
+    return FiniteGroup(_cayley_table(maps, then, [pad(p) for p in maps]),
+                       labels=[tuple(v + 1 for v in p) for p in maps])
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -233,24 +230,19 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_from_permutations([cycle, swap])
 
 
-def _rank(t: Transformation) -> int:
-    return len(set(t.map))
-
-
 def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
     """The group of invertible elements of e M e, the largest group inside
-    the monoid whose unit is the idempotent e.  These are the elements of
-    e M e with the rank of e: such an x permutes the image of e, so some
-    power of x is e."""
-    if m.product(e, e) != e:
+    the monoid whose unit is the idempotent e.  Its members are the x with
+    the image and the kernel of e.  Among maps with the image of e, "e
+    then x" equals x exactly when x also has the kernel of e, so one
+    composition per member of the image bucket finds them."""
+    then, padded, t_e = m.then, m.padded, m.maps[e]
+    if then(t_e, padded[e]) != t_e:
         raise ValueError(f"element {e} is not idempotent")
-    table = m.table
-    rank = _rank(m.elements[e])
-    units = np.array(
-        [x for x in np.unique(table[table[e], e]).tolist() if _rank(m.elements[x]) == rank]
-    )
-    return FiniteGroup(np.searchsorted(units, table[np.ix_(units, units)]),
-                       labels=units.tolist())
+    units = [x for x in m.by_image[frozenset(t_e)] if then(t_e, padded[x]) == m.maps[x]]
+    return FiniteGroup(_cayley_table([m.maps[x] for x in units], then,
+                                     [padded[x] for x in units]),
+                       labels=units)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +514,7 @@ def simple_divisors_group(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> se
 
 class _IdempotentWalk(NamedTuple):
     subgroup_orders: tuple  # order of the maximal subgroup at each idempotent
-    witnesses: MappingProxyType  # simple divisor -> DivisorWitness, sorted
+    witnesses: tuple  # (simple divisor, DivisorWitness without its word), sorted
 
 
 _walk_cache: dict = {}
@@ -532,7 +524,9 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     """Build the maximal subgroup at each idempotent once and collect its
     order and its simple divisors.  Every group inside a monoid sits in
     the maximal subgroup at its unit, so the union over idempotents of the
-    group divisors is the monoid's divisor set.  Cached per monoid."""
+    group divisors is the monoid's divisor set.  Cached per set of maps,
+    which automata with different letters can share, so the witnesses
+    name their idempotent by index only."""
     key = (m.element_key(), cap)
     cached = _walk_cache.get(key)
     if cached is not None:
@@ -544,8 +538,8 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
         orders.append(h.order)
         for fp, w in _group_divisors_with_witnesses(h, cap).items():
             if fp not in out:
-                out[fp] = replace(w, idempotent=e, idempotent_word=m.witnesses[e])
-    walk = _IdempotentWalk(tuple(orders), MappingProxyType(dict(sorted(out.items()))))
+                out[fp] = replace(w, idempotent=e)
+    walk = _IdempotentWalk(tuple(orders), tuple(sorted(out.items())))
     return _remember(_walk_cache, key, walk, MONOID_CACHE_SIZE)
 
 
@@ -553,8 +547,13 @@ def divisor_witnesses_monoid(
     m: TransformationMonoid, cap: int = DEFAULT_SUBGROUP_CAP
 ) -> MappingProxyType:
     """Simple divisors of a monoid with witnesses, as a read-only mapping
-    in divisor order."""
-    return _walk_idempotents(m, cap).witnesses
+    in divisor order.  Each witness names its idempotent by a word in the
+    monoid's own letters."""
+    words = m.witnesses
+    return MappingProxyType({
+        fp: replace(w, idempotent_word=words[w.idempotent])
+        for fp, w in _walk_idempotents(m, cap).witnesses
+    })
 
 
 def simple_divisors_monoid(
@@ -577,12 +576,13 @@ def divides(s: SimpleGroupId, m: TransformationMonoid,
 def algebra_report(m: TransformationMonoid, cap: int = DEFAULT_SUBGROUP_CAP) -> dict:
     """JSON-ready summary: order, idempotents, maximal subgroup orders and
     the sorted simple divisors with their witnesses."""
-    walk = _walk_idempotents(m, cap)
+    orders = _walk_idempotents(m, cap).subgroup_orders
     return {
         "order": m.order,
-        "idempotents": len(walk.subgroup_orders),
-        "maximal_subgroup_orders": list(walk.subgroup_orders),
+        "idempotents": len(orders),
+        "maximal_subgroup_orders": list(orders),
         "simple_divisors": [
-            {**fp.to_json(), "witness": w.to_json()} for fp, w in walk.witnesses.items()
+            {**fp.to_json(), "witness": w.to_json()}
+            for fp, w in divisor_witnesses_monoid(m, cap).items()
         ],
     }

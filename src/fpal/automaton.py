@@ -132,14 +132,31 @@ def induced(q: Automaton, word) -> Transformation:
     return t
 
 
-def _transformation_closure(q: Automaton, cap: int | None = None) -> dict:
-    """Every word-induced transformation, mapped to a shortest word
-    inducing it (ties broken toward earlier letters), in breadth-first
-    discovery order.  The search runs on 0-based image tuples; each
-    element becomes a Transformation once, at the end."""
-    start = tuple(range(q.n_states))
-    gens = [(letter, tuple(v - 1 for v in t.map))
-            for letter, t in zip(q.letters, q.letter_transformations())]
+# Maps on up to this many states are bytes strings; wider ones are tuples.
+BYTE_MAP_STATES = 256
+
+
+def map_form(n: int) -> tuple:
+    """How the algebra engine stores a map on states 0..n-1, as
+    ``(encode, pad, then)``.  ``encode`` turns a sequence of 0-based images
+    into a map, ``pad(y)`` prepares y once for being applied after other
+    maps, and ``then(x, pad(y))`` is the map "x, then y".  Up to
+    BYTE_MAP_STATES states a map is a bytes string and composing is one
+    ``bytes.translate``; wider maps are tuples.  Either way maps sort like
+    the image tuples of their Transformations."""
+    if n <= BYTE_MAP_STATES:
+        return bytes, lambda y: y.ljust(256, b"\0"), bytes.translate
+    return tuple, lambda y: y.__getitem__, lambda x, p: tuple(map(p, x))
+
+
+def _map_closure(q: Automaton, cap: int | None = None) -> dict:
+    """Every word-induced map, in the form of ``map_form``, mapped to a
+    shortest word inducing it (ties broken toward earlier letters), in
+    breadth-first discovery order."""
+    encode, pad, then = map_form(q.n_states)
+    start = encode(range(q.n_states))
+    gens = [(letter, pad(encode(row[j] - 1 for row in q.delta)))
+            for j, letter in enumerate(q.letters)]
     witness = {start: ()}
     frontier = [start]
     while frontier:
@@ -147,7 +164,7 @@ def _transformation_closure(q: Automaton, cap: int | None = None) -> dict:
         for t in frontier:
             base = witness[t]
             for letter, g in gens:
-                nxt = tuple(map(g.__getitem__, t))
+                nxt = then(t, g)
                 if nxt not in witness:
                     witness[nxt] = base + (letter,)
                     new.append(nxt)
@@ -156,7 +173,7 @@ def _transformation_closure(q: Automaton, cap: int | None = None) -> dict:
                             f"transition monoid exceeds cap {cap}"
                         )
         frontier = new
-    return {Transformation(tuple(v + 1 for v in t)): word for t, word in witness.items()}
+    return witness
 
 
 def is_extension(qp: Automaton, q: Automaton) -> bool:
@@ -171,11 +188,13 @@ def is_extension(qp: Automaton, q: Automaton) -> bool:
             return False
         if qp.letter_transformation(qp.letter_index(name)).map != q.letter_transformation(j).map:
             return False
-    available = {t.map for t in _transformation_closure(q)}
+    available = _map_closure(q)
+    encode = map_form(q.n_states)[0]
     for name in qp.letters:
         if name in q.letters:
             continue
-        if qp.letter_transformation(qp.letter_index(name)).map not in available:
+        j = qp.letter_index(name)
+        if encode(row[j] - 1 for row in qp.delta) not in available:
             return False
     return True
 
@@ -207,11 +226,11 @@ def saturate(q: Automaton, cap: int = DEFAULT_MONOID_CAP) -> Automaton:
     """Extend the alphabet with one fresh letter per word-induced
     transformation, ordered by their state maps.  The transition monoid is
     unchanged."""
-    elements = sorted(_transformation_closure(q, cap), key=lambda t: t.map)
-    names = _fresh_letter_names(q.letters, len(elements))
+    maps = sorted(_map_closure(q, cap))
+    names = _fresh_letter_names(q.letters, len(maps))
     letters = q.letters + tuple(names)
     delta = tuple(
-        q.delta[s] + tuple(t.map[s] for t in elements) for s in range(q.n_states)
+        q.delta[s] + tuple(t[s] + 1 for t in maps) for s in range(q.n_states)
     )
     return Automaton(q.n_states, letters, delta)
 

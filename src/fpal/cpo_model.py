@@ -24,12 +24,17 @@ from functools import lru_cache
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .errors import ThresholdExceededError
+from .errors import CapExceededError, ThresholdExceededError
 from .term import Comp, Dagger, Equation, Morphism, Proj, Sym, Tup, symbols_of
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 100_000
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 1729
+
+# A sampled check draws samples x (sum over symbols of |P|^arity) table
+# entries, at about a microsecond each; it is refused above this many.
+# The largest sampled check of the test suite draws 2,560,000.
+MAX_SAMPLED_ENTRIES = 4_000_000
 
 # Cache bounds.  A run checks over a few posets at a few arities each, and
 # count_monotone is keyed by the cap as well.
@@ -510,9 +515,10 @@ def check_equation(
 
     ``mode`` is "exhaustive", "sampled", or "auto" (exhaustive when the
     interpretation count fits under ``threshold``).  Sampling uses ``seed``
-    (default fixed) and ``samples`` draws, at least one.  Both sides are
-    compiled once; each interpretation is then a sequence of symbol tables
-    in ``eq.symbols`` order.
+    (default fixed) and ``samples`` draws, at least one, and is refused
+    with CapExceededError past MAX_SAMPLED_ENTRIES table entries.  Both
+    sides are compiled once; each interpretation is then a sequence of
+    symbol tables in ``eq.symbols`` order.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -532,6 +538,12 @@ def check_equation(
         samples = DEFAULT_SAMPLES if samples is None else samples
         if samples < 1:
             raise ValueError(f"a sampled check needs at least one sample, got {samples}")
+        entries = samples * sum(poset.size ** s.in_arity for s in eq.symbols)
+        if entries > MAX_SAMPLED_ENTRIES:
+            raise CapExceededError(
+                f"{samples} samples of {entries // samples} table entries each "
+                f"exceed the sampling cap of {MAX_SAMPLED_ENTRIES} entries"
+            )
         rng = random.Random(seed)
         bounds = _upper_bounds(poset)
         plans = [_fill_plan(poset, s.in_arity) for s in eq.symbols]

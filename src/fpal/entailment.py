@@ -264,14 +264,14 @@ def _nonabelian_simple_id(order: int) -> SimpleGroupId:
                          _simple_name(len(elements), element_orders))
 
 
-def _permutation_order(p: tuple) -> int:
-    """Order of a permutation (1-based image tuple): the least common
-    multiple of its cycle lengths."""
+def _permutation_order(p) -> int:
+    """Order of a permutation (a 0-based map, bytes or tuple): the least
+    common multiple of its cycle lengths."""
     order = 1
-    for start in range(1, len(p) + 1):
-        length, v = 1, p[start - 1]
+    for start in range(len(p)):
+        length, v = 1, p[start]
         while v != start:
-            v = p[v - 1]
+            v = p[v]
             length += 1
         order = math.lcm(order, length)
     return order

@@ -1,8 +1,10 @@
 """Brute-force references for the divisor pipeline, kept out of the
-library.  They enumerate directly what ``fpal.algebra`` derives from the
-maximal subgroups, and they build explicit subgroup and quotient tables
-where ``fpal.algebra`` reads sections off one subgroup lattice; the tests
-replay the fast routes against them."""
+library.  They build the full product table of a monoid where
+``fpal.algebra`` composes maps on demand, they enumerate directly what
+``fpal.algebra`` derives from the maximal subgroups, and they build
+explicit subgroup and quotient tables where ``fpal.algebra`` reads
+sections off one subgroup lattice; the tests replay the fast routes
+against them."""
 
 from collections import deque
 
@@ -13,9 +15,36 @@ from fpal.algebra import (
     SimpleGroupId,
     TransformationMonoid,
     all_subgroup_sets,
-    idempotents,
 )
 from fpal.errors import CapExceededError
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per row, the row's bytes, so that two rows share a
+    key only when they are equal.  (Reading a row as a base-n integer
+    wraps an int64 from 16 states on.)"""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def product_table(m: TransformationMonoid) -> np.ndarray:
+    """The order x order table whose entry (i, j) is the index of element
+    i followed by element j, found by sorting the composed maps row by
+    row with numpy."""
+    maps = np.array([t.map for t in m.elements], dtype=np.int64) - 1
+    keys = _row_keys(maps)
+    sort = np.argsort(keys)
+    sorted_keys = keys[sort]
+    table = np.empty((m.order, m.order), dtype=np.int32)
+    for i in range(m.order):
+        composed = maps[:, maps[i]]  # row j is "element i, then element j"
+        pos = np.searchsorted(sorted_keys, _row_keys(composed))
+        table[i] = sort[pos]
+    return table
+
+
+def table_idempotents(table: np.ndarray) -> list:
+    return [i for i in range(len(table)) if table[i, i] == i]
 
 
 def closure(table: np.ndarray, seed) -> tuple:
@@ -64,7 +93,7 @@ def group_subsemigroups(m: TransformationMonoid, max_order: int = 64) -> list:
         raise CapExceededError(
             f"group subsemigroup enumeration capped at monoid order {max_order}"
         )
-    table = m.table
+    table = product_table(m)
 
     def is_group(indices) -> bool:
         members = list(indices)
@@ -78,7 +107,7 @@ def group_subsemigroups(m: TransformationMonoid, max_order: int = 64) -> list:
             for x in members
         )
 
-    seeds = [(e,) for e in idempotents(m)]
+    seeds = [(e,) for e in table_idempotents(table)]
     found = {s: True for s in seeds}
     queue = deque(seeds)
     while queue:
@@ -96,13 +125,16 @@ def group_subsemigroups(m: TransformationMonoid, max_order: int = 64) -> list:
     return sorted(found, key=lambda t: (len(t), t))
 
 
-def group_from_monoid_indices(m: TransformationMonoid, indices) -> FiniteGroup:
+def group_from_monoid_indices(m: TransformationMonoid, indices, mt=None) -> FiniteGroup:
     """Present a group subsemigroup of the monoid as a FiniteGroup with
-    monoid element indices as labels."""
+    monoid element indices as labels, read off the product table ``mt``
+    (built when not given)."""
     indices = sorted(indices)
     pos = {x: i for i, x in enumerate(indices)}
+    if mt is None:
+        mt = product_table(m)
     try:
-        table = [[pos[m.product(x, y)] for y in indices] for x in indices]
+        table = [[pos[int(mt[x, y])] for y in indices] for x in indices]
     except KeyError:
         raise ValueError("index set is not closed under the monoid product") from None
     return FiniteGroup(table, labels=indices)
@@ -226,13 +258,13 @@ def simple_divisors_monoid_bruteforce(m: TransformationMonoid) -> set:
     return out
 
 
-def units_by_inverse_search(m: TransformationMonoid, e: int) -> list:
-    """The invertible elements of e M e found by trying every pair, the
-    quadratic search that the rank test in ``maximal_subgroup_at``
-    replaces."""
-    local = sorted({m.product(m.product(e, x), e) for x in range(m.order)})
+def units_by_inverse_search(table: np.ndarray, e: int) -> list:
+    """The invertible elements of e M e, for the product table of M, found
+    by trying every pair: the quadratic search that the image and kernel
+    test in ``maximal_subgroup_at`` replaces."""
+    local = sorted(set(table[table[e], e].tolist()))
     return [x for x in local
-            if any(m.product(x, y) == e and m.product(y, x) == e for y in local)]
+            if any(table[x, y] == e and table[y, x] == e for y in local)]
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ def test_table_of_32_state_monoid():
     delta = tuple((s, 2 if s == 1 else s) for s in range(1, 33))
     m = transition_monoid(Automaton(32, ("a", "b"), delta))
     assert m.order == 2
-    assert m.table.tolist() == [[0, 1], [1, 1]]
+    assert oracle.product_table(m).tolist() == [[0, 1], [1, 1]]
+    assert [[m.product(i, j) for j in range(2)] for i in range(2)] == [[0, 1], [1, 1]]
     assert idempotents(m) == [0, 1]
 
 
@@ -386,19 +387,70 @@ def test_witness_scan_equals_composition_factor_union(corpus_monoids):
 
 
 def test_units_by_rank_match_inverse_search(corpus_monoids):
+    # products, idempotents and maximal subgroups, all found by composing
+    # maps, against the oracle's full product table
     monoids = corpus_monoids + [
         transition_monoid(symmetric_automaton(4)),
         transition_monoid(full_transformations(4)),
     ]
     checked = 0
     for m in monoids:
+        table = oracle.product_table(m)
+        assert [[m.product(i, j) for j in range(m.order)] for i in range(m.order)] == table.tolist()
+        assert idempotents(m) == oracle.table_idempotents(table)
         for e in idempotents(m):
-            units = units_by_inverse_search(m, e)
+            units = units_by_inverse_search(table, e)
             h = maximal_subgroup_at(m, e)
             assert list(h.labels) == units
-            assert np.array_equal(h.table, group_from_monoid_indices(m, units).table)
+            assert np.array_equal(h.table, group_from_monoid_indices(m, units, table).table)
             checked += 1
     assert (len(monoids), checked) == (222, 745)
+
+
+def padded_with_fixed_states(q: Automaton, n: int) -> Automaton:
+    """``q`` on its own states plus fixed states up to ``n`` in all."""
+    fixed = tuple(tuple(s for _ in q.letters) for s in range(q.n_states + 1, n + 1))
+    return Automaton(n, q.letters, q.delta + fixed)
+
+
+def test_wide_automaton_keeps_tuple_maps():
+    m = transition_monoid(counter(300))
+    assert isinstance(m.maps[0], tuple)
+    assert (m.order, idempotents(m)) == (300, [m.identity_index])
+    assert maximal_subgroup_at(m, m.identity_index).order == 300
+    report = algebra.algebra_report(m)
+    assert [(d["name"], d["witness"]["subgroup"]) for d in report["simple_divisors"]] == [
+        ("C_2", [0, 150]), ("C_3", [0, 100, 200]), ("C_5", [0, 60, 120, 180, 240]),
+    ]
+    assert all(d["witness"]["normal"] == [0] for d in report["simple_divisors"])
+    # element k steps every state k ahead
+    assert all(t[0] == k for k, t in enumerate(m.maps))
+
+
+def test_wide_automaton_with_nonabelian_maximal_subgroup():
+    q = padded_with_fixed_states(alternating5_automaton(), 300)
+    m = transition_monoid(q)
+    assert isinstance(m.maps[0], tuple)
+    h = maximal_subgroup_at(m, m.identity_index)
+    assert (m.order, h.order, h.is_abelian()) == (60, 60, False)
+    assert names(simple_divisors_monoid(m)) == ["A_5", "C_2", "C_3", "C_5"]
+    small = transition_monoid(alternating5_automaton())
+    assert algebra.algebra_report(m) == algebra.algebra_report(small)
+
+
+def test_tuple_maps_agree_with_byte_maps(monkeypatch, corpus):
+    # the same monoids, products and reports when every map is a tuple
+    qs = corpus[::11] + [symmetric_automaton(4), full_transformations(3)]
+    byte_monoids = [transition_monoid(q) for q in qs]
+    monkeypatch.setattr("fpal.automaton.BYTE_MAP_STATES", 0)
+    for q, mb in zip(qs, byte_monoids):
+        mt = transition_monoid(q)
+        assert isinstance(mt.maps[0], tuple)
+        assert [tuple(t) for t in mb.maps] == list(mt.maps)
+        assert mb.witnesses == mt.witnesses
+        assert [mb.product(i, j) for i in range(mb.order) for j in range(mb.order)] \
+            == [mt.product(i, j) for i in range(mt.order) for j in range(mt.order)]
+        assert algebra.algebra_report(mb) == algebra.algebra_report(mt)
 
 
 # -- caches ---------------------------------------------------------------------
@@ -415,6 +467,23 @@ def test_cached_divisor_table_is_read_only():
         del table[next(iter(original))]
     assert dict(divisor_witnesses_monoid(transition_monoid(counter(6)))) == original
     assert isinstance(all_subgroup_sets(cyclic_group(6)), tuple)
+    # the per-monoid index and image buckets cannot be changed either
+    assert isinstance(m.maps, tuple)
+    for mapping in (m.index, m.by_image):
+        with pytest.raises(TypeError):
+            mapping[next(iter(mapping))] = 0
+    assert all(isinstance(xs, tuple) for xs in m.by_image.values())
+
+
+def test_cached_walk_keeps_each_automatons_witness_words():
+    # the same maps reached by differently named letters
+    m_a = transition_monoid(Automaton(3, ("a",), ((2,), (1,), (1,))))
+    m_b = transition_monoid(Automaton(3, ("b",), ((2,), (1,), (1,))))
+    assert m_a.element_key() == m_b.element_key()
+    for m, word in ((m_a, ("a", "a")), (m_b, ("b", "b"))):
+        assert [w.idempotent_word for w in divisor_witnesses_monoid(m).values()] == [word]
+        assert algebra.algebra_report(m)["simple_divisors"][0]["witness"]["idempotent_word"] \
+            == list(word)
 
 
 def test_caches_are_bounded(monkeypatch):

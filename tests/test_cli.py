@@ -210,6 +210,14 @@ def test_check_wide_symbol(tmp_path, capsys, monkeypatch):
     assert result["interpretations_checked"] == 3
 
 
+def test_check_wide_symbol_past_the_sampling_cap(tmp_path, capsys):
+    eq = tmp_path / "wide.eq"
+    eq.write_text("name wide\nsym f 10\nsym(f) = sym(f)\n")
+    code, out, err = run_cli(["check", str(eq), "--samples", "10000"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[cap-exceeded]:")
+
+
 def test_family_verdicts(write_aut, capsys):
     code, blob = run_json(["family", "symmetric"], capsys)
     assert code == 0

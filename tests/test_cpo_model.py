@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from fpal import cpo_model
 from fpal.cli import main
 from fpal.cpo_model import (
     Interpretation,
@@ -22,7 +23,7 @@ from fpal.cpo_model import (
     lfp,
     random_monotone,
 )
-from fpal.errors import ThresholdExceededError
+from fpal.errors import CapExceededError, ThresholdExceededError
 from fpal.identities import (
     adding_id_instance,
     conway_library,
@@ -499,6 +500,27 @@ def test_sampled_check_refuses_fewer_than_one_sample(samples):
         check_equation(eq, C2, mode="sampled", samples=samples)
     with pytest.raises(ValueError):
         check_equation(eq, C2, mode="auto", threshold=2, samples=samples)
+
+
+def test_sampled_check_past_the_work_cap_is_refused():
+    # 10,000 default samples of a 1,024-entry table took 14 s to draw
+    f = Sym(Symbol("f", 10))
+    with pytest.raises(CapExceededError):
+        check_equation(Equation.of("wide", f, f), C2, mode="sampled")
+
+
+def test_sampled_work_cap_counts_samples_times_table_entries(monkeypatch):
+    f, g = Sym(Symbol("f", 2)), Sym(Symbol("g", 1))
+    eq = Equation.of("two", f, f)
+    eq2 = Equation.of("three", Comp(g, f), Comp(g, f))
+    monkeypatch.setattr(cpo_model, "MAX_SAMPLED_ENTRIES", 3 * 9)
+    assert check_equation(eq, C3, mode="sampled", samples=3).interpretations_checked == 3
+    with pytest.raises(CapExceededError):
+        check_equation(eq, C3, mode="sampled", samples=4)
+    # every symbol's table counts: 2 samples of 9 + 3 entries fit, 3 do not
+    assert check_equation(eq2, C3, mode="sampled", samples=2).holds
+    with pytest.raises(CapExceededError):
+        check_equation(eq2, C3, mode="sampled", samples=3)
 
 
 @pytest.mark.parametrize("poset, arity", [(C2, 10), (C3, 7)])
