@@ -8,7 +8,9 @@ perfbench's entails-stream workload.  Each sample starts with fpal's
 subgroup and divisor caches empty, so it pays for the whole lattice
 search; the best of ``--repeat`` samples is kept.  The 13-state monoid
 takes about a millisecond, so each of its samples is the mean of
-``SMALL_CALLS`` calls.
+``SMALL_CALLS`` calls.  Two items are whole ``python -m fpal`` runs in a
+fresh interpreter, imports included: ``fpal --help`` and ``fpal divisors``
+on S4, each the best of ``CLI_RUNS`` runs.
 
 Each source tree runs in its own interpreter, so two checkouts are timed
 one after the other on the same machine::
@@ -44,6 +46,7 @@ ENTAILS_SIZED_DELTA = (
     (9, 9, 8), (9, 9, 10), (10, 10, 10), (13, 13, 11), (12, 13, 12), (13, 13, 13),
 )
 SMALL_CALLS = 200
+CLI_RUNS = 10
 
 
 def full_transformations(n: int):
@@ -86,6 +89,18 @@ def best_of(repeat: int, run, calls: int = 1) -> float:
     return best
 
 
+def cli_latency(argv: list) -> float:
+    """Least wall seconds of ``python -m fpal argv`` over ``CLI_RUNS``
+    runs, each in a fresh interpreter."""
+    best = float("inf")
+    for _ in range(CLI_RUNS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "fpal", *argv], check=True,
+                       stdout=subprocess.DEVNULL)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def measure(repeat: int) -> dict:
     """Best seconds per item for the fpal found on ``sys.path``."""
     from fpal import algebra, cli
@@ -103,6 +118,8 @@ def measure(repeat: int) -> dict:
                         raise RuntimeError(f"fpal divisors failed on {name}")
 
             out[f"divisors {name}"] = best_of(repeat, divisors)
+        out["cli fpal --help"] = cli_latency(["--help"])
+        out["cli fpal divisors S4"] = cli_latency(["divisors", os.path.join(tmp, "S4.json")])
     psl = algebra.group_from_permutations(PSL27_GENERATORS)
     out["all_subgroup_sets PSL(2,7)"] = best_of(repeat, lambda: algebra.all_subgroup_sets(psl))
     out["symmetric_group(6)"] = best_of(repeat, lambda: algebra.symmetric_group(6))

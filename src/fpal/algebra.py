@@ -20,8 +20,6 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import NamedTuple
 
-import numpy as np
-
 from .automaton import (
     DEFAULT_MONOID_CAP,
     Automaton,
@@ -120,61 +118,47 @@ def idempotents(m: TransformationMonoid) -> list:
 
 
 class FiniteGroup:
-    """A finite group given by its multiplication table (index based).
+    """A finite group given by its multiplication table (index based), a
+    tuple of row tuples; ``cols`` is the same table read by columns.
 
     ``labels`` names the elements; subgroups of a monoid's maximal
     subgroups carry monoid element indices, quotients carry coset labels.
     """
 
     def __init__(self, table, labels=None):
-        self.table = np.asarray(table, dtype=np.int32)
-        if self.table.ndim != 2 or self.table.shape[0] != self.table.shape[1]:
-            raise ValueError("group table must be square")
-        self.order = int(self.table.shape[0])
-        if self.order < 1:
+        rows = self.table = tuple(map(tuple, table))
+        n = self.order = len(rows)
+        if n < 1:
             raise ValueError("group must have at least one element")
-        self.labels = tuple(labels) if labels is not None else tuple(range(self.order))
-        if len(self.labels) != self.order:
+        if any(len(row) != n for row in rows):
+            raise ValueError("group table must be square")
+        self.labels = tuple(labels) if labels is not None else tuple(range(n))
+        if len(self.labels) != n:
             raise ValueError("label count differs from group order")
-        idx = np.arange(self.order)
-        ident = [e for e in range(self.order)
-                 if np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx)]
-        if len(ident) != 1:
-            raise ValueError("table has no two-sided identity")
-        self.identity = ident[0]
-        self._check_basic()
-        self._inverse = None
-
-    def _check_basic(self):
-        if self.table.min() < 0 or self.table.max() >= self.order:
+        self.cols = tuple(zip(*rows))
+        if not all(0 <= v < n for row in rows for v in row):
             raise ValueError("table entries out of range")
         # Latin square: every row and column is a permutation.
-        idx = np.arange(self.order)
-        if not (np.array_equal(np.sort(self.table, axis=1), np.broadcast_to(idx, self.table.shape))
-                and np.array_equal(np.sort(self.table, axis=0), np.broadcast_to(idx[:, None], self.table.shape))):
+        if any(len(set(line)) != n for line in rows + self.cols):
             raise ValueError("table rows and columns must be permutations")
-        if not np.all(np.any(self.table == self.identity, axis=1)):
-            raise ValueError("some element has no inverse")
+        idx = tuple(range(n))
+        ident = [e for e in idx if rows[e] == idx and self.cols[e] == idx]
+        if len(ident) != 1:
+            raise ValueError("table has no two-sided identity")
+        self.identity = e = ident[0]
+        self.inverse = tuple(row.index(e) for row in rows)
 
     def check_associative(self) -> bool:
         """Full associativity check; cubic, so only sensible for small
         orders."""
         t = self.table
-        return bool(np.array_equal(t[t, :], t[:, t]))
-
-    @property
-    def inverse(self) -> np.ndarray:
-        if self._inverse is None:
-            rows, cols = np.nonzero(self.table == self.identity)
-            inv = np.empty(self.order, dtype=np.int32)
-            inv[rows] = cols
-            self._inverse = inv
-        return self._inverse
+        return all(t[ab] == tuple(row[bc] for bc in t[b])
+                   for row in t for b, ab in enumerate(row))
 
     def element_order(self, i: int) -> int:
         k, x = 1, i
         while x != self.identity:
-            x = int(self.table[x, i])
+            x = self.table[x][i]
             k += 1
         return k
 
@@ -182,12 +166,11 @@ class FiniteGroup:
         return tuple(sorted(self.element_order(i) for i in range(self.order)))
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return self.table == self.cols
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n)
+    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def _cayley_table(maps: list, then, padded: list) -> list:
@@ -262,13 +245,10 @@ def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
         raise CapExceededError(
             f"subgroup enumeration cap {cap} exceeded by group of order {g.order}"
         )
-    key = g.table.tobytes()
-    cached = _subgroup_cache.get(key)
+    cached = _subgroup_cache.get(g.table)
     if cached is not None:
         return cached
-    rows = g.table.tolist()
-    cols = g.table.T.tolist()
-    e = g.identity
+    rows, cols, e = g.table, g.cols, g.identity
     found = {}  # mask -> (elements, generators)
     for x in range(g.order):
         elems, mask, y = [e], 1 << e, x
@@ -297,7 +277,7 @@ def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
                 queue.append(k)
     out = sorted((tuple(sorted(elems)) for elems, _ in found.values()),
                  key=lambda t: (len(t), t))
-    return _remember(_subgroup_cache, key, tuple(out), SUBGROUP_CACHE_SIZE)
+    return _remember(_subgroup_cache, g.table, tuple(out), SUBGROUP_CACHE_SIZE)
 
 
 def _join(rows, cols, e: int, h: int, h_elems: list, gens: tuple) -> tuple:
@@ -328,16 +308,14 @@ def _maximal_normals(g: FiniteGroup, subs, k) -> list:
     normalizes, less those inside a larger one.  Quotients by these are
     exactly the simple quotients of ``k``."""
     k_set = set(k)
-    k_arr = np.array(k, dtype=np.int64)
     table, inv = g.table, g.inverse
     normals = []
     for n in subs:
         if len(n) >= len(k) or not k_set.issuperset(n):
             continue
-        in_n = np.zeros(g.order, dtype=bool)
-        in_n[list(n)] = True
+        n_set = set(n)
         # x y x^-1 for every x in K and y in N
-        if in_n[table[table[np.ix_(k_arr, n)], inv[k_arr][:, None]]].all():
+        if all(table[table[x][y]][inv[x]] in n_set for x in k for y in n):
             normals.append(n)
     return [n for i, n in enumerate(normals)
             if not any(set(n) < set(m) for m in normals[i + 1:])]
@@ -420,16 +398,15 @@ def _section_id(g: FiniteGroup, k, n) -> SimpleGroupId:
     of ``g``, read off the cosets without building a quotient table: the
     order of the coset xN is the least j with x^j in N, and each coset
     has |N| members."""
-    in_n = np.zeros(g.order, dtype=bool)
-    in_n[list(n)] = True
-    k_arr = np.array(k, dtype=np.int64)
-    orders = np.zeros(len(k), dtype=np.int64)
-    power, j = k_arr, 1
-    while not orders.all():
-        orders[in_n[power] & (orders == 0)] = j
-        power = g.table[power, k_arr]
-        j += 1
-    coset_orders = tuple(sorted(orders.tolist())[::len(n)])
+    n_set, table = set(n), g.table
+    orders = []
+    for x in k:
+        j, y = 1, x
+        while y not in n_set:
+            y = table[y][x]
+            j += 1
+        orders.append(j)
+    coset_orders = tuple(sorted(orders)[::len(n)])
     order = len(k) // len(n)
     return SimpleGroupId(order, coset_orders, _simple_name(order, coset_orders))
 

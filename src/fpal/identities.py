@@ -339,7 +339,7 @@ def gamma_group(g, p: int = 1) -> Equation:
     k = g.order
     letters = tuple(f"m{j}" for j in range(1, k + 1))
     delta = tuple(
-        tuple(int(g.table[i, j]) + 1 for j in range(k)) for i in range(k)
+        tuple(g.table[i][j] + 1 for j in range(k)) for i in range(k)
     )
     return gamma(Automaton(k, letters, delta), p)
 

@@ -68,9 +68,10 @@ def subgroup_sets(g: FiniteGroup) -> list:
         orbit, y = [g.identity], x
         while y != g.identity:
             orbit.append(y)
-            y = int(g.table[y, x])
+            y = g.table[y][x]
         cyclics.add(tuple(sorted(orbit)))
     cyclic_list = sorted(cyclics)
+    table = np.asarray(g.table)
     found = set(cyclic_list)
     queue = deque(cyclic_list)
     while queue:
@@ -78,7 +79,7 @@ def subgroup_sets(g: FiniteGroup) -> list:
         for c in cyclic_list:
             if set(c) <= set(h):
                 continue
-            k = closure(g.table, h + c)
+            k = closure(table, h + c)
             if k not in found:
                 found.add(k)
                 queue.append(k)
@@ -147,7 +148,7 @@ def group_from_monoid_indices(m: TransformationMonoid, indices, mt=None) -> Fini
 def conjugacy_classes(g: FiniteGroup, subgroup_sets) -> list:
     """Partition subgroup index-sets into conjugacy classes, each class
     sorted, the classes ordered by their least member."""
-    table, inv = g.table, g.inverse
+    table, inv = np.asarray(g.table), np.asarray(g.inverse)
     by_key = {}
     for sub in subgroup_sets:
         arr = np.array(sub, dtype=np.int64)
@@ -165,7 +166,7 @@ def subgroup_from_indices(g: FiniteGroup, indices) -> FiniteGroup:
     indices = sorted(indices)
     pos = {x: i for i, x in enumerate(indices)}
     try:
-        table = [[pos[int(g.table[x, y])] for y in indices] for x in indices]
+        table = [[pos[g.table[x][y]] for y in indices] for x in indices]
     except KeyError:
         raise ValueError("index set is not closed under multiplication") from None
     return FiniteGroup(table, labels=[g.labels[x] for x in indices])
@@ -204,7 +205,7 @@ def quotient_by_indices(g: FiniteGroup, n_idx) -> FiniteGroup:
     """The quotient table of ``g`` by the normal subgroup with index-set
     ``n_idx``, labelled by cosets."""
     arr = np.array(sorted(n_idx), dtype=np.int64)
-    table, inv = g.table, g.inverse
+    table, inv = np.asarray(g.table), np.asarray(g.inverse)
     for x in range(g.order):
         if not np.array_equal(np.sort(table[table[x, arr], inv[x]]), arr):
             raise ValueError("subgroup is not normal in the parent")
@@ -217,11 +218,8 @@ def quotient_by_indices(g: FiniteGroup, n_idx) -> FiniteGroup:
         for v in members:
             coset_of[v] = len(cosets)
         cosets.append(members)
-    k = len(cosets)
-    qtable = np.empty((k, k), dtype=np.int32)
-    for a, mem_a in enumerate(cosets):
-        for b, mem_b in enumerate(cosets):
-            qtable[a, b] = coset_of[int(table[mem_a[0], mem_b[0]])]
+    qtable = [[coset_of[int(table[mem_a[0], mem_b[0]])] for mem_b in cosets]
+              for mem_a in cosets]
     labels = [tuple(g.labels[v] for v in mem) for mem in cosets]
     return FiniteGroup(qtable, labels=labels)
 
@@ -280,7 +278,7 @@ def composition_factor_orders_sympy(g: FiniteGroup) -> list:
     element has the whole group as its normal closure."""
     from sympy.combinatorics import Permutation, PermutationGroup
 
-    group = PermutationGroup([Permutation(row) for row in g.table.tolist()])
+    group = PermutationGroup([Permutation(list(row)) for row in g.table])
     if not group.is_solvable:
         if any(group.normal_closure(x).order() < group.order()
                for x in group.elements if not x.is_identity):

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from conftest import alternating5_automaton, full_transformations
@@ -41,13 +40,8 @@ def dihedral(n: int) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n, m = g.order, h.order
-    table = np.zeros((n * m, n * m), dtype=np.int32)
-    for i in range(n):
-        for j in range(m):
-            for k in range(n):
-                for l in range(m):
-                    table[i * m + j, k * m + l] = g.table[i, k] * m + h.table[j, l]
-    return FiniteGroup(table)
+    return FiniteGroup([[g.table[i][k] * m + h.table[j][l] for k in range(n) for l in range(m)]
+                        for i in range(n) for j in range(m)])
 
 
 def alternating4() -> FiniteGroup:
@@ -135,9 +129,27 @@ def test_group_from_permutations_closure():
 
 
 def test_group_validation_rejects_non_group():
-    # a non-Latin square
-    with pytest.raises(ValueError):
-        FiniteGroup(np.array([[0, 0], [0, 0]], dtype=np.int32))
+    for table, labels, message in (
+        ([[0, 0], [0, 0]], None, "rows and columns must be permutations"),
+        ([[0, 1], [1]], None, "must be square"),
+        ([], None, "at least one element"),
+        ([[0, 1], [1, 2]], None, "entries out of range"),
+        # x * y = -x - y mod 3: a Latin square with no identity
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], None, "no two-sided identity"),
+        ([[0, 1], [1, 0]], ["e"], "label count"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            FiniteGroup(table, labels=labels)
+
+
+def test_group_tables_are_immutable():
+    # a group is checked once, when built, and its table keys the
+    # subgroup cache, so neither may change under the caller
+    g = cyclic_group(2)
+    for target, index in ((g.table, (0, 0)), (g.table, 0), (g.table[0], 0), (g.inverse, 0)):
+        with pytest.raises(TypeError):
+            target[index] = 1
+    assert all_subgroup_sets(g) == ((0,), (0, 1))
 
 
 # The subgroup and quotient tables live in the oracle, the reference for
@@ -402,7 +414,7 @@ def test_units_by_rank_match_inverse_search(corpus_monoids):
             units = units_by_inverse_search(table, e)
             h = maximal_subgroup_at(m, e)
             assert list(h.labels) == units
-            assert np.array_equal(h.table, group_from_monoid_indices(m, units, table).table)
+            assert h.table == group_from_monoid_indices(m, units, table).table
             checked += 1
     assert (len(monoids), checked) == (222, 745)
 

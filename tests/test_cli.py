@@ -4,7 +4,13 @@ import sys
 
 import pytest
 
-from fpal.automaton import Automaton, InitializedAutomaton, counter, to_dict
+from fpal.automaton import (
+    Automaton,
+    InitializedAutomaton,
+    counter,
+    symmetric_automaton,
+    to_dict,
+)
 from fpal.cli import main
 
 
@@ -374,3 +380,22 @@ def test_subprocess_byte_determinism(write_aut):
         second = _run_subprocess(argv)
         assert first.stdout == second.stdout, argv
         assert first.returncode == second.returncode, argv
+
+
+def test_runs_never_import_numpy(write_aut):
+    # fpal has no runtime dependency: importing it, finding the divisors
+    # of S4 and model checking leave numpy unloaded
+    s4 = write_aut(symmetric_automaton(4), "s4.json")
+    script = f"""
+import contextlib, io, json, sys
+import fpal
+from fpal.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["divisors", {s4!r}]),
+             main(["check", "--builtin", "conway", "--samples", "5"])]
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], False]
