@@ -4,11 +4,14 @@ Times ``fpal divisors`` (``fpal.cli.main``, stdout discarded) on the A5,
 S4, T4, S5 and T5 automata, ``all_subgroup_sets`` on PSL(2,7),
 ``symmetric_group(6)``, and ``transition_monoid`` alone on T5 and on a
 13-state, 3-letter automaton of monoid order 77, the size of those in
-perfbench's entails-stream workload.  Each sample starts with fpal's
-subgroup and divisor caches empty, so it pays for the whole lattice
-search; the best of ``--repeat`` samples is kept.  The 13-state monoid
-takes about a millisecond, so each of its samples is the mean of
-``SMALL_CALLS`` calls.  Two items are whole ``python -m fpal`` runs in a
+perfbench's entails-stream workload.  ``entails`` with that automaton as
+hypothesis and conclusion is timed warm, as a repeated query: after one
+untimed call.  The auto-mode check of ``sym(f) = sym(f)`` with f of arity
+10 on chain(2) is timed until it is refused.  Each sample starts with
+fpal's caches empty, so it pays for the whole lattice search; the best of
+``--repeat`` samples is kept.  The 13-state items take under a
+millisecond, so each of their samples is the mean of ``SMALL_CALLS``
+calls.  Two items are whole ``python -m fpal`` runs in a
 fresh interpreter, imports included: ``fpal --help`` and ``fpal divisors``
 on S4, each the best of ``CLI_RUNS`` runs.
 
@@ -73,20 +76,42 @@ def automata() -> dict:
     }
 
 
-def best_of(repeat: int, run, calls: int = 1) -> float:
+def best_of(repeat: int, run, calls: int = 1, warm: bool = False) -> float:
     """Least mean seconds of ``calls`` calls of ``run`` over ``repeat``
-    samples."""
-    from fpal import algebra
+    samples, each started with fpal's caches empty; with ``warm``, one
+    untimed call fills them first."""
+    from fpal import algebra, cpo_model, entailment
 
     best = float("inf")
     for _ in range(repeat):
         algebra._subgroup_cache.clear()
         algebra._walk_cache.clear()
+        # a tree from before the per-automaton divisor table has none
+        getattr(entailment, "_divisor_tables", {}).clear()
+        cpo_model.count_monotone.cache_clear()
+        if warm:
+            run()
         start = time.perf_counter()
         for _ in range(calls):
             run()
         best = min(best, (time.perf_counter() - start) / calls)
     return best
+
+
+def refuse_wide_symbol() -> None:
+    """``sym(f) = sym(f)`` with f of arity 10 on chain(2), auto mode at the
+    default settings: too many interpretations to enumerate, too many
+    table entries to sample, so the check is refused."""
+    from fpal.cpo_model import chain, check_equation
+    from fpal.errors import CapExceededError
+    from fpal.term import Equation, Sym, Symbol
+
+    f = Sym(Symbol("f", 10))
+    try:
+        check_equation(Equation.of("wide", f, f), chain(2))
+    except CapExceededError:
+        return
+    raise RuntimeError("the arity-10 check should be refused")
 
 
 def cli_latency(argv: list) -> float:
@@ -103,7 +128,7 @@ def cli_latency(argv: list) -> float:
 
 def measure(repeat: int) -> dict:
     """Best seconds per item for the fpal found on ``sys.path``."""
-    from fpal import algebra, cli
+    from fpal import algebra, cli, entailment
     from fpal.automaton import Automaton, to_dict
 
     out = {}
@@ -130,6 +155,9 @@ def measure(repeat: int) -> dict:
         raise RuntimeError("the 13-state automaton should have monoid order 77")
     out["transition_monoid 13 states"] = best_of(
         repeat, lambda: algebra.transition_monoid(small), SMALL_CALLS)
+    out["entails 13 states, warm"] = best_of(
+        repeat, lambda: entailment.entails([small], small), SMALL_CALLS, warm=True)
+    out["check sym f 10 refused"] = best_of(repeat, refuse_wide_symbol)
     return {key: round(value, 6) for key, value in out.items()}
 
 

@@ -268,9 +268,32 @@ def enumerate_monotone(poset: PosetModel, in_arity: int, limit: int | None = Non
         yield TableFn(poset, in_arity, 1, table)
 
 
+def _largest_level(ranks: tuple, arity: int) -> int:
+    """Most points of P^arity sharing one total rank: the largest
+    coefficient of (sum over x of z^rank(x))^arity."""
+    levels = [1]
+    for _ in range(arity):
+        nxt = [0] * (len(levels) + max(ranks))
+        for r, n in enumerate(levels):
+            for x in ranks:
+                nxt[r + x] += n
+        levels = nxt
+    return max(levels)
+
+
 @lru_cache(maxsize=_COUNT_CACHE_SIZE)
 def count_monotone(poset: PosetModel, in_arity: int, cap: int) -> int:
-    """Number of monotone functions, counting no further than cap + 1."""
+    """Number of monotone functions, counting no further than cap + 1.
+
+    Total rank strictly increases along < in P^in_arity, so each level of
+    equal total rank is an antichain.  The up-set of each subset of a
+    level gives its own monotone map (up-set to a value above bottom,
+    the rest to bottom), so when |P| >= 2 there are at least
+    2^(largest level) monotone maps; past the cap that answers without
+    enumerating."""
+    if (cap >= 0 and poset.size >= 2
+            and _largest_level(poset.ranks(), in_arity) >= cap.bit_length()):
+        return cap + 1
     count = 0
     for _ in _monotone_tables(poset, in_arity):
         count += 1

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from . import algebra
 from .algebra import (
     DEFAULT_SUBGROUP_CAP,
     DivisorWitness,
@@ -81,6 +82,25 @@ def _hypothesis_automaton(aut: AutomatonLike, index: Optional[int],
     return aut, notes
 
 
+_divisor_tables: dict = {}
+
+
+def _divisor_table(plain: Automaton, monoid_cap: int, subgroup_cap: int):
+    """The read-only divisor table of a plain automaton's monoid.  An
+    entailment answer depends on nothing else about an automaton, so the
+    table is cached per automaton and caps, in a FIFO bounded by
+    ``algebra.MONOID_CACHE_SIZE``; a refusal is not cached.  Witness
+    words are spelled in the automaton's letters, so letters that compare
+    equal but print differently (1, 1.0, True) are told apart by repr."""
+    key = (plain, tuple(map(repr, plain.letters)), monoid_cap, subgroup_cap)
+    cached = _divisor_tables.get(key)
+    if cached is not None:
+        return cached
+    table = divisor_witnesses_monoid(transition_monoid(plain, cap=monoid_cap),
+                                     cap=subgroup_cap)
+    return algebra._remember(_divisor_tables, key, table, algebra.MONOID_CACHE_SIZE)
+
+
 def _per_hypothesis_divisors(hypotheses: Sequence[AutomatonLike],
                              reduce_reachable: bool,
                              monoid_cap: int, subgroup_cap: int):
@@ -94,8 +114,7 @@ def _per_hypothesis_divisors(hypotheses: Sequence[AutomatonLike],
     for i, aut in enumerate(hypotheses):
         plain, local = _hypothesis_automaton(aut, i, reduce_reachable)
         notes.extend(local)
-        monoid = transition_monoid(plain, cap=monoid_cap)
-        tables.append(divisor_witnesses_monoid(monoid, cap=subgroup_cap))
+        tables.append(_divisor_table(plain, monoid_cap, subgroup_cap))
     return tables, notes
 
 
@@ -127,8 +146,7 @@ def entails(hypotheses: Sequence[AutomatonLike], conclusion: AutomatonLike, *,
             "the marked state follows from the full identity"
         )
         conclusion = conclusion.automaton
-    monoid = transition_monoid(conclusion, cap=monoid_cap)
-    goal = divisor_witnesses_monoid(monoid, cap=subgroup_cap)
+    goal = _divisor_table(conclusion, monoid_cap, subgroup_cap)
     coverage = {}
     missing = []
     for fp in goal:
@@ -196,8 +214,7 @@ def initial_shift_check(iq: InitializedAutomaton, word, *,
     for label, machine in (("base", iq), ("shifted", shifted)):
         plain, local = _hypothesis_automaton(machine, None, reduce_reachable)
         notes.extend(f"{label}: {msg}" for msg in local)
-        monoid = transition_monoid(plain, cap=monoid_cap)
-        tables.append(divisor_witnesses_monoid(monoid, cap=subgroup_cap))
+        tables.append(_divisor_table(plain, monoid_cap, subgroup_cap))
     base, after = (tuple(t) for t in tables)
     return ShiftReport(
         word=tuple(word),

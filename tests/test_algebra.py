@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -485,6 +486,17 @@ def test_cached_divisor_table_is_read_only():
         with pytest.raises(TypeError):
             mapping[next(iter(mapping))] = 0
     assert all(isinstance(xs, tuple) for xs in m.by_image.values())
+    # nor can the per-automaton table that entailment caches, or its witnesses
+    caps = (algebra.DEFAULT_MONOID_CAP, algebra.DEFAULT_SUBGROUP_CAP)
+    cached = entailment._divisor_table(counter(6), *caps)
+    assert cached is entailment._divisor_table(counter(6), *caps)
+    with pytest.raises(TypeError):
+        cached[c5] = next(iter(original.values()))
+    witness = next(iter(cached.values()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        witness.idempotent_word = ("b",)
+    assert isinstance(witness.subgroup, tuple) and isinstance(witness.idempotent_word, tuple)
+    assert dict(cached) == original
 
 
 def test_cached_walk_keeps_each_automatons_witness_words():
@@ -507,4 +519,10 @@ def test_caches_are_bounded(monkeypatch):
         assert simple_divisors_monoid(transition_monoid(counter(n)))
     assert len(algebra._walk_cache) == 2
     assert len(algebra._subgroup_cache) == 3
+    # the per-automaton divisor tables of entailment share the monoid bound
+    monkeypatch.setattr(entailment, "_divisor_tables", {})
+    for n in range(2, 7):
+        assert entailment.entails([counter(n)], counter(n)).holds
+    assert len(entailment._divisor_tables) == 2
+    assert [key[0] for key in entailment._divisor_tables] == [counter(5), counter(6)]
     assert entailment._nonabelian_simple_id.cache_info().maxsize == 5

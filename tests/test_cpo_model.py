@@ -147,6 +147,33 @@ def test_monotone_counts_match_bruteforce():
         assert count_monotone(poset, arity, 10**6) == expected
 
 
+def test_count_past_the_cap_needs_no_enumeration(monkeypatch):
+    # chain(2)^10 has a level of 252 points, so at least 2^252 maps
+    def refuse(poset, arity):
+        raise AssertionError("counted by enumeration")
+
+    monkeypatch.setattr(cpo_model, "_monotone_tables", refuse)
+    count_monotone.cache_clear()
+    try:
+        assert count_monotone(C2, 10, 100_000) == 100_001
+    finally:
+        count_monotone.cache_clear()
+
+
+DIAMOND = PosetModel(4, ((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1)), 0, "diamond")
+
+
+@pytest.mark.parametrize("poset", [chain(1), C2, C3, V, DIAMOND], ids=lambda p: p.name)
+def test_count_shortcut_matches_plain_counting(poset):
+    caps = (0, 1, 5, 10, 250, 2000)
+    for arity in range(5):
+        # plain counting, stopped past the largest cap
+        seen = sum(1 for _ in itertools.islice(cpo_model._monotone_tables(poset, arity),
+                                               max(caps) + 1))
+        for cap in caps:
+            assert count_monotone(poset, arity, cap) == min(seen, cap + 1), (arity, cap)
+
+
 def test_enumerate_monotone_yields_monotone_unique():
     seen = set()
     for fn in enumerate_monotone(C3, 2):

@@ -283,3 +283,36 @@ def test_family_witness_fingerprint_is_cp():
     report = family_completeness([counter(2)])
     c3 = fingerprint(cyclic_group(3))
     assert report.witness == c3
+
+
+def test_cached_divisor_table_does_not_mask_a_lower_monoid_cap():
+    s4 = symmetric_automaton(4)
+    assert entails([s4], s4).holds
+    with pytest.raises(CapExceededError):
+        entails([s4], s4, monoid_cap=23)
+    with pytest.raises(CapExceededError):
+        entails([counter(2)], s4, monoid_cap=23)
+    assert entails([s4], s4, monoid_cap=24).holds
+
+
+def test_cached_divisor_tables_keep_each_automatons_letters():
+    # the same delta under different letter names: one walk, one table each;
+    # 1 and True are equal keys of a dict but print differently
+    delta = ((2,), (1,), (1,))
+    cases = [(Automaton(3, (name,), delta), [name, name]) for name in ("a", "b", 1, True)]
+    for aut, word in cases + cases[:1]:
+        report = entails([aut], aut)
+        [(index, witness)] = report.coverage.values()
+        assert index == 0
+        assert repr(witness.to_json()["idempotent_word"]) == repr(word)
+
+
+def test_reachable_part_notes_on_every_call():
+    q = Automaton(5, ("a",), ((2,), (1,), (4,), (5,), (3,)))
+    iq = InitializedAutomaton(q, 3)
+    first = entails([iq], counter(3), reduce_reachable=True)
+    again = entails([iq], counter(3), reduce_reachable=True)
+    assert first.notes == again.notes == ("hypothesis 0 restricted to its 3 reachable states",)
+    shift = initial_shift_check(iq, "a", reduce_reachable=True)
+    assert shift.notes == initial_shift_check(iq, "a", reduce_reachable=True).notes
+    assert len(shift.notes) == 2

@@ -34,6 +34,7 @@ from fpal.automaton import (
     symmetric_automaton,
     to_dict,
 )
+from fpal import entailment
 from fpal.cli import main
 from fpal.entailment import entails
 from test_algebra import automaton_groups, group_corpus
@@ -148,6 +149,17 @@ def test_golden_entails(label):
     hyps, concl, reduce = entails_queries()[label]
     got = entails(hyps, concl, reduce_reachable=reduce).to_json()
     assert json.dumps(got, indent=2) == json.dumps(golden[label], indent=2)
+
+
+def test_golden_entails_through_the_divisor_cache(monkeypatch):
+    cold = {}
+    for label, (hyps, concl, reduce) in entails_queries().items():
+        monkeypatch.setattr(entailment, "_divisor_tables", {})
+        cold[label] = entails(hyps, concl, reduce_reachable=reduce).to_json()
+    assert json.dumps(cold, indent=2) + "\n" == ENTAILS_GOLDEN.read_text()
+    monkeypatch.setattr(entailment, "_divisor_tables", {})
+    for _ in range(2):
+        assert json.dumps(entails_outputs(), indent=2) == json.dumps(cold, indent=2)
 
 
 def test_golden_group_divisors(tmp_path, monkeypatch):
