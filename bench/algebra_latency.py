@@ -1,25 +1,27 @@
 """Best-of-N latencies of fpal's algebra engine, timed in process.
 
 Times ``fpal divisors`` (``fpal.cli.main``, stdout discarded) on the A5,
-S4, T4, S5 and T5 automata, ``all_subgroup_sets`` on PSL(2,7),
+S4, T4, S5, T5 and PSL(2,7) automata, ``all_subgroup_sets`` on PSL(2,7),
 ``symmetric_group(6)``, and ``transition_monoid`` alone on T5 and on a
 13-state, 3-letter automaton of monoid order 77, the size of those in
 perfbench's entails-stream workload.  ``entails`` with that automaton as
 hypothesis and conclusion is timed warm, as a repeated query: after one
 untimed call.  The auto-mode check of ``sym(f) = sym(f)`` with f of arity
 10 on chain(2) is timed until it is refused.  Each sample starts with
-fpal's caches empty, so it pays for the whole lattice search; the best of
+fpal's caches empty, so it pays for the whole divisor search; the best of
 ``--repeat`` samples is kept.  The 13-state items take under a
 millisecond, so each of their samples is the mean of ``SMALL_CALLS``
 calls.  Two items are whole ``python -m fpal`` runs in a
 fresh interpreter, imports included: ``fpal --help`` and ``fpal divisors``
 on S4, each the best of ``CLI_RUNS`` runs.
 
-Each source tree runs in its own interpreter, so two checkouts are timed
-one after the other on the same machine::
+Each source tree is imported by its own worker interpreter, and the
+samples alternate between the trees: every sample of an item is taken on
+each tree in turn, the first tree going first on even samples and last on
+odd ones, so drift of the machine over the run reaches both trees alike::
 
     python3 bench/algebra_latency.py --tree parent=../parent/src \\
-        --tree change=src --out BENCH_5.json
+        --tree change=src --out BENCH_9.json
 
 The output holds ``nproc``, the Python version, and per tree the best
 seconds of every item and the line count of its ``fpal`` package.
@@ -65,37 +67,36 @@ def full_transformations(n: int):
 def automata() -> dict:
     from fpal.automaton import Automaton, symmetric_automaton
 
-    a5 = Automaton(5, ("a", "b"),
-                   tuple(tuple(g[s] for g in A5_GENERATORS) for s in range(5)))
+    def from_generators(gens):
+        n = len(gens[0])
+        return Automaton(n, ("a", "b"), tuple(tuple(g[s] for g in gens) for s in range(n)))
+
     return {
-        "A5": a5,
+        "A5": from_generators(A5_GENERATORS),
         "S4": symmetric_automaton(4),
         "T4": full_transformations(4),
         "S5": symmetric_automaton(5),
         "T5": full_transformations(5),
+        "PSL(2,7)": from_generators(PSL27_GENERATORS),
     }
 
 
-def best_of(repeat: int, run, calls: int = 1, warm: bool = False) -> float:
-    """Least mean seconds of ``calls`` calls of ``run`` over ``repeat``
-    samples, each started with fpal's caches empty; with ``warm``, one
-    untimed call fills them first."""
+def sample(run, calls: int = 1, warm: bool = False) -> float:
+    """Mean seconds of ``calls`` calls of ``run``, started with fpal's
+    caches empty; with ``warm``, one untimed call fills them first."""
     from fpal import algebra, cpo_model, entailment
 
-    best = float("inf")
-    for _ in range(repeat):
-        algebra._subgroup_cache.clear()
-        algebra._walk_cache.clear()
-        # a tree from before the per-automaton divisor table has none
-        getattr(entailment, "_divisor_tables", {}).clear()
-        cpo_model.count_monotone.cache_clear()
-        if warm:
-            run()
-        start = time.perf_counter()
-        for _ in range(calls):
-            run()
-        best = min(best, (time.perf_counter() - start) / calls)
-    return best
+    algebra._subgroup_cache.clear()
+    algebra._walk_cache.clear()
+    # a tree from before the per-automaton divisor table has none
+    getattr(entailment, "_divisor_tables", {}).clear()
+    cpo_model.count_monotone.cache_clear()
+    if warm:
+        run()
+    start = time.perf_counter()
+    for _ in range(calls):
+        run()
+    return (time.perf_counter() - start) / calls
 
 
 def refuse_wide_symbol() -> None:
@@ -114,51 +115,59 @@ def refuse_wide_symbol() -> None:
     raise RuntimeError("the arity-10 check should be refused")
 
 
-def cli_latency(argv: list) -> float:
-    """Least wall seconds of ``python -m fpal argv`` over ``CLI_RUNS``
-    runs, each in a fresh interpreter."""
-    best = float("inf")
-    for _ in range(CLI_RUNS):
-        start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "fpal", *argv], check=True,
-                       stdout=subprocess.DEVNULL)
-        best = min(best, time.perf_counter() - start)
-    return best
+def cli_run(argv: list) -> float:
+    """Wall seconds of one ``python -m fpal argv`` in a fresh interpreter."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "fpal", *argv], check=True,
+                   stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
 
 
-def measure(repeat: int) -> dict:
-    """Best seconds per item for the fpal found on ``sys.path``."""
+def items(tmp: str) -> dict:
+    """Item name -> a function taking one sample of it, in seconds, for the
+    fpal found on ``sys.path``.  Whole-run items are named ``cli ...``."""
     from fpal import algebra, cli, entailment
     from fpal.automaton import Automaton, to_dict
 
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, q in automata().items():
-            path = os.path.join(tmp, f"{name}.json")
-            pathlib.Path(path).write_text(json.dumps(to_dict(q)))
+    for name, q in automata().items():
+        path = os.path.join(tmp, f"{name}.json")
+        pathlib.Path(path).write_text(json.dumps(to_dict(q)))
 
-            def divisors(path=path):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    if cli.main(["divisors", path]) != 0:
-                        raise RuntimeError(f"fpal divisors failed on {name}")
+        def divisors(path=path, name=name):
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["divisors", path]) != 0:
+                    raise RuntimeError(f"fpal divisors failed on {name}")
 
-            out[f"divisors {name}"] = best_of(repeat, divisors)
-        out["cli fpal --help"] = cli_latency(["--help"])
-        out["cli fpal divisors S4"] = cli_latency(["divisors", os.path.join(tmp, "S4.json")])
+        out[f"divisors {name}"] = lambda run=divisors: sample(run)
+    out["cli fpal --help"] = lambda: cli_run(["--help"])
+    s4 = os.path.join(tmp, "S4.json")
+    out["cli fpal divisors S4"] = lambda: cli_run(["divisors", s4])
     psl = algebra.group_from_permutations(PSL27_GENERATORS)
-    out["all_subgroup_sets PSL(2,7)"] = best_of(repeat, lambda: algebra.all_subgroup_sets(psl))
-    out["symmetric_group(6)"] = best_of(repeat, lambda: algebra.symmetric_group(6))
+    out["all_subgroup_sets PSL(2,7)"] = lambda: sample(lambda: algebra.all_subgroup_sets(psl))
+    out["symmetric_group(6)"] = lambda: sample(lambda: algebra.symmetric_group(6))
     t5 = full_transformations(5)
-    out["transition_monoid T5"] = best_of(repeat, lambda: algebra.transition_monoid(t5))
+    out["transition_monoid T5"] = lambda: sample(lambda: algebra.transition_monoid(t5))
     small = Automaton(13, ("a", "b", "c"), ENTAILS_SIZED_DELTA)
     if algebra.transition_monoid(small).order != 77:
         raise RuntimeError("the 13-state automaton should have monoid order 77")
-    out["transition_monoid 13 states"] = best_of(
-        repeat, lambda: algebra.transition_monoid(small), SMALL_CALLS)
-    out["entails 13 states, warm"] = best_of(
-        repeat, lambda: entailment.entails([small], small), SMALL_CALLS, warm=True)
-    out["check sym f 10 refused"] = best_of(repeat, refuse_wide_symbol)
-    return {key: round(value, 6) for key, value in out.items()}
+    out["transition_monoid 13 states"] = lambda: sample(
+        lambda: algebra.transition_monoid(small), SMALL_CALLS)
+    out["entails 13 states, warm"] = lambda: sample(
+        lambda: entailment.entails([small], small), SMALL_CALLS, warm=True)
+    out["check sym f 10 refused"] = lambda: sample(refuse_wide_symbol)
+    return out
+
+
+def worker() -> int:
+    """Print the item names as one JSON line, then answer each item name
+    read from stdin with one sample of it, in seconds, on its own line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        table = items(tmp)
+        print(json.dumps(list(table)), flush=True)
+        for line in sys.stdin:
+            print(json.dumps(table[line.strip()]()), flush=True)
+    return 0
 
 
 def line_count(src: pathlib.Path) -> int:
@@ -177,31 +186,56 @@ def main() -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     if args.worker:
-        print(json.dumps(measure(args.repeat)))
-        return 0
-    result = {
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "repeat": args.repeat,
-        "trees": {},
-    }
+        return worker()
+    trees = {}
     for spec in args.tree or ["change=src"]:
         label, sep, src = spec.partition("=")
         if not sep:
             parser.error(f"--tree wants LABEL=SRC, not {spec!r}")
-        src_path = pathlib.Path(src).resolve()
-        env = {**os.environ, "PYTHONPATH": str(src_path)}
-        proc = subprocess.run(
-            [sys.executable, __file__, "--worker", "--repeat", str(args.repeat)],
-            env=env, capture_output=True, text=True,
+        trees[label] = pathlib.Path(src).resolve()
+    workers = {
+        label: subprocess.Popen(
+            [sys.executable, __file__, "--worker"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            return proc.returncode
-        result["trees"][label] = {
-            "src_lines": line_count(src_path),
-            "best_s": json.loads(proc.stdout),
-        }
+        for label, src in trees.items()
+    }
+    try:
+        names = [json.loads(w.stdout.readline()) for w in workers.values()]
+        if any(n != names[0] for n in names):
+            raise RuntimeError("the trees time different items")
+        best = {label: {} for label in trees}
+        for item in names[0]:
+            for k in range(CLI_RUNS if item.startswith("cli ") else args.repeat):
+                order = list(workers) if k % 2 == 0 else list(reversed(workers))
+                for label in order:
+                    w = workers[label]
+                    w.stdin.write(item + "\n")
+                    w.stdin.flush()
+                    line = w.stdout.readline()
+                    if not line:
+                        raise RuntimeError(f"the {label} worker stopped at {item!r}")
+                    seconds = json.loads(line)
+                    best[label][item] = min(best[label].get(item, seconds), seconds)
+    finally:
+        for w in workers.values():
+            w.stdin.close()
+            w.wait()
+    result = {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "repeat": args.repeat,
+        "cli_runs": CLI_RUNS,
+        "samples": "alternating between the trees",
+        "trees": {
+            label: {
+                "src_lines": line_count(src),
+                "best_s": {item: round(v, 6) for item, v in best[label].items()},
+            }
+            for label, src in trees.items()
+        },
+    }
     text = json.dumps(result, indent=2) + "\n"
     if args.out:
         pathlib.Path(args.out).write_text(text)

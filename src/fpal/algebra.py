@@ -7,16 +7,22 @@ The monoid of an automaton is the set of word-induced state maps, with
 A simple group S divides a monoid M when S is a quotient of some
 subsemigroup of M that happens to be a group; equivalently, S is a
 quotient K/N of a subgroup K of one of the maximal subgroups H sitting at
-the idempotents of M.  Each H is an explicit table; its subgroups are
-index sets into that table, found by one search of its subgroup lattice,
-and every section K/N is read off that lattice and those index sets.  The
-searches are guarded by size caps.
+the idempotents of M.  Idempotents with the same image or the same kernel
+have isomorphic maximal subgroups, so one H is built per class of them.
+Each H is an explicit table, its subgroups index sets into that table.
+The cyclic divisors C_p of H are the primes p dividing |H| (Cauchy).  A
+nonabelian divisor is a quotient of a perfect subgroup, which lies in the
+solvable residual of H, found by closing commutators: a trivial residual
+gives none, one of order 60 is A_5.  Only a larger residual needs one
+search of its subgroup lattice, and its sections K/N are read off that
+lattice and those index sets.  The searches are guarded by size caps.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -234,6 +240,13 @@ def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
 _subgroup_cache: dict = {}
 
 
+def _check_cap(g: FiniteGroup, cap: int) -> None:
+    if g.order > cap:
+        raise CapExceededError(
+            f"subgroup enumeration cap {cap} exceeded by group of order {g.order}"
+        )
+
+
 def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
     """Every subgroup, as a sorted tuple of element indices, in (size,
     element set) order.  Subgroups are generated by repeatedly joining
@@ -241,10 +254,7 @@ def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
     is reachable from a maximal chain.  During the search a subgroup is
     an integer bitmask over the elements, kept with its element list and
     the generators it was built from."""
-    if g.order > cap:
-        raise CapExceededError(
-            f"subgroup enumeration cap {cap} exceeded by group of order {g.order}"
-        )
+    _check_cap(g, cap)
     cached = _subgroup_cache.get(g.table)
     if cached is not None:
         return cached
@@ -465,23 +475,115 @@ class DivisorWitness:
         return out
 
 
+def _surely_solvable(n: int) -> bool:
+    """Whether every group of order n is solvable because n is under 60,
+    the least order of a nonsolvable group, or because n has at most two
+    prime divisors (Burnside)."""
+    return n < 60 or sum(1 for p in range(2, n + 1) if n % p == 0 and _is_prime(p)) <= 2
+
+
+def _least_cyclic_subgroups(g: FiniteGroup) -> dict:
+    """For each prime p dividing |G|, the least subgroup of order p as a
+    sorted index tuple.  By Cauchy there is one; it is cyclic, so it is
+    generated by each of its elements of order p.  Each cyclic subgroup
+    is walked once: the powers x^j with j prime to the order of x
+    generate the same subgroup as x."""
+    rows, e = g.table, g.identity
+    least: dict = {}
+    done = 1 << e
+    for x in range(g.order):
+        if done >> x & 1:
+            continue
+        elems, y = [e], x
+        while y != e:
+            elems.append(y)
+            y = rows[y][x]
+        n = len(elems)
+        for j, y in enumerate(elems):
+            if gcd(j, n) == 1:
+                done |= 1 << y
+        if _is_prime(n):
+            k = tuple(sorted(elems))
+            if n not in least or k < least[n]:
+                least[n] = k
+    return least
+
+
+def _solvable_residual(g: FiniteGroup) -> list | None:
+    """The elements of the last term of the derived series of ``g``, or
+    None when that term is trivial, that is when ``g`` is solvable.  Each
+    derived subgroup K' is the normal closure in K of the commutators of
+    K's generators, grown by coset joins; the series stops early at an
+    order that ``_surely_solvable`` accepts."""
+    if _surely_solvable(g.order):
+        return None
+    rows, cols, inv, e = g.table, g.cols, g.inverse, g.identity
+    mask, elems, gens = 1 << e, [e], []
+    for x in range(g.order):
+        if not mask >> x & 1:
+            gens.append(x)
+            mask, elems = _join(rows, cols, e, mask, elems, tuple(gens))
+    while not _surely_solvable(len(elems)):
+        mask, d_elems, d_gens = 1 << e, [e], []
+        pending = [rows[rows[rows[inv[a]][inv[b]]][a]][b]
+                   for i, a in enumerate(gens) for b in gens[:i]]
+        for z in pending:
+            if not mask >> z & 1:
+                d_gens.append(z)
+                mask, d_elems = _join(rows, cols, e, mask, d_elems, tuple(d_gens))
+                pending += [rows[rows[inv[s]][z]][s] for s in gens]
+        if len(d_elems) == len(elems):
+            return elems
+        elems, gens = d_elems, d_gens
+    return None
+
+
 def _group_divisors_with_witnesses(g: FiniteGroup, cap: int) -> dict:
     """Simple divisors of a group, which are the simple quotients of its
-    subgroups, each with the first (subgroup, maximal normal subgroup)
-    pair found, subgroups taken in (size, element set) order.  Conjugate
-    subgroups have the same quotients, so the first subgroup with a given
-    quotient is the least of its conjugacy class."""
-    subs = all_subgroup_sets(g, cap)
-    witnesses: dict = {}
-    for k in subs:
-        for n in _maximal_normals(g, subs, k):
-            fp = _section_id(g, k, n)
-            if fp not in witnesses:
-                witnesses[fp] = DivisorWitness(
-                    subgroup=tuple(g.labels[x] for x in k),
-                    normal=tuple(g.labels[x] for x in n),
-                )
-    return witnesses
+    subgroups, each with the least subgroup K in (size, element set) order
+    that has it as a quotient and the least maximal normal subgroup N of K
+    giving it, in the order a scan of the subgroup lattice in that order
+    finds them.  The least K for C_p has order p, with N trivial.  The
+    least K for a nonabelian S is perfect, else its perfect residual would
+    be a smaller one, so it lies in the solvable residual R of the group:
+    with R trivial there is no such S, with R of order 60 (perfect, so
+    A_5) K is R itself and S is A_5, and otherwise the subgroups of order
+    60 or more in the lattice of R are scanned.  Groups above ``cap`` are
+    refused, whichever route they would take."""
+    _check_cap(g, cap)
+    e = g.identity
+    found = {_section_id(g, k, (e,)): (k, (e,))
+             for k in _least_cyclic_subgroups(g).values()}
+    residual = _solvable_residual(g)
+    if residual is not None and len(residual) == 60:
+        k = tuple(sorted(residual))
+        found[_section_id(g, k, (e,))] = (k, (e,))
+    elif residual is not None:
+        # the lattice of the residual alone, as its own table; its
+        # elements in ascending order keep the (size, element set) order
+        r = sorted(residual)
+        pos = {x: i for i, x in enumerate(r)}
+        table = g.table
+        sub = FiniteGroup([[pos[table[x][y]] for y in r] for x in r])
+        subs = [tuple(r[i] for i in k) for k in all_subgroup_sets(sub, cap)]
+        for k in subs:
+            if len(k) < 60:
+                continue
+            for n in _maximal_normals(g, subs, k):
+                fp = _section_id(g, k, n)
+                if fp not in found:
+                    found[fp] = (k, n)
+
+    def scan_order(item):
+        k, n = item[1]
+        return len(k), k, len(n), n
+
+    labels = g.labels
+    return {
+        fp: DivisorWitness(subgroup=tuple(labels[x] for x in k),
+                           normal=tuple(labels[x] for x in n))
+        for fp, (k, n) in sorted(found.items(), key=scan_order)
+    }
 
 
 def simple_divisors_group(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> set:
@@ -497,26 +599,65 @@ class _IdempotentWalk(NamedTuple):
 _walk_cache: dict = {}
 
 
+def _kernel_key(t) -> tuple:
+    """The kernel of a map as the first state in each state's kernel
+    class."""
+    first: dict = {}
+    return tuple(first.setdefault(v, x) for x, v in enumerate(t))
+
+
+def _class_leaders(m: TransformationMonoid, idems: list) -> list:
+    """For each idempotent, the least idempotent joined to it by a chain of
+    idempotents that share an image or a kernel with the next.  Two
+    idempotents e, f with one image satisfy ef = e and fe = f, so they are
+    L-related; with one kernel, ef = f and fe = e, so they are R-related.
+    Either way they lie in one D-class and have isomorphic maximal
+    subgroups."""
+    leader: dict = {}
+
+    def find(e):
+        while leader[e] != e:
+            leader[e] = e = leader[leader[e]]
+        return e
+
+    first: dict = {}
+    for e in idems:
+        leader[e] = e
+        t = m.maps[e]
+        for key in (frozenset(t), _kernel_key(t)):
+            a, b = find(e), find(first.setdefault(key, e))
+            leader[max(a, b)] = min(a, b)
+    return [find(e) for e in idems]
+
+
 def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
-    """Build the maximal subgroup at each idempotent once and collect its
-    order and its simple divisors.  Every group inside a monoid sits in
-    the maximal subgroup at its unit, so the union over idempotents of the
-    group divisors is the monoid's divisor set.  Cached per set of maps,
-    which automata with different letters can share, so the witnesses
-    name their idempotent by index only."""
+    """Collect the order of the maximal subgroup at each idempotent and the
+    monoid's simple divisors.  Every group inside a monoid sits in the
+    maximal subgroup at its unit, so the union over idempotents of the
+    group divisors is the monoid's divisor set.  Idempotents are walked in
+    index order; only the least one of each image/kernel class (see
+    ``_class_leaders``) has its group built and searched, and the rest of
+    the class reuses that group's order.  Since the groups of a class are
+    isomorphic, a later member would add no divisor, and the first
+    idempotent giving each divisor is still a class leader.  Cached per
+    set of maps, which automata with different letters can share, so the
+    witnesses name their idempotent by index only."""
     key = (m.element_key(), cap)
     cached = _walk_cache.get(key)
     if cached is not None:
         return cached
-    orders = []
+    idems = idempotents(m)
+    leaders = _class_leaders(m, idems)
+    order_of: dict = {}
     out: dict = {}
-    for e in idempotents(m):
+    for e in sorted(set(leaders)):
         h = maximal_subgroup_at(m, e)
-        orders.append(h.order)
+        order_of[e] = h.order
         for fp, w in _group_divisors_with_witnesses(h, cap).items():
             if fp not in out:
                 out[fp] = replace(w, idempotent=e)
-    walk = _IdempotentWalk(tuple(orders), tuple(sorted(out.items())))
+    orders = tuple(order_of[leader] for leader in leaders)
+    walk = _IdempotentWalk(orders, tuple(sorted(out.items())))
     return _remember(_walk_cache, key, walk, MONOID_CACHE_SIZE)
 
 

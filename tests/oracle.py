@@ -3,7 +3,9 @@ library.  They build the full product table of a monoid where
 ``fpal.algebra`` composes maps on demand, they enumerate directly what
 ``fpal.algebra`` derives from the maximal subgroups, and they build
 explicit subgroup and quotient tables where ``fpal.algebra`` reads
-sections off one subgroup lattice; the tests replay the fast routes
+sections off one subgroup lattice, and they scan the whole subgroup
+lattice for divisor witnesses where ``fpal.algebra`` uses Cauchy's
+theorem and the solvable residual; the tests replay the fast routes
 against them."""
 
 from collections import deque
@@ -11,9 +13,13 @@ from collections import deque
 import numpy as np
 
 from fpal.algebra import (
+    DEFAULT_SUBGROUP_CAP,
+    DivisorWitness,
     FiniteGroup,
     SimpleGroupId,
     TransformationMonoid,
+    _maximal_normals,
+    _section_id,
     all_subgroup_sets,
 )
 from fpal.errors import CapExceededError
@@ -254,6 +260,24 @@ def simple_divisors_monoid_bruteforce(m: TransformationMonoid) -> set:
             if is_simple(q):
                 out.add(simple_id(q))
     return out
+
+
+def group_divisors_with_witnesses(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> dict:
+    """Simple divisors of a group, each with the first (subgroup, maximal
+    normal subgroup) pair found by scanning the whole subgroup lattice,
+    subgroups taken in (size, element set) order, in the order found.  The
+    reference for ``_group_divisors_with_witnesses``."""
+    subs = all_subgroup_sets(g, cap)
+    witnesses: dict = {}
+    for k in subs:
+        for n in _maximal_normals(g, subs, k):
+            fp = _section_id(g, k, n)
+            if fp not in witnesses:
+                witnesses[fp] = DivisorWitness(
+                    subgroup=tuple(g.labels[x] for x in k),
+                    normal=tuple(g.labels[x] for x in n),
+                )
+    return witnesses
 
 
 def units_by_inverse_search(table: np.ndarray, e: int) -> list:

@@ -24,6 +24,7 @@ from fpal.algebra import (
     transition_monoid,
 )
 from fpal.automaton import Automaton, counter, full_T2, symmetric_automaton
+from fpal.errors import CapExceededError
 import oracle
 from oracle import (
     group_from_monoid_indices,
@@ -309,6 +310,10 @@ def test_known_subgroup_counts(name, gens, count):
     assert len(set(subs)) == count
 
 
+def psl27() -> FiniteGroup:
+    return group_from_permutations([(2, 3, 4, 5, 6, 7, 1, 8), (8, 7, 4, 3, 6, 5, 2, 1)])
+
+
 def test_one_subgroup_lattice_per_group(monkeypatch):
     calls = []
 
@@ -317,12 +322,19 @@ def test_one_subgroup_lattice_per_group(monkeypatch):
         return all_subgroup_sets(g, cap)
 
     monkeypatch.setattr(algebra, "all_subgroup_sets", counted)
-    for g in group_corpus():
-        for run in (lambda: composition_factors(g),
-                    lambda: algebra._group_divisors_with_witnesses(g, algebra.DEFAULT_SUBGROUP_CAP)):
-            calls.clear()
-            run()
-            assert calls == [g.order]
+    # every group of the corpus has a trivial residual or A_5, as do S5 and
+    # A5 x C2; PSL(2,7) is its own residual, and the residual of
+    # PSL(2,7) x C2 is PSL(2,7), whose lattice alone is searched
+    searched = [(g, []) for g in group_corpus()]
+    searched += [(symmetric_group(5), []), (direct_product(alternating5(), cyclic_group(2)), []),
+                 (psl27(), [168]), (direct_product(psl27(), cyclic_group(2)), [168])]
+    for g, divisor_calls in searched:
+        calls.clear()
+        composition_factors(g)
+        assert calls == [g.order]
+        calls.clear()
+        algebra._group_divisors_with_witnesses(g, algebra.DEFAULT_SUBGROUP_CAP)
+        assert calls == divisor_calls
 
 
 # -- divisors -------------------------------------------------------------------
@@ -384,6 +396,62 @@ def test_bruteforce_oracle_on_corpus_sample(corpus):
 
 
 # -- checks kept out of the divisor path ------------------------------------------
+
+
+def test_divisor_witnesses_match_the_lattice_scan():
+    # Cauchy and the solvable residual against the scan of the whole
+    # lattice: the same witnesses, in the order the scan finds them
+    t5 = transition_monoid(full_transformations(5))
+    groups = group_corpus() + [
+        symmetric_group(5),
+        direct_product(alternating5(), cyclic_group(2)),
+        psl27(),
+        direct_product(psl27(), cyclic_group(2)),
+    ] + [maximal_subgroup_at(t5, e) for e in idempotents(t5)]
+    for g in groups:
+        got = algebra._group_divisors_with_witnesses(g, algebra.DEFAULT_SUBGROUP_CAP)
+        assert list(got.items()) == list(oracle.group_divisors_with_witnesses(g).items()), g.order
+    assert len(groups) == len(group_corpus()) + 4 + 196
+
+
+def test_solvable_residuals():
+    assert algebra._solvable_residual(symmetric_group(4)) is None
+    assert algebra._solvable_residual(direct_product(cyclic_group(5), cyclic_group(5))) is None
+    s5 = symmetric_group(5)
+    a5 = sorted(x for x in range(120) if s5.labels[x] in set(alternating5().labels))
+    assert sorted(algebra._solvable_residual(s5)) == a5
+    assert sorted(algebra._solvable_residual(psl27())) == list(range(168))
+    # the elements (x, 0) of PSL(2,7) x C2 are the indices 2x
+    psl_c2 = direct_product(psl27(), cyclic_group(2))
+    assert sorted(algebra._solvable_residual(psl_c2)) == list(range(0, 336, 2))
+
+
+def test_divisors_above_the_cap_are_refused_on_every_route():
+    for g in (cyclic_group(12), alternating5(), psl27()):
+        with pytest.raises(CapExceededError):
+            algebra._group_divisors_with_witnesses(g, g.order - 1)
+        assert algebra._group_divisors_with_witnesses(g, g.order)
+
+
+def test_one_maximal_subgroup_per_image_kernel_class(monkeypatch):
+    built = []
+
+    def counted(m, e):
+        built.append(e)
+        return maximal_subgroup_at(m, e)
+
+    monkeypatch.setattr(algebra, "maximal_subgroup_at", counted)
+    monkeypatch.setattr(algebra, "_walk_cache", {})
+    for n, classes in ((4, 4), (5, 5)):
+        m = transition_monoid(full_transformations(n))
+        built.clear()
+        report = algebra.algebra_report(m)
+        assert len(built) == classes
+        # the order at every idempotent, each group built on its own
+        assert report["maximal_subgroup_orders"] == [
+            maximal_subgroup_at(m, e).order for e in idempotents(m)]
+        # one class per rank: the orders are n!, (n-1)!, ..., 1
+        assert sorted(set(report["maximal_subgroup_orders"])) == [1, 2, 6, 24, 120][:n]
 
 
 def test_witness_scan_equals_composition_factor_union(corpus_monoids):
@@ -449,6 +517,22 @@ def test_wide_automaton_with_nonabelian_maximal_subgroup():
     assert names(simple_divisors_monoid(m)) == ["A_5", "C_2", "C_3", "C_5"]
     small = transition_monoid(alternating5_automaton())
     assert algebra.algebra_report(m) == algebra.algebra_report(small)
+
+
+def test_tuple_maps_give_the_same_idempotent_classes(monkeypatch):
+    # T4 on 300 states (296 of them fixed), and on 4 states kept as tuples
+    small = transition_monoid(full_transformations(4))
+    leaders = algebra._class_leaders(small, idempotents(small))
+    assert len(set(leaders)) == 4
+    wide = transition_monoid(padded_with_fixed_states(full_transformations(4), 300))
+    assert isinstance(wide.maps[0], tuple)
+    assert idempotents(wide) == idempotents(small)
+    assert algebra._class_leaders(wide, idempotents(wide)) == leaders
+    assert algebra.algebra_report(wide) == algebra.algebra_report(small)
+    monkeypatch.setattr("fpal.automaton.BYTE_MAP_STATES", 0)
+    tuples = transition_monoid(full_transformations(4))
+    assert isinstance(tuples.maps[0], tuple)
+    assert algebra._class_leaders(tuples, idempotents(tuples)) == leaders
 
 
 def test_tuple_maps_agree_with_byte_maps(monkeypatch, corpus):
@@ -518,6 +602,10 @@ def test_caches_are_bounded(monkeypatch):
     for n in range(2, 7):
         assert simple_divisors_monoid(transition_monoid(counter(n)))
     assert len(algebra._walk_cache) == 2
+    # solvable groups need no lattice for their divisors; composition
+    # factors still search one per group
+    for n in range(2, 7):
+        assert composition_factors(cyclic_group(n))
     assert len(algebra._subgroup_cache) == 3
     # the per-automaton divisor tables of entailment share the monoid bound
     monkeypatch.setattr(entailment, "_divisor_tables", {})

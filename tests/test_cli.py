@@ -329,6 +329,22 @@ def test_config_cap_enforced(tmp_path, write_aut, capsys, monkeypatch):
     assert err.startswith("error[cap-exceeded]:")
 
 
+def test_subgroup_cap_refuses_a_group_that_needs_no_lattice(tmp_path, write_aut, capsys,
+                                                             monkeypatch):
+    # C_12 is solvable, so its divisors need no subgroup search; it is
+    # still refused above the cap, and accepted at it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subgroup_cap": 10}))
+    monkeypatch.setenv("FPAL_CONFIG", str(cfg))
+    code, out, err = run_cli(["divisors", write_aut(counter(12))], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error[cap-exceeded]: subgroup enumeration cap 10 exceeded by group of order 12\n"
+    cfg.write_text(json.dumps({"subgroup_cap": 12}))
+    code, blob = run_json(["divisors", write_aut(counter(12))], capsys)
+    assert code == 0
+    assert [d["name"] for d in blob["simple_divisors"]] == ["C_2", "C_3"]
+
+
 def test_config_rejects_unknown_keys(tmp_path, write_aut, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"monoid_cap": 100, "verbosity": 3}))

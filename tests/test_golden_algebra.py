@@ -5,9 +5,11 @@ pipeline was reworked (units of eMe by rank, one walk over the
 idempotents, one BFS closure); ``group_divisors.json`` was recorded before
 sections were read off one subgroup lattice (no subgroup or quotient
 tables); ``subgroup_lattices.json`` was recorded before the lattice
-search moved from numpy index arrays to integer bitsets.  The monoid and
-divisor output of the CLI, the entailment reports, the group divisors
-with their witnesses and the subgroup lattices must stay identical.
+search moved from numpy index arrays to integer bitsets;
+``divisors_cli.json`` was recorded while every maximal subgroup still had
+its whole subgroup lattice searched.  The monoid and divisor output of
+the CLI, the entailment reports, the group divisors with their witnesses
+and the subgroup lattices must stay identical.
 Rerun this module as a script to rewrite them from the current code.
 """
 
@@ -43,9 +45,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 CLI_GOLDEN = GOLDEN / "algebra_cli.json"
 ENTAILS_GOLDEN = GOLDEN / "entails.json"
 GROUPS_GOLDEN = GOLDEN / "group_divisors.json"
+DIVISORS_GOLDEN = GOLDEN / "divisors_cli.json"
 LATTICES_GOLDEN = GOLDEN / "subgroup_lattices.json"
 
 RANDOM_SEEDS = (0, 3, 5, 9, 11)
+PSL27_GENERATORS = ((2, 3, 4, 5, 6, 7, 1, 8), (8, 7, 4, 3, 6, 5, 2, 1))
 
 
 def cli_inputs() -> dict:
@@ -59,6 +63,36 @@ def cli_inputs() -> dict:
     }
     for seed in RANDOM_SEEDS:
         out[f"random{seed}"] = random_automaton(random.Random(seed), max_states=5)
+    return out
+
+
+def psl27_automaton() -> Automaton:
+    """Two permutations of 8 states generating PSL(2,7), order 168."""
+    gens = PSL27_GENERATORS
+    return Automaton(8, ("a", "b"), tuple(tuple(g[s] for g in gens) for s in range(8)))
+
+
+def divisors_inputs() -> dict:
+    """The automata of ``bench/algebra_latency.py`` whose maximal subgroups
+    are nonsolvable: S5 (one A5 residual), T5 (196 idempotents) and
+    PSL(2,7) (a residual larger than A5)."""
+    return {
+        "S5": symmetric_automaton(5),
+        "T5": full_transformations(5),
+        "PSL(2,7)": psl27_automaton(),
+    }
+
+
+def divisors_cli_outputs(tmp_path) -> dict:
+    """Stdout, stderr and exit code of ``fpal divisors`` per input."""
+    out = {}
+    for name, q in divisors_inputs().items():
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(to_dict(q)))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["divisors", str(path)])
+        out[name] = {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "exit": code}
     return out
 
 
@@ -143,6 +177,12 @@ def test_golden_monoid_and_divisors(tmp_path, monkeypatch):
             assert got[name][command] == golden[name][command], (name, command)
 
 
+def test_golden_divisors_of_nonsolvable_automata(tmp_path, monkeypatch):
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    got = json.dumps(divisors_cli_outputs(tmp_path), indent=2) + "\n"
+    assert got == DIVISORS_GOLDEN.read_text()
+
+
 @pytest.mark.parametrize("label", list(entails_queries()))
 def test_golden_entails(label):
     golden = json.loads(ENTAILS_GOLDEN.read_text())
@@ -178,5 +218,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         CLI_GOLDEN.write_text(json.dumps(cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
         GROUPS_GOLDEN.write_text(json.dumps(group_outputs(pathlib.Path(tmp)), indent=2) + "\n")
+        DIVISORS_GOLDEN.write_text(
+            json.dumps(divisors_cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
     ENTAILS_GOLDEN.write_text(json.dumps(entails_outputs(), indent=2) + "\n")
     LATTICES_GOLDEN.write_text(lattice_text())
