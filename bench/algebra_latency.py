@@ -7,9 +7,11 @@ S4, T4, S5, T5 and PSL(2,7) automata, ``all_subgroup_sets`` on PSL(2,7),
 perfbench's entails-stream workload.  ``entails`` with that automaton as
 hypothesis and conclusion is timed warm, as a repeated query: after one
 untimed call.  The auto-mode check of ``sym(f) = sym(f)`` with f of arity
-10 on chain(2) is timed until it is refused.  Each sample starts with
-fpal's caches empty, so it pays for the whole divisor search; the best of
-``--repeat`` samples is kept.  The 13-state items take under a
+10 on chain(2) is timed until it is refused, and ``fpal check --builtin
+conway --samples 200`` (``fpal.cli.main``, stdout discarded) is timed
+whole: the model checker on every library identity.  Each sample starts
+with fpal's caches empty, so it pays for the whole divisor search; the
+best of ``--repeat`` samples is kept.  The 13-state items take under a
 millisecond, so each of their samples is the mean of ``SMALL_CALLS``
 calls.  Two items are whole ``python -m fpal`` runs in a
 fresh interpreter, imports included: ``fpal --help`` and ``fpal divisors``
@@ -115,6 +117,16 @@ def refuse_wide_symbol() -> None:
     raise RuntimeError("the arity-10 check should be refused")
 
 
+def check_conway() -> None:
+    """``fpal check --builtin conway --samples 200``: every library
+    identity on chain(2), with the default seed."""
+    from fpal import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(["check", "--builtin", "conway", "--samples", "200"]) != 0:
+            raise RuntimeError("fpal check failed on the conway library")
+
+
 def cli_run(argv: list) -> float:
     """Wall seconds of one ``python -m fpal argv`` in a fresh interpreter."""
     start = time.perf_counter()
@@ -156,6 +168,7 @@ def items(tmp: str) -> dict:
     out["entails 13 states, warm"] = lambda: sample(
         lambda: entailment.entails([small], small), SMALL_CALLS, warm=True)
     out["check sym f 10 refused"] = lambda: sample(refuse_wide_symbol)
+    out["check conway, 200 samples"] = lambda: sample(check_conway)
     return out
 
 

@@ -132,27 +132,43 @@ class FiniteGroup:
     """
 
     def __init__(self, table, labels=None):
-        rows = self.table = tuple(map(tuple, table))
-        n = self.order = len(rows)
+        rows = tuple(map(tuple, table))
+        n = len(rows)
         if n < 1:
             raise ValueError("group must have at least one element")
         if any(len(row) != n for row in rows):
             raise ValueError("group table must be square")
-        self.labels = tuple(labels) if labels is not None else tuple(range(n))
-        if len(self.labels) != n:
-            raise ValueError("label count differs from group order")
-        self.cols = tuple(zip(*rows))
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != n:
+                raise ValueError("label count differs from group order")
         if not all(0 <= v < n for row in rows for v in row):
             raise ValueError("table entries out of range")
+        cols = tuple(zip(*rows))
         # Latin square: every row and column is a permutation.
-        if any(len(set(line)) != n for line in rows + self.cols):
+        if any(len(set(line)) != n for line in rows + cols):
             raise ValueError("table rows and columns must be permutations")
         idx = tuple(range(n))
-        ident = [e for e in idx if rows[e] == idx and self.cols[e] == idx]
+        ident = [e for e in idx if rows[e] == idx and cols[e] == idx]
         if len(ident) != 1:
             raise ValueError("table has no two-sided identity")
-        self.identity = e = ident[0]
-        self.inverse = tuple(row.index(e) for row in rows)
+        self._fill(rows, cols, ident[0], labels)
+
+    @classmethod
+    def _known(cls, rows: tuple, identity: int, labels=None) -> "FiniteGroup":
+        """A table that is a group by construction, a tuple of row tuples
+        with its identity known, taken without the checks of ``__init__``."""
+        g = cls.__new__(cls)
+        g._fill(rows, tuple(zip(*rows)), identity, labels)
+        return g
+
+    def _fill(self, rows: tuple, cols: tuple, identity: int, labels) -> None:
+        self.table = rows
+        self.cols = cols
+        self.order = len(rows)
+        self.labels = tuple(labels) if labels is not None else tuple(range(len(rows)))
+        self.identity = identity
+        self.inverse = tuple(row.index(identity) for row in rows)
 
     def check_associative(self) -> bool:
         """Full associativity check; cubic, so only sensible for small
@@ -179,11 +195,11 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
-def _cayley_table(maps: list, then, padded: list) -> list:
+def _cayley_table(maps: list, then, padded: list) -> tuple:
     """Row i, column j: the position in ``maps`` of "maps[i], then
     maps[j]", for maps closed under composition."""
     pos = {t: k for k, t in enumerate(maps)}
-    return [[pos[then(t, p)] for p in padded] for t in maps]
+    return tuple(tuple(pos[then(t, p)] for p in padded) for t in maps)
 
 
 def _permutation_closure(perms) -> list:
@@ -229,9 +245,9 @@ def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
     if then(t_e, padded[e]) != t_e:
         raise ValueError(f"element {e} is not idempotent")
     units = [x for x in m.by_image[frozenset(t_e)] if then(t_e, padded[x]) == m.maps[x]]
-    return FiniteGroup(_cayley_table([m.maps[x] for x in units], then,
-                                     [padded[x] for x in units]),
-                       labels=units)
+    return FiniteGroup._known(_cayley_table([m.maps[x] for x in units], then,
+                                            [padded[x] for x in units]),
+                              units.index(e), labels=units)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +580,8 @@ def _group_divisors_with_witnesses(g: FiniteGroup, cap: int) -> dict:
         r = sorted(residual)
         pos = {x: i for i, x in enumerate(r)}
         table = g.table
-        sub = FiniteGroup([[pos[table[x][y]] for y in r] for x in r])
+        sub = FiniteGroup._known(tuple(tuple(pos[table[x][y]] for y in r) for x in r),
+                                 pos[g.identity])
         subs = [tuple(r[i] for i in k) for k in all_subgroup_sets(sub, cap)]
         for k in subs:
             if len(k) < 60:

@@ -13,7 +13,19 @@ reports that none was found.
 Each side of an equation is compiled once per check into a function from
 the symbol tables to its table: subterms without symbols become constant
 tables at compile time, so an interpretation only pays for the nodes that
-read a symbol.
+read a symbol.  The compiled side evaluates a block of interpretations at
+once, each table of the block being the tables of its interpretations one
+after another: composition is one gather, with each interpretation's
+offset into the block added to its indices; tupling packs the
+concatenated tables; a constant is repeated once per interpretation; and
+dagger iterates every interpretation of the block together.  On tables of
+2 to 64 entries most of a node's cost is the Python call around it, which
+a block pays once.  A check of one interpretation, as ``eval_morphism``
+makes, is a block of one.
+
+Sampled tables draw each entry as ``Random.randrange`` does, with its
+rejection loop inlined, so a seed gives the same interpretations as
+before the loop was inlined.
 """
 
 from __future__ import annotations
@@ -21,8 +33,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
-from operator import itemgetter
+from itertools import chain as concat, islice, product as iproduct
+from operator import add, itemgetter
 
 from .errors import CapExceededError, ThresholdExceededError
 from .term import Comp, Dagger, Equation, Morphism, Proj, Sym, Tup, symbols_of
@@ -35,6 +47,14 @@ DEFAULT_SEED = 1729
 # entries, at about a microsecond each; it is refused above this many.
 # The largest sampled check of the test suite draws 2,560,000.
 MAX_SAMPLED_ENTRIES = 4_000_000
+
+# Interpretations evaluated together by check_equation: at most BLOCK, and
+# no more than fit in BLOCK_ENTRIES symbol table entries, which bounds the
+# memory of a block's tables and index vectors.  Blocks of 16 or more give
+# a check-library pass the same time; blocks of 1 are slower than one
+# interpretation at a time was.
+BLOCK = 32
+BLOCK_ENTRIES = 1024
 
 # Cache bounds.  A run checks over a few posets at a few arities each, and
 # count_monotone is keyed by the cap as well.
@@ -212,7 +232,8 @@ def _no_values(table) -> tuple:
 class _UpperBounds(dict):
     """Memo from the values below a point (the predecessor getter's
     result: one value or a tuple) to the ascending tuple of values that
-    lie above all of them, i.e. the values the point may take."""
+    lie above all of them, i.e. the values the point may take, with its
+    length and the bit length of that, which a draw among them needs."""
 
     def __init__(self, poset: PosetModel):
         super().__init__()
@@ -222,9 +243,8 @@ class _UpperBounds(dict):
     def __missing__(self, below) -> tuple:
         lower = below if isinstance(below, tuple) else (below,)
         leq = self.leq
-        bounds = self[below] = tuple(
-            v for v in range(self.size) if all(leq[lo][v] for lo in lower)
-        )
+        cand = tuple(v for v in range(self.size) if all(leq[lo][v] for lo in lower))
+        bounds = self[below] = cand, len(cand), len(cand).bit_length()
         return bounds
 
 
@@ -242,7 +262,7 @@ def _monotone_tables(poset: PosetModel, arity: int):
     table = [0] * len(plan)
     last = len(plan) - 1
     # stack[k] iterates the values still to try at plan position k
-    stack = [iter(bounds[plan[0][1](table)])]
+    stack = [iter(bounds[plan[0][1](table)][0])]
     while stack:
         k = len(stack) - 1
         v = next(stack[k], None)
@@ -253,7 +273,7 @@ def _monotone_tables(poset: PosetModel, arity: int):
         if k == last:
             yield table[:]
         else:
-            stack.append(iter(bounds[plan[k + 1][1](table)]))
+            stack.append(iter(bounds[plan[k + 1][1](table)][0]))
 
 
 def enumerate_monotone(poset: PosetModel, in_arity: int, limit: int | None = None):
@@ -302,16 +322,23 @@ def count_monotone(poset: PosetModel, in_arity: int, cap: int) -> int:
     return count
 
 
-def _random_table(plan: tuple, bounds: _UpperBounds, randrange) -> list:
+def _random_table(plan: tuple, bounds: _UpperBounds, getrandbits) -> list:
     """Fill a table along the plan, drawing each entry uniformly among the
-    values its predecessors allow; start over when a point has none."""
+    values its predecessors allow; start over when a point has none.
+
+    An entry among n candidates is drawn as ``Random.randrange(n)`` draws
+    it, inlined: ``getrandbits(n.bit_length())`` until the value is below
+    n.  The random stream, and so every seeded table, is the same."""
     while True:
         table = [0] * len(plan)
         for idx, below in plan:
-            cand = bounds[below(table)]
-            if not cand:
+            cand, n, k = bounds[below(table)]
+            if not n:
                 break
-            table[idx] = cand[randrange(len(cand))]
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            table[idx] = cand[r]
         else:
             return table
 
@@ -319,7 +346,7 @@ def _random_table(plan: tuple, bounds: _UpperBounds, randrange) -> list:
 def random_monotone(poset: PosetModel, in_arity: int, rng: random.Random) -> TableFn:
     """A random monotone function, filled greedily along a linear
     extension.  Every monotone function has positive probability."""
-    table = _random_table(_fill_plan(poset, in_arity), _upper_bounds(poset), rng.randrange)
+    table = _random_table(_fill_plan(poset, in_arity), _upper_bounds(poset), rng.getrandbits)
     return TableFn(poset, in_arity, 1, table)
 
 
@@ -347,31 +374,20 @@ def _bottom_code(poset: PosetModel, width: int) -> int:
     return code
 
 
-def _fixed_point_solver(poset: PosetModel, m: int, p: int, height: int):
-    """``body -> table``: for ``body: P^m x P^p -> P^m`` as a table, the
-    least fixed point at every parameter value, iterating all parameters
-    together from bottom.  From bottom a monotone body climbs a chain of
-    P^m, which has at most ``m * (height - 1) + 1`` elements; one more step
-    is allowed before the body is declared not monotone."""
-    span = poset.size ** p
-    bottom = _bottom_code(poset, m)
-    start = [bottom] * span
-    first = slice(bottom * span, (bottom + 1) * span)
-    steps = range(m * (height - 1) + 2)
+class _Offsets(dict):
+    """Index vectors of one check, shared by the nodes of both sides:
+    ``offsets[n, width, stride, step]`` lists ``b * stride + c * step``
+    for b < n and c < width, where each of n interpretations owns
+    ``width`` entries of one block and ``stride`` of another.  A check
+    asks for a few shapes at two counts, the block size and its last
+    block's, and the vectors go with the check."""
 
-    def solve(body: list) -> list:
-        xs = start
-        nxt = body[first]
-        for _ in steps:
-            if nxt == xs:
-                return xs
-            xs = nxt
-            nxt = [body[x * span + c] for c, x in enumerate(xs)]
-        raise RuntimeError(
-            "fixed-point iteration failed to stabilize; interpretation not monotone"
-        )
-
-    return solve
+    def __missing__(self, key) -> list:
+        n, width, stride, step = key
+        vec = self[key] = []
+        for b in range(0, n * stride, stride):
+            vec += range(b, b + width * step, step) if step else [b] * width
+        return vec
 
 
 def lfp(fn: TableFn, params=()) -> int:
@@ -386,70 +402,109 @@ def lfp(fn: TableFn, params=()) -> int:
         raise ValueError(f"expected {fn.in_arity - 1} parameters, got {len(params)}")
     for v in params:
         c = c * poset.size + v
-    # the body at these parameters alone: x -> fn(x, params)
+    # the body at these parameters alone, x -> fn(x, params), as a block of one
     at_params = fn.table[c::poset.size ** len(params)]
-    return _fixed_point_solver(poset, 1, 0, poset.height())(at_params)[0]
+    return _fixed_points(poset, 1, 0, poset.height(), _Offsets())(at_params, 1)[0]
 
 
-def _compile(m: Morphism, poset: PosetModel, height: int, slots: dict) -> tuple:
+def _compile(m: Morphism, poset: PosetModel, height: int, slots: dict,
+             offsets: _Offsets) -> tuple:
     """Compile a term in one walk.  A term without symbols becomes its
     constant table, returned as ``(table, None)``; any other term becomes
-    ``(None, run)``, where ``run(tables)`` maps the symbol tables, indexed
-    by ``slots``, to the term's table."""
+    ``(None, run)``.  ``run(tables, n)`` evaluates the term on a block of n
+    interpretations at once: ``tables`` holds, indexed by ``slots``, each
+    symbol's n tables one after another, and the result is the term's n
+    tables one after another."""
     size = poset.size
     if isinstance(m, Proj):
         span = size ** (m.n - m.i)
         return [(idx // span) % size for idx in range(size ** m.n)], None
     if isinstance(m, Sym):
-        return None, itemgetter(slots[m.symbol.name])
+        slot = slots[m.symbol.name]
+        return None, lambda tables, n: tables[slot]
     if isinstance(m, Tup):
         if not m.parts:
             return [0] * size ** m.source, None
-        parts = [_compile(part, poset, height, slots) for part in m.parts]
+        parts = [_compile(part, poset, height, slots, offsets) for part in m.parts]
         scales = [size ** part.target for part in m.parts[1:]]
         if all(run is None for _, run in parts):
             return _pack([table for table, _ in parts], scales), None
-        return None, lambda tables: _pack(
-            [table if run is None else run(tables) for table, run in parts], scales
+        return None, lambda tables, n: _pack(
+            [table * n if run is None else run(tables, n) for table, run in parts], scales
         )
     if isinstance(m, Comp):
-        inner, inner_run = _compile(m.f, poset, height, slots)
-        outer, outer_run = _compile(m.g, poset, height, slots)
-        if inner_run is None and outer_run is None:
-            return [outer[v] for v in inner], None
-        if inner_run is None:
-            return None, lambda tables: list(map(outer_run(tables).__getitem__, inner))
+        inner, inner_run = _compile(m.f, poset, height, slots, offsets)
+        outer, outer_run = _compile(m.g, poset, height, slots, offsets)
         if outer_run is None:
-            gather = outer.__getitem__
-            return None, lambda tables: list(map(gather, inner_run(tables)))
-        return None, lambda tables: list(map(outer_run(tables).__getitem__, inner_run(tables)))
+            if inner_run is None:
+                return [outer[v] for v in inner], None
+            at = outer.__getitem__
+            return None, lambda tables, n: list(map(at, inner_run(tables, n)))
+        inner_run = _as_run(inner, inner_run)
+        # interpretation b's inner table reads b's outer table, which
+        # starts at b * stride in the block
+        shape = size ** m.f.source, size ** m.g.source, 0
+        return None, lambda tables, n: list(map(
+            outer_run(tables, n).__getitem__,
+            map(add, inner_run(tables, n), offsets[(n, *shape)]),
+        ))
     if isinstance(m, Dagger):
-        body, body_run = _compile(m.body, poset, height, slots)
-        solve = _fixed_point_solver(poset, m.m, m.source, height)
+        body, body_run = _compile(m.body, poset, height, slots, offsets)
+        solve = _fixed_points(poset, m.m, m.source, height, offsets)
         if body_run is None:
-            return solve(body), None
-        return None, lambda tables: solve(body_run(tables))
+            return solve(body, 1), None
+        return None, lambda tables, n: solve(body_run(tables, n), n)
     raise ValueError(f"cannot evaluate {m!r}")
+
+
+def _as_run(table: list | None, run):
+    """The run of a compiled term, a constant one repeating its table."""
+    return run if run is not None else lambda tables, n: table * n
+
+
+def _fixed_points(poset: PosetModel, m: int, p: int, height: int, offsets: _Offsets):
+    """``(body, n) -> table``: for n tables of ``body: P^m x P^p -> P^m``
+    one after another, the least fixed points at every parameter of every
+    table, iterating them all together from bottom.  From bottom a
+    monotone body climbs a chain of P^m, which has at most
+    ``m * (height - 1) + 1`` elements; one more step is allowed before the
+    body is declared not monotone."""
+    span = poset.size ** p
+    # entry b * span + c of the result reads body b at x * span + c
+    shape = span, poset.size ** m * span, 1
+    bottom = _bottom_code(poset, m)
+    steps = range(m * (height - 1) + 2)
+
+    def solve(body: list, n: int) -> list:
+        columns = offsets[(n, *shape)]
+        xs = [bottom] * (n * span)
+        for _ in steps:
+            rows = xs if span == 1 else map(span.__mul__, xs)
+            nxt = list(map(body.__getitem__, map(add, rows, columns)))
+            if nxt == xs:
+                return xs
+            xs = nxt
+        raise RuntimeError(
+            "fixed-point iteration failed to stabilize; interpretation not monotone"
+        )
+
+    return solve
 
 
 def _pack(parts: list, scales: list) -> list:
     """Tupling: pack each entry's component outputs in mixed radix,
     ``code = code * size**width + part``, where ``scales`` holds
-    ``size**width`` for every component after the first."""
+    ``size**width`` for every component after the first.  A block packs
+    entry by entry like a single table."""
     acc = parts[0]
     for part, scale in zip(parts[1:], scales):
-        acc = [a * scale + b for a, b in zip(acc, part)]
+        acc = list(map(add, map(scale.__mul__, acc), part))
     return acc
 
 
-def _evaluator(m: Morphism, poset: PosetModel, height: int, slots: dict):
-    """``tables -> table`` for a term, compiled once."""
-    table, run = _compile(m, poset, height, slots)
-    return run if run is not None else lambda tables: table
-
-
 def eval_morphism(m: Morphism, interp: Interpretation) -> TableFn:
-    """Interpret a term as a TableFn over the interpretation's poset."""
+    """Interpret a term as a TableFn over the interpretation's poset: a
+    block of one interpretation."""
     tables = []
     slots = {}
     for name, symbol in symbols_of(m).items():
@@ -463,8 +518,9 @@ def eval_morphism(m: Morphism, interp: Interpretation) -> TableFn:
             )
         slots[name] = len(tables)
         tables.append(fn.table)
-    table = _evaluator(m, interp.poset, interp.poset.height(), slots)(tables)
-    return TableFn(interp.poset, m.source, m.target, table)
+    poset = interp.poset
+    table = _as_run(*_compile(m, poset, poset.height(), slots, _Offsets()))(tables, 1)
+    return TableFn(poset, m.source, m.target, table)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +597,12 @@ def check_equation(
     (default fixed) and ``samples`` draws, at least one, and is refused
     with CapExceededError past MAX_SAMPLED_ENTRIES table entries.  Both
     sides are compiled once; each interpretation is then a sequence of
-    symbol tables in ``eq.symbols`` order.
+    symbol tables in ``eq.symbols`` order, and the sides are evaluated on
+    blocks of up to BLOCK consecutive interpretations, of at most
+    BLOCK_ENTRIES symbol table entries unless one interpretation has more.
+    The first block whose sides differ gives the first interpretation that
+    refutes the equation, so the result is the one a check of one
+    interpretation at a time would give.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -556,22 +617,23 @@ def check_equation(
             mode = "sampled"
         else:
             mode = "exhaustive"
+    # table entries of one interpretation
+    entries = sum(poset.size ** s.in_arity for s in eq.symbols)
     if mode == "sampled":
         seed = DEFAULT_SEED if seed is None else seed
         samples = DEFAULT_SAMPLES if samples is None else samples
         if samples < 1:
             raise ValueError(f"a sampled check needs at least one sample, got {samples}")
-        entries = samples * sum(poset.size ** s.in_arity for s in eq.symbols)
-        if entries > MAX_SAMPLED_ENTRIES:
+        if samples * entries > MAX_SAMPLED_ENTRIES:
             raise CapExceededError(
-                f"{samples} samples of {entries // samples} table entries each "
+                f"{samples} samples of {entries} table entries each "
                 f"exceed the sampling cap of {MAX_SAMPLED_ENTRIES} entries"
             )
-        rng = random.Random(seed)
+        getrandbits = random.Random(seed).getrandbits
         bounds = _upper_bounds(poset)
         plans = [_fill_plan(poset, s.in_arity) for s in eq.symbols]
         interpretations = (
-            [_random_table(plan, bounds, rng.randrange) for plan in plans]
+            [_random_table(plan, bounds, getrandbits) for plan in plans]
             for _ in range(samples)
         )
     else:
@@ -581,16 +643,32 @@ def check_equation(
 
     slots = {s.name: k for k, s in enumerate(eq.symbols)}
     height = poset.height()
-    lhs = _evaluator(eq.lhs, poset, height, slots)
-    rhs = _evaluator(eq.rhs, poset, height, slots)
+    offsets = _Offsets()
+    lhs = _as_run(*_compile(eq.lhs, poset, height, slots, offsets))
+    rhs = _as_run(*_compile(eq.rhs, poset, height, slots, offsets))
+    width = poset.size ** eq.lhs.source
+    block_size = max(1, min(BLOCK, BLOCK_ENTRIES // max(entries, 1)))
     checked = 0
-    for tables in interpretations:
-        checked += 1
-        lhs_table = lhs(tables)
-        rhs_table = rhs(tables)
-        if lhs_table != rhs_table:
+    for block, tables in _blocks(interpretations, block_size):
+        n = len(block)
+        lhs_block = lhs(tables, n)
+        rhs_block = rhs(tables, n)
+        if lhs_block != rhs_block:
+            # the interpretation holding the first entry where the sides differ
+            j = next(j for j, (a, b) in enumerate(zip(lhs_block, rhs_block)) if a != b)
+            b = j // width
+            own = slice(b * width, (b + 1) * width)
             return CheckResult(
-                eq.name, poset.name, mode, seed, checked, False,
-                _counterexample(eq, poset, tables, lhs_table, rhs_table),
+                eq.name, poset.name, mode, seed, checked + b + 1, False,
+                _counterexample(eq, poset, block[b], lhs_block[own], rhs_block[own]),
             )
+        checked += n
     return CheckResult(eq.name, poset.name, mode, seed, checked, True, None)
+
+
+def _blocks(interpretations, block_size: int):
+    """Consecutive runs of ``block_size`` interpretations (fewer at the
+    end), each with its symbol tables: every symbol's tables of the run,
+    one after another, as ``_compile``'s runs read them."""
+    while block := list(islice(interpretations, block_size)):
+        yield block, [list(concat.from_iterable(column)) for column in zip(*block)]

@@ -6,8 +6,13 @@ explicit subgroup and quotient tables where ``fpal.algebra`` reads
 sections off one subgroup lattice, and they scan the whole subgroup
 lattice for divisor witnesses where ``fpal.algebra`` uses Cauchy's
 theorem and the solvable residual; the tests replay the fast routes
-against them."""
+against them.  For the model checker they check an equation one
+interpretation at a time, walking each side node by node, where
+``fpal.cpo_model`` evaluates compiled sides on blocks of
+interpretations."""
 
+import itertools
+import random
 from collections import deque
 
 import numpy as np
@@ -22,7 +27,15 @@ from fpal.algebra import (
     _section_id,
     all_subgroup_sets,
 )
+from fpal.cpo_model import (
+    Interpretation,
+    TableFn,
+    _fill_plan,
+    _upper_bounds,
+    enumerate_monotone,
+)
 from fpal.errors import CapExceededError
+from fpal.term import Comp, Dagger, Proj, Sym, Tup
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -310,3 +323,109 @@ def composition_factor_orders_sympy(g: FiniteGroup) -> list:
         return [group.order()]
     series = group.composition_series()
     return sorted(a.order() // b.order() for a, b in zip(series, series[1:]))
+
+
+# ---------------------------------------------------------------------------
+# model checking, one interpretation at a time
+
+
+def reference_eval(m, interp: Interpretation) -> TableFn:
+    """Interpret a term by a direct recursive walk, one table per node,
+    with each dagger entry iterated from bottom on its own."""
+    poset = interp.poset
+    size = poset.size
+    if isinstance(m, Proj):
+        span = size ** (m.n - m.i)
+        return TableFn(poset, m.n, 1, [(idx // span) % size for idx in range(size ** m.n)])
+    if isinstance(m, Sym):
+        fn = interp.by_name[m.symbol.name]
+        assert fn.in_arity == m.symbol.in_arity
+        return fn
+    if isinstance(m, Tup):
+        total = size ** m.source
+        table = [0] * total
+        for part in (reference_eval(p, interp) for p in m.parts):
+            scale = size ** part.out_arity
+            for idx in range(total):
+                table[idx] = table[idx] * scale + part.table[idx]
+        return TableFn(poset, m.source, m.target, table)
+    if isinstance(m, Comp):
+        inner = reference_eval(m.f, interp)
+        outer = reference_eval(m.g, interp)
+        return TableFn(poset, inner.in_arity, outer.out_arity,
+                       [outer.table[v] for v in inner.table])
+    if isinstance(m, Dagger):
+        body = reference_eval(m.body, interp)
+        p = body.in_arity - m.m
+        span = size ** p
+        bottom = 0
+        for _ in range(m.m):
+            bottom = bottom * size + poset.bottom
+        table = []
+        for c in range(size ** p):
+            x = bottom
+            for _ in range(m.m * (poset.height() - 1) + 2):
+                nxt = body.table[x * span + c]
+                if nxt == x:
+                    break
+                x = nxt
+            else:
+                raise RuntimeError("fixed-point iteration failed to stabilize")
+            table.append(x)
+        return TableFn(poset, p, m.m, table)
+    raise AssertionError(f"cannot evaluate {m!r}")
+
+
+def random_table_by_randrange(plan: tuple, bounds, randrange) -> list:
+    """The sampler's table as ``Random.randrange`` draws it: each entry
+    uniformly among the values its predecessors allow, starting over when
+    a point has none."""
+    while True:
+        table = [0] * len(plan)
+        for idx, below in plan:
+            cand = bounds[below(table)][0]
+            if not cand:
+                break
+            table[idx] = cand[randrange(len(cand))]
+        else:
+            return table
+
+
+def check_one_at_a_time(eq, poset, strategy: str, seed: int | None = None,
+                        samples: int | None = None) -> tuple:
+    """``(holds, interpretations_checked, counterexample)`` of an
+    exhaustive or sampled check, evaluating every interpretation on its
+    own with ``reference_eval`` and stopping at the first whose sides
+    differ."""
+    if strategy == "sampled":
+        rng = random.Random(seed)
+        bounds = _upper_bounds(poset)
+        plans = [_fill_plan(poset, s.in_arity) for s in eq.symbols]
+        interpretations = (
+            [random_table_by_randrange(plan, bounds, rng.randrange) for plan in plans]
+            for _ in range(samples)
+        )
+    else:
+        pools = [[fn.table for fn in enumerate_monotone(poset, s.in_arity)]
+                 for s in eq.symbols]
+        interpretations = itertools.product(*pools)
+    points = list(itertools.product(range(poset.size), repeat=eq.lhs.source))
+    outputs = list(itertools.product(range(poset.size), repeat=eq.lhs.target))
+    checked = 0
+    for tables in interpretations:
+        checked += 1
+        interp = Interpretation(poset, {
+            s.name: TableFn(poset, s.in_arity, 1, table)
+            for s, table in zip(eq.symbols, tables)
+        })
+        lhs = reference_eval(eq.lhs, interp).table
+        rhs = reference_eval(eq.rhs, interp).table
+        if lhs != rhs:
+            idx = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return False, checked, {
+                "symbols": {s.name: list(t) for s, t in zip(eq.symbols, tables)},
+                "input": list(points[idx]),
+                "lhs": list(outputs[lhs[idx]]),
+                "rhs": list(outputs[rhs[idx]]),
+            }
+    return True, checked, None

@@ -154,6 +154,35 @@ def test_group_tables_are_immutable():
     assert all_subgroup_sets(g) == ((0,), (0, 1))
 
 
+def test_groups_built_without_checks_pass_them(monkeypatch, corpus_monoids):
+    # maximal subgroups and solvable residuals are groups by construction
+    # and skip FiniteGroup's checks; each must pass them all the same
+    known = FiniteGroup._known.__func__
+    built = []
+
+    def checked(cls, rows, identity, labels=None):
+        g = known(cls, rows, identity, labels)
+        ref = FiniteGroup(rows, labels)
+        assert (g.table, g.cols, g.identity, g.inverse, g.labels) == (
+            ref.table, ref.cols, ref.identity, ref.inverse, ref.labels)
+        assert g.order > 60 or g.check_associative()
+        built.append(g.order)
+        return g
+
+    monkeypatch.setattr(FiniteGroup, "_known", classmethod(checked))
+    # the corpus has maximal subgroups whose identity is not their least
+    # element
+    count = 0
+    for m in corpus_monoids:
+        for e in idempotents(m):
+            maximal_subgroup_at(m, e)
+            count += 1
+    assert len(built) == count
+    built.clear()
+    simple_divisors_group(direct_product(psl27(), cyclic_group(2)))
+    assert built == [168]
+
+
 # The subgroup and quotient tables live in the oracle, the reference for
 # the sections that fpal.algebra reads off one subgroup lattice.
 

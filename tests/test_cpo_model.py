@@ -44,59 +44,13 @@ from fpal.term import (
     power,
     tup,
 )
+from oracle import check_one_at_a_time, reference_eval
 
 C2 = chain(2)
 C3 = chain(3)
 # bottom 0 below two incomparable elements: not a lattice
 V = PosetModel(3, ((1, 1, 1), (0, 1, 0), (0, 0, 1)), 0, "V")
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-def reference_eval(m, interp: Interpretation) -> TableFn:
-    """Oracle: interpret a term by a direct recursive walk, one table per
-    node, with each dagger entry iterated from bottom on its own."""
-    poset = interp.poset
-    size = poset.size
-    if isinstance(m, Proj):
-        span = size ** (m.n - m.i)
-        return TableFn(poset, m.n, 1, [(idx // span) % size for idx in range(size ** m.n)])
-    if isinstance(m, Sym):
-        fn = interp.by_name[m.symbol.name]
-        assert fn.in_arity == m.symbol.in_arity
-        return fn
-    if isinstance(m, Tup):
-        total = size ** m.source
-        table = [0] * total
-        for part in (reference_eval(p, interp) for p in m.parts):
-            scale = size ** part.out_arity
-            for idx in range(total):
-                table[idx] = table[idx] * scale + part.table[idx]
-        return TableFn(poset, m.source, m.target, table)
-    if isinstance(m, Comp):
-        inner = reference_eval(m.f, interp)
-        outer = reference_eval(m.g, interp)
-        return TableFn(poset, inner.in_arity, outer.out_arity,
-                       [outer.table[v] for v in inner.table])
-    if isinstance(m, Dagger):
-        body = reference_eval(m.body, interp)
-        p = body.in_arity - m.m
-        span = size ** p
-        bottom = 0
-        for _ in range(m.m):
-            bottom = bottom * size + poset.bottom
-        table = []
-        for c in range(size ** p):
-            x = bottom
-            for _ in range(m.m * (poset.height() - 1) + 2):
-                nxt = body.table[x * span + c]
-                if nxt == x:
-                    break
-                x = nxt
-            else:
-                raise RuntimeError("fixed-point iteration failed to stabilize")
-            table.append(x)
-        return TableFn(poset, p, m.m, table)
-    raise AssertionError(f"cannot evaluate {m!r}")
 
 
 def brute_force_monotone_count(poset: PosetModel, arity: int) -> int:
@@ -385,11 +339,18 @@ def corrupted_double_dagger() -> Equation:
     return Equation.of("corrupt: diagonal folds the parameter", lhs, rhs)
 
 
+def corrupted_diagonal() -> Equation:
+    f = Sym(Symbol("f", 2))
+    diagonal = Comp(f, Tup((Proj(1, 1), Proj(1, 1)), 1))
+    return Equation.of("corrupt: least fixed point replaced by the diagonal", dagger(f, 1), diagonal)
+
+
 CORRUPTED = [
     corrupted_fixed_point,
     corrupted_left_zero,
     corrupted_drop_params,
     corrupted_double_dagger,
+    corrupted_diagonal,
 ]
 
 
@@ -468,6 +429,122 @@ def test_dagger_of_non_monotone_table_raises():
         eval_morphism(Dagger(Sym(Symbol("f", 1)), 1), interp)
     with pytest.raises(RuntimeError):
         reference_eval(Dagger(Sym(Symbol("f", 1)), 1), interp)
+
+
+# -- blocks of interpretations against the one-at-a-time oracle ---------------
+
+# 36 samples: a block of 32 and a short last block of 4
+DIFFERENTIAL_SAMPLES = 36
+DIFFERENTIAL_THRESHOLD = 250
+
+
+def zero_symbol_equations() -> list:
+    bottom = Dagger(Proj(1, 1), 1)
+    return [
+        Equation.of("no symbols", Comp(bottom, Tup((), 2)), Comp(bottom, Tup((), 2))),
+        Equation.of("no symbols, refuted", Proj(1, 2), Proj(2, 2)),
+    ]
+
+
+def assert_matches_oracle(eq, poset, mode, seed, samples=DIFFERENTIAL_SAMPLES):
+    r = check_equation(eq, poset, mode=mode, seed=seed, samples=samples,
+                       threshold=DIFFERENTIAL_THRESHOLD)
+    assert r.strategy == mode
+    expect = check_one_at_a_time(eq, poset, mode, r.seed, samples)
+    assert (r.holds, r.interpretations_checked, r.counterexample) == expect, (eq.name, mode)
+    return r
+
+
+@pytest.mark.parametrize("poset", [C2, C3], ids=["chain2", "chain3"])
+def test_block_checks_match_the_one_at_a_time_oracle(poset):
+    assert cpo_model.BLOCK == 32
+    refuted_at = []
+    for seed, eq in enumerate(library_equations() + zero_symbol_equations()):
+        modes = ["sampled"]
+        if interpretation_count(eq, poset, DIFFERENTIAL_THRESHOLD) <= DIFFERENTIAL_THRESHOLD:
+            modes.append("exhaustive")
+        for mode in modes:
+            r = assert_matches_oracle(eq, poset, mode, seed)
+            if not r.holds:
+                refuted_at.append(r.interpretations_checked)
+    # refutations inside the first block, past its first interpretation
+    assert any(1 < k < cpo_model.BLOCK for k in refuted_at)
+
+
+def test_refutations_in_later_blocks(monkeypatch):
+    # with blocks of 3, 40 samples end in a block of one, and refutations
+    # fall at every position of blocks after the first
+    monkeypatch.setattr(cpo_model, "BLOCK", 3)
+    positions = set()
+    for poset in (C2, C3):
+        for make in CORRUPTED:
+            for seed in (1, 2, 3):
+                r = assert_matches_oracle(make(), poset, "sampled", seed, samples=40)
+                if r.interpretations_checked > 3:
+                    positions.add((r.interpretations_checked - 1) % 3)
+        for eq in library_equations()[:6] + zero_symbol_equations():
+            assert_matches_oracle(eq, poset, "sampled", 0, samples=40)
+    assert positions == {0, 1, 2}
+
+
+def test_block_size_shrinks_for_wide_symbols(monkeypatch):
+    sizes = []
+    blocks = cpo_model._blocks
+
+    def recorded(interpretations, size):
+        sizes.append(size)
+        return blocks(interpretations, size)
+
+    monkeypatch.setattr(cpo_model, "_blocks", recorded)
+    # one interpretation of f and g on chain(2) holds 2 * 2**9 entries
+    f, g = Sym(Symbol("f", 9)), Sym(Symbol("g", 9))
+    eq = Equation.of("wide pair", Comp(g, Tup((f,) * 9, 9)), Comp(g, Tup((f,) * 9, 9)))
+    assert_matches_oracle(eq, C2, "sampled", 4, samples=3)
+    # f of arity 3 on chain(5) has 125 entries
+    assert_matches_oracle(corrupted_double_dagger(), chain(5), "sampled", 4, samples=5)
+    # BLOCK_ENTRIES is 1024: blocks of 1 and of 1024 // 125 = 8
+    assert sizes == [1, 8]
+
+
+@pytest.mark.parametrize("poset", [C2, C3], ids=["chain2", "chain3"])
+def test_eval_of_arbitrary_tables_matches_the_oracle(poset):
+    # tables that need not be monotone: a dagger may then fail to
+    # stabilize within its step bound, and both evaluators refuse it
+    rng = random.Random(31 + poset.size)
+    outcomes = set()
+    for eq in library_equations():
+        if max((s.in_arity for s in eq.symbols), default=0) > 5:
+            continue
+        interp = Interpretation(poset, {
+            s.name: TableFn(poset, s.in_arity, 1,
+                            [rng.randrange(poset.size) for _ in range(poset.size ** s.in_arity)])
+            for s in eq.symbols
+        })
+        for side in (eq.lhs, eq.rhs):
+            try:
+                expect = reference_eval(side, interp)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    eval_morphism(side, interp)
+                outcomes.add("refused")
+            else:
+                assert eval_morphism(side, interp) == expect, eq.name
+                outcomes.add("evaluated")
+    assert outcomes == {"refused", "evaluated"}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_inline_draw_follows_randrange(n):
+    # the sampler inlines Random.randrange's draw; it must give the same
+    # values and leave the generator in the same state, or every seeded
+    # check would change
+    plan = tuple((idx, cpo_model._no_values) for idx in range(10_000))
+    bounds = _upper_bounds(chain(n))  # no predecessor: any of the n values
+    for seed in (0, 1729, 2**40 + 7):
+        rng, ref = random.Random(seed), random.Random(seed)
+        table = cpo_model._random_table(plan, bounds, rng.getrandbits)
+        assert table == [ref.randrange(n) for _ in range(10_000)]
+        assert rng.getstate() == ref.getstate()
 
 
 # Seeded outputs recorded before the evaluator and sampler were rewritten:
