@@ -5,11 +5,12 @@ S4, T4, S5, T5 and PSL(2,7) automata, ``all_subgroup_sets`` on PSL(2,7),
 ``symmetric_group(6)``, and ``transition_monoid`` alone on T5 and on a
 13-state, 3-letter automaton of monoid order 77, the size of those in
 perfbench's entails-stream workload.  ``entails`` with that automaton as
-hypothesis and conclusion is timed warm, as a repeated query: after one
-untimed call.  The auto-mode check of ``sym(f) = sym(f)`` with f of arity
-10 on chain(2) is timed until it is refused, and ``fpal check --builtin
-conway --samples 200`` (``fpal.cli.main``, stdout discarded) is timed
-whole: the model checker on every library identity.  Each sample starts
+hypothesis and conclusion is timed warm, as a repeated query after one
+untimed call, and cold, with the caches emptied before every call (the
+emptying is timed too).  The auto-mode check of ``sym(f) = sym(f)`` with
+f of arity 10 on chain(2) is timed until it is refused, and ``fpal check
+--builtin conway --samples 200`` (``fpal.cli.main``, stdout discarded) is
+timed whole: the model checker on every library identity.  Each sample starts
 with fpal's caches empty, so it pays for the whole divisor search; the
 best of ``--repeat`` samples is kept.  The 13-state items take under a
 millisecond, so each of their samples is the mean of ``SMALL_CALLS``
@@ -23,7 +24,7 @@ each tree in turn, the first tree going first on even samples and last on
 odd ones, so drift of the machine over the run reaches both trees alike::
 
     python3 bench/algebra_latency.py --tree parent=../parent/src \\
-        --tree change=src --out BENCH_9.json
+        --tree change=src --out BENCH_11.json
 
 The output holds ``nproc``, the Python version, and per tree the best
 seconds of every item and the line count of its ``fpal`` package.
@@ -83,9 +84,8 @@ def automata() -> dict:
     }
 
 
-def sample(run, calls: int = 1, warm: bool = False) -> float:
-    """Mean seconds of ``calls`` calls of ``run``, started with fpal's
-    caches empty; with ``warm``, one untimed call fills them first."""
+def clear_caches() -> None:
+    """Empty fpal's process-wide caches."""
     from fpal import algebra, cpo_model, entailment
 
     algebra._subgroup_cache.clear()
@@ -93,6 +93,12 @@ def sample(run, calls: int = 1, warm: bool = False) -> float:
     # a tree from before the per-automaton divisor table has none
     getattr(entailment, "_divisor_tables", {}).clear()
     cpo_model.count_monotone.cache_clear()
+
+
+def sample(run, calls: int = 1, warm: bool = False) -> float:
+    """Mean seconds of ``calls`` calls of ``run``, started with fpal's
+    caches empty; with ``warm``, one untimed call fills them first."""
+    clear_caches()
     if warm:
         run()
     start = time.perf_counter()
@@ -167,6 +173,12 @@ def items(tmp: str) -> dict:
         lambda: algebra.transition_monoid(small), SMALL_CALLS)
     out["entails 13 states, warm"] = lambda: sample(
         lambda: entailment.entails([small], small), SMALL_CALLS, warm=True)
+
+    def cold_entails():
+        clear_caches()
+        entailment.entails([small], small)
+
+    out["entails 13 states, cold"] = lambda: sample(cold_entails, SMALL_CALLS)
     out["check sym f 10 refused"] = lambda: sample(refuse_wide_symbol)
     out["check conway, 200 samples"] = lambda: sample(check_conway)
     return out

@@ -8,14 +8,18 @@ A simple group S divides a monoid M when S is a quotient of some
 subsemigroup of M that happens to be a group; equivalently, S is a
 quotient K/N of a subgroup K of one of the maximal subgroups H sitting at
 the idempotents of M.  Idempotents with the same image or the same kernel
-have isomorphic maximal subgroups, so one H is built per class of them.
-Each H is an explicit table, its subgroups index sets into that table.
-The cyclic divisors C_p of H are the primes p dividing |H| (Cauchy).  A
-nonabelian divisor is a quotient of a perfect subgroup, which lies in the
-solvable residual of H, found by closing commutators: a trivial residual
-gives none, one of order 60 is A_5.  Only a larger residual needs one
-search of its subgroup lattice, and its sections K/N are read off that
-lattice and those index sets.  The searches are guarded by size caps.
+have isomorphic maximal subgroups, so one H is looked at per class of
+them.  The cyclic divisors C_p of H are the primes p dividing |H|
+(Cauchy).  A group of order under 60, or of an order with at most two
+primes (Burnside), is solvable and has no other divisor, so such an H
+whose C_p are all found already adds nothing and is not built.  Each H
+that is built is an explicit table, its subgroups index sets into that
+table.  A nonabelian divisor is a quotient of a perfect subgroup, which
+lies in the solvable residual of H, found by closing commutators: a
+trivial residual gives none, one of order 60 is A_5.  Only a larger
+residual needs one search of its subgroup lattice, and its sections K/N
+are read off that lattice and those index sets.  The searches are
+guarded by size caps.
 """
 
 from __future__ import annotations
@@ -235,16 +239,25 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_from_permutations([cycle, swap])
 
 
-def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
+def _units_at(m: TransformationMonoid, e: int) -> list:
+    """The members of the maximal subgroup at the idempotent e, ascending:
+    the x with the image and the kernel of e.  Among maps with the image
+    of e, "e then x" equals x exactly when x also has the kernel of e, so
+    one composition per member of the image bucket finds them."""
+    then, padded, maps, t_e = m.then, m.padded, m.maps, m.maps[e]
+    return [x for x in m.by_image[frozenset(t_e)] if then(t_e, padded[x]) == maps[x]]
+
+
+def maximal_subgroup_at(m: TransformationMonoid, e: int, units: list | None = None) -> FiniteGroup:
     """The group of invertible elements of e M e, the largest group inside
-    the monoid whose unit is the idempotent e.  Its members are the x with
-    the image and the kernel of e.  Among maps with the image of e, "e
-    then x" equals x exactly when x also has the kernel of e, so one
-    composition per member of the image bucket finds them."""
+    the monoid whose unit is the idempotent e, labelled by monoid element
+    indices.  ``units`` may pass its members, as ``_units_at`` finds
+    them."""
     then, padded, t_e = m.then, m.padded, m.maps[e]
     if then(t_e, padded[e]) != t_e:
         raise ValueError(f"element {e} is not idempotent")
-    units = [x for x in m.by_image[frozenset(t_e)] if then(t_e, padded[x]) == m.maps[x]]
+    if units is None:
+        units = _units_at(m, e)
     return FiniteGroup._known(_cayley_table([m.maps[x] for x in units], then,
                                             [padded[x] for x in units]),
                               units.index(e), labels=units)
@@ -376,15 +389,22 @@ class SimpleGroupId:
         return out
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 _NONABELIAN_SIMPLE_NAMES = {
@@ -495,7 +515,7 @@ def _surely_solvable(n: int) -> bool:
     """Whether every group of order n is solvable because n is under 60,
     the least order of a nonsolvable group, or because n has at most two
     prime divisors (Burnside)."""
-    return n < 60 or sum(1 for p in range(2, n + 1) if n % p == 0 and _is_prime(p)) <= 2
+    return n < 60 or len(_prime_factors(n)) <= 2
 
 
 def _least_cyclic_subgroups(g: FiniteGroup) -> dict:
@@ -652,13 +672,18 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     monoid's simple divisors.  Every group inside a monoid sits in the
     maximal subgroup at its unit, so the union over idempotents of the
     group divisors is the monoid's divisor set.  Idempotents are walked in
-    index order; only the least one of each image/kernel class (see
-    ``_class_leaders``) has its group built and searched, and the rest of
-    the class reuses that group's order.  Since the groups of a class are
-    isomorphic, a later member would add no divisor, and the first
-    idempotent giving each divisor is still a class leader.  Cached per
-    set of maps, which automata with different letters can share, so the
-    witnesses name their idempotent by index only."""
+    index order, and only the least one of each image/kernel class (see
+    ``_class_leaders``) is looked at: the groups of a class are
+    isomorphic, so a later member would add no divisor, and the first
+    idempotent giving each divisor is still a class leader.  The rest of
+    the class reuses the leader's order.  A leader's group H is built
+    and searched only when it can add a divisor: when |H| is at most
+    ``cap``, is an order at which every group is solvable, and has only
+    primes p whose C_p is already found, the divisors of H are those C_p
+    (Cauchy) and it is skipped.  A leader above ``cap`` is always built,
+    and refused.  Cached per set of maps, which automata with different
+    letters can share, so the witnesses name their idempotent by index
+    only."""
     key = (m.element_key(), cap)
     cached = _walk_cache.get(key)
     if cached is not None:
@@ -668,8 +693,13 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     order_of: dict = {}
     out: dict = {}
     for e in sorted(set(leaders)):
-        h = maximal_subgroup_at(m, e)
-        order_of[e] = h.order
+        units = _units_at(m, e)
+        n = order_of[e] = len(units)
+        # the simple divisors of prime order p in ``out`` are the C_p
+        if n <= cap and _surely_solvable(n) and \
+                set(_prime_factors(n)) <= {fp.order for fp in out}:
+            continue
+        h = maximal_subgroup_at(m, e, units)
         for fp, w in _group_divisors_with_witnesses(h, cap).items():
             if fp not in out:
                 out[fp] = replace(w, idempotent=e)

@@ -31,10 +31,72 @@ def full_transformations(n: int) -> Automaton:
     return Automaton(n, ("a", "b", "c"), delta)
 
 
+def permutation_automaton(gens) -> Automaton:
+    """Automaton whose j-th letter acts as the j-th permutation (1-based
+    image tuples)."""
+    n = len(gens[0])
+    letters = tuple("abcdefgh"[:len(gens)])
+    return Automaton(n, letters, tuple(tuple(g[s] for g in gens) for s in range(n)))
+
+
 def alternating5_automaton() -> Automaton:
     """A 5-cycle and a 3-cycle: their group is A_5."""
-    gens = [(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)]
-    return Automaton(5, ("a", "b"), tuple(tuple(g[s] for g in gens) for s in range(5)))
+    return permutation_automaton([(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)])
+
+
+# S3 on states 1-3 beside an extensive automaton on states 4-13 (every
+# letter moves a state up or leaves it): monoid order 77, 7 idempotents.
+# The 13-state automaton that bench/algebra_latency.py times.
+ENTAILS_SIZED_DELTA = (
+    (2, 2, 1), (3, 1, 2), (1, 3, 3), (4, 4, 4), (7, 7, 5), (7, 8, 6), (9, 7, 8),
+    (9, 9, 8), (9, 9, 10), (10, 10, 10), (13, 13, 11), (12, 13, 12), (13, 13, 13),
+)
+
+
+def entails_sized_automaton() -> Automaton:
+    return Automaton(13, ("a", "b", "c"), ENTAILS_SIZED_DELTA)
+
+
+def _cycle(n: int, k: int = 1) -> tuple:
+    return tuple((s + k) % n + 1 for s in range(n))
+
+
+# Three permutations per group, as in the entailment benchmark's pool of
+# group-plus-extensive automata.
+STREAM_GROUPS = {
+    "1": [(1,), (1,), (1,)],
+    "C2": [_cycle(2), (1, 2), _cycle(2)],
+    "C3": [_cycle(3), (1, 2, 3), _cycle(3, 2)],
+    "C4": [_cycle(4), _cycle(4, 2), (1, 2, 3, 4)],
+    "C5": [_cycle(5), _cycle(5, 2), (1, 2, 3, 4, 5)],
+    "C6": [_cycle(6), _cycle(6, 3), _cycle(6, 2)],
+    "C7": [_cycle(7), (1, 2, 3, 4, 5, 6, 7), _cycle(7, 3)],
+    "S3": [(2, 3, 1), (2, 1, 3), (1, 2, 3)],
+    "D4": [_cycle(4), (4, 3, 2, 1), (1, 2, 3, 4)],
+    "D5": [_cycle(5), (5, 4, 3, 2, 1), (1, 2, 3, 4, 5)],
+}
+
+
+def group_plus_extensive(name: str, max_order: int = 120) -> Automaton:
+    """Disjoint union of the permutation automaton of ``STREAM_GROUPS[name]``
+    and an extensive automaton on 8 to 10 more states, drawn from a
+    generator seeded by the name until the monoid has at most
+    ``max_order`` elements.  An extensive monoid has only trivial groups,
+    so the union has the group's divisors, over many idempotents."""
+    gens = STREAM_GROUPS[name]
+    ng = len(gens[0])
+    shape = random.Random(name)
+    while True:
+        ne = shape.randint(8, 10)
+        ext = [[s if shape.random() < 0.25 else shape.randint(s, min(ne, s + 2))
+                for _ in gens] for s in range(1, ne + 1)]
+        q = permutation_automaton([tuple(g) + tuple(ng + ext[s][j] for s in range(ne))
+                                   for j, g in enumerate(gens)])
+        try:
+            transition_monoid(q, cap=max_order)
+        except CapExceededError:
+            continue
+        return q
 
 
 def build_corpus(size: int = CORPUS_SIZE, seed: int = CORPUS_SEED) -> list:

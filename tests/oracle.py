@@ -5,8 +5,10 @@ library.  They build the full product table of a monoid where
 explicit subgroup and quotient tables where ``fpal.algebra`` reads
 sections off one subgroup lattice, and they scan the whole subgroup
 lattice for divisor witnesses where ``fpal.algebra`` uses Cauchy's
-theorem and the solvable residual; the tests replay the fast routes
-against them.  For the model checker they check an equation one
+theorem and the solvable residual, and they search the maximal subgroup
+at every image/kernel class leader where ``fpal.algebra`` skips those
+that can add no divisor; the tests replay the fast routes against
+them.  For the model checker they check an equation one
 interpretation at a time, walking each side node by node, where
 ``fpal.cpo_model`` evaluates compiled sides on blocks of
 interpretations."""
@@ -14,6 +16,7 @@ interpretations."""
 import itertools
 import random
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,9 +26,14 @@ from fpal.algebra import (
     FiniteGroup,
     SimpleGroupId,
     TransformationMonoid,
+    _class_leaders,
+    _group_divisors_with_witnesses,
+    _IdempotentWalk,
     _maximal_normals,
     _section_id,
     all_subgroup_sets,
+    idempotents,
+    maximal_subgroup_at,
 )
 from fpal.cpo_model import (
     Interpretation,
@@ -291,6 +299,24 @@ def group_divisors_with_witnesses(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CA
                     normal=tuple(g.labels[x] for x in n),
                 )
     return witnesses
+
+
+def walk_every_leader(m: TransformationMonoid, cap: int = DEFAULT_SUBGROUP_CAP) -> _IdempotentWalk:
+    """The idempotent walk with the maximal subgroup of every image/kernel
+    class leader built and searched, uncached.  The reference for
+    ``fpal.algebra._walk_idempotents``, which skips the leaders that can
+    add no divisor."""
+    leaders = _class_leaders(m, idempotents(m))
+    order_of: dict = {}
+    out: dict = {}
+    for e in sorted(set(leaders)):
+        h = maximal_subgroup_at(m, e)
+        order_of[e] = h.order
+        for fp, w in _group_divisors_with_witnesses(h, cap).items():
+            if fp not in out:
+                out[fp] = replace(w, idempotent=e)
+    return _IdempotentWalk(tuple(order_of[leader] for leader in leaders),
+                           tuple(sorted(out.items())))
 
 
 def units_by_inverse_search(table: np.ndarray, e: int) -> list:

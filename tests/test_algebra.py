@@ -1,10 +1,18 @@
 import dataclasses
+import json
 import random
 
 import pytest
 
-from conftest import alternating5_automaton, full_transformations
-from fpal import algebra, entailment
+from conftest import (
+    STREAM_GROUPS,
+    alternating5_automaton,
+    entails_sized_automaton,
+    full_transformations,
+    group_plus_extensive,
+    permutation_automaton,
+)
+from fpal import algebra, cli, entailment
 from fpal.algebra import (
     FiniteGroup,
     SimpleGroupId,
@@ -23,7 +31,7 @@ from fpal.algebra import (
     symmetric_group,
     transition_monoid,
 )
-from fpal.automaton import Automaton, counter, full_T2, symmetric_automaton
+from fpal.automaton import Automaton, counter, full_T2, symmetric_automaton, to_dict
 from fpal.errors import CapExceededError
 import oracle
 from oracle import (
@@ -339,8 +347,11 @@ def test_known_subgroup_counts(name, gens, count):
     assert len(set(subs)) == count
 
 
+PSL27_GENERATORS = [(2, 3, 4, 5, 6, 7, 1, 8), (8, 7, 4, 3, 6, 5, 2, 1)]
+
+
 def psl27() -> FiniteGroup:
-    return group_from_permutations([(2, 3, 4, 5, 6, 7, 1, 8), (8, 7, 4, 3, 6, 5, 2, 1)])
+    return group_from_permutations(PSL27_GENERATORS)
 
 
 def test_one_subgroup_lattice_per_group(monkeypatch):
@@ -462,25 +473,120 @@ def test_divisors_above_the_cap_are_refused_on_every_route():
         assert algebra._group_divisors_with_witnesses(g, g.order)
 
 
-def test_one_maximal_subgroup_per_image_kernel_class(monkeypatch):
+def count_builds(monkeypatch) -> list:
+    """Record the order of every maximal subgroup the walk builds, with the
+    walk cache emptied."""
     built = []
 
-    def counted(m, e):
-        built.append(e)
-        return maximal_subgroup_at(m, e)
+    def counted(m, e, units=None):
+        h = maximal_subgroup_at(m, e, units)
+        built.append(h.order)
+        return h
 
     monkeypatch.setattr(algebra, "maximal_subgroup_at", counted)
     monkeypatch.setattr(algebra, "_walk_cache", {})
-    for n, classes in ((4, 4), (5, 5)):
+    return built
+
+
+def test_one_maximal_subgroup_per_image_kernel_class(monkeypatch):
+    # T_n has one class per rank, with groups S_n, ..., S_2, 1; the walk
+    # builds S_2 (C_2), S_3 (C_3) and, in T5, S_5 (C_5 and A_5), and skips
+    # the trivial group and S_4, which is solvable with C_2 and C_3 found
+    built = count_builds(monkeypatch)
+    for n, groups in ((4, [2, 6]), (5, [2, 6, 120])):
         m = transition_monoid(full_transformations(n))
         built.clear()
         report = algebra.algebra_report(m)
-        assert len(built) == classes
+        assert built == groups
         # the order at every idempotent, each group built on its own
         assert report["maximal_subgroup_orders"] == [
             maximal_subgroup_at(m, e).order for e in idempotents(m)]
         # one class per rank: the orders are n!, (n-1)!, ..., 1
         assert sorted(set(report["maximal_subgroup_orders"])) == [1, 2, 6, 24, 120][:n]
+
+
+def a5_after_c30() -> Automaton:
+    """A_5 on states 2-6, fixing the rest, and a letter that sends states
+    2-6 to the sink 1 and acts on states 7-16 as a 2-, a 3- and a
+    5-cycle.  Its idempotents: the 30th power of that letter, with group
+    C_30, then the identity, with group A_5."""
+    a5 = [(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)]
+    cycles = (2, 1, 4, 5, 3, 7, 8, 9, 10, 6)
+    gens = [(1,) + tuple(v + 1 for v in g) + tuple(range(7, 17)) for g in a5]
+    gens.append((1,) * 6 + tuple(v + 6 for v in cycles))
+    return permutation_automaton(gens)
+
+
+@pytest.mark.parametrize("q, orders, built_orders, divisors", [
+    # S3 beside an extensive automaton: 7 idempotents, each its own class,
+    # with groups 1, 1, C2, C3, S3, C3, S3; only C2 and the first C3 are
+    # built, and S3 adds nothing to them
+    (entails_sized_automaton(), [1, 1, 2, 3, 6, 3, 6], [2, 3], ["C_2", "C_3"]),
+    # A_5 is not solvable, so it is built though C_30 gave its primes
+    (a5_after_c30(), [30, 60], [30, 60], ["C_2", "C_3", "C_5", "A_5"]),
+])
+def test_walk_builds_only_groups_that_can_add_a_divisor(monkeypatch, q, orders, built_orders,
+                                                        divisors):
+    built = count_builds(monkeypatch)
+    report = algebra.algebra_report(transition_monoid(q))
+    assert report["maximal_subgroup_orders"] == orders
+    assert built == built_orders
+    assert [d["name"] for d in report["simple_divisors"]] == divisors
+
+
+def walk_inputs(corpus_monoids) -> list:
+    big = [full_transformations(4), full_transformations(5), symmetric_automaton(5),
+           permutation_automaton(PSL27_GENERATORS), entails_sized_automaton(), a5_after_c30()]
+    stream = [group_plus_extensive(name) for name in STREAM_GROUPS]
+    return corpus_monoids + [transition_monoid(q) for q in big + stream]
+
+
+def test_walk_matches_the_every_leader_reference(monkeypatch, corpus_monoids):
+    # skipping leaders changes no order, divisor or witness
+    monoids = walk_inputs(corpus_monoids)
+    monkeypatch.setattr(algebra, "_walk_cache", {})
+    fast = [(algebra.algebra_report(m), dict(divisor_witnesses_monoid(m))) for m in monoids]
+    monkeypatch.setattr(algebra, "_walk_idempotents", oracle.walk_every_leader)
+    for m, (report, witnesses) in zip(monoids, fast):
+        assert report == algebra.algebra_report(m)
+        assert witnesses == dict(divisor_witnesses_monoid(m))
+    assert len(monoids) == len(corpus_monoids) + 16
+    assert sum(bool(report["simple_divisors"]) for report, _ in fast[-10:]) == 9
+
+
+def test_a_leader_above_the_cap_is_refused_though_its_primes_are_found(
+        tmp_path, capsys, monkeypatch):
+    # T4's S4 comes after S2 and S3, which give C_2 and C_3; at cap 23 it
+    # is still refused
+    t4 = full_transformations(4)
+    m = transition_monoid(t4)
+    monkeypatch.setattr(algebra, "_walk_cache", {})
+    monkeypatch.setattr(entailment, "_divisor_tables", {})
+    with pytest.raises(CapExceededError, match="order 24"):
+        algebra.algebra_report(m, cap=23)
+    with pytest.raises(CapExceededError, match="order 24"):
+        entailment.entails([counter(6)], t4, subgroup_cap=23)
+    assert algebra.algebra_report(m, cap=24)["simple_divisors"]
+    path = tmp_path / "t4.json"
+    path.write_text(json.dumps(to_dict(t4)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subgroup_cap": 23}))
+    monkeypatch.setenv("FPAL_CONFIG", str(cfg))
+    assert cli.main(["divisors", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error[cap-exceeded]: subgroup enumeration cap 23 exceeded by group of order 24\n")
+
+
+def test_prime_factors_match_sympy():
+    from sympy import factorint
+
+    assert algebra._prime_factors(1) == []
+    for n in range(2, 5001):
+        assert algebra._prime_factors(n) == sorted(factorint(n)), n
+        assert algebra._is_prime(n) == (factorint(n) == {n: 1}), n
+        assert algebra._surely_solvable(n) == (n < 60 or len(factorint(n)) <= 2), n
 
 
 def test_witness_scan_equals_composition_factor_union(corpus_monoids):
