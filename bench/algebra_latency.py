@@ -1,8 +1,11 @@
 """Best-of-N latencies of fpal's algebra engine, timed in process.
 
 Times ``fpal divisors`` (``fpal.cli.main``, stdout discarded) on the A5,
-S4, T4, S5, T5 and PSL(2,7) automata, ``all_subgroup_sets`` on PSL(2,7),
-``symmetric_group(6)``, and ``transition_monoid`` alone on T5 and on a
+S4, T4, S5, T5, PSL(2,7), S6 and ASL(2,4) automata, ``algebra_report``
+on the PSL(2,13) automaton with the subgroup cap raised to its order
+1092 and at the default cap (1024), where it is refused,
+``composition_factors`` on PSL(2,7), ``symmetric_group(6)``, and
+``transition_monoid`` alone on T5 and on a
 13-state, 3-letter automaton of monoid order 77, the size of those in
 perfbench's entails-stream workload.  ``entails`` with that automaton as
 hypothesis and conclusion is timed warm, as a repeated query after one
@@ -24,7 +27,7 @@ each tree in turn, the first tree going first on even samples and last on
 odd ones, so drift of the machine over the run reaches both trees alike::
 
     python3 bench/algebra_latency.py --tree parent=../parent/src \\
-        --tree change=src --out BENCH_11.json
+        --tree change=src --out BENCH_12.json
 
 The output holds ``nproc``, the Python version, and per tree the best
 seconds of every item and the line count of its ``fpal`` package.
@@ -57,6 +60,38 @@ SMALL_CALLS = 200
 CLI_RUNS = 10
 
 
+def gf4_mul(a: int, b: int) -> int:
+    """Product in GF(4) = GF(2)[w]/(w^2 + w + 1), elements as bit pairs
+    (2 is w, 3 is w^2 = w + 1); addition is xor."""
+    p = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+    return p ^ 0b111 if p & 4 else p
+
+
+# ASL(2,4) on the 16 vectors (a, b) of GF(4)^2, vector (a, b) being state
+# 4a + b + 1: the translation by (1, 0) and SL(2,4)'s [[1,1],[0,1]],
+# [[0,1],[1,0]] and diag(w, w^2).  Order 960, perfect.
+ASL24_GENERATORS = tuple(
+    tuple(4 * x + y + 1 for x, y in (f(a, b) for a in range(4) for b in range(4)))
+    for f in (lambda a, b: (a ^ 1, b), lambda a, b: (a ^ b, b), lambda a, b: (b, a),
+              lambda a, b: (gf4_mul(2, a), gf4_mul(3, b))))
+# PSL(2,13) on the projective line over GF(13), x being state x + 1 and
+# infinity state 14: x -> x + 1, x -> 4x and x -> -1/x.  Order 1092.
+PSL213_GENERATORS = (
+    tuple(range(2, 14)) + (1, 14),
+    tuple(4 * x % 13 + 1 for x in range(13)) + (14,),
+    (14,) + tuple(-pow(x, -1, 13) % 13 + 1 for x in range(1, 13)) + (1,),
+)
+
+
+def from_generators(gens):
+    """The automaton whose j-th letter acts as the j-th permutation."""
+    from fpal.automaton import Automaton
+
+    n = len(gens[0])
+    letters = tuple("abcd"[:len(gens)])
+    return Automaton(n, letters, tuple(tuple(g[s] for g in gens) for s in range(n)))
+
+
 def full_transformations(n: int):
     """A cycle, a swap and a rank n-1 map: they generate all of T_n."""
     from fpal.automaton import Automaton
@@ -68,11 +103,7 @@ def full_transformations(n: int):
 
 
 def automata() -> dict:
-    from fpal.automaton import Automaton, symmetric_automaton
-
-    def from_generators(gens):
-        n = len(gens[0])
-        return Automaton(n, ("a", "b"), tuple(tuple(g[s] for g in gens) for s in range(n)))
+    from fpal.automaton import symmetric_automaton
 
     return {
         "A5": from_generators(A5_GENERATORS),
@@ -81,6 +112,8 @@ def automata() -> dict:
         "S5": symmetric_automaton(5),
         "T5": full_transformations(5),
         "PSL(2,7)": from_generators(PSL27_GENERATORS),
+        "S6": symmetric_automaton(6),
+        "ASL(2,4)": from_generators(ASL24_GENERATORS),
     }
 
 
@@ -88,10 +121,11 @@ def clear_caches() -> None:
     """Empty fpal's process-wide caches."""
     from fpal import algebra, cpo_model, entailment
 
-    algebra._subgroup_cache.clear()
     algebra._walk_cache.clear()
-    # a tree from before the per-automaton divisor table has none
+    # a tree from before the per-automaton divisor table has none, and
+    # one without a subgroup lattice no lattice cache
     getattr(entailment, "_divisor_tables", {}).clear()
+    getattr(algebra, "_subgroup_cache", {}).clear()
     cpo_model.count_monotone.cache_clear()
 
 
@@ -107,20 +141,26 @@ def sample(run, calls: int = 1, warm: bool = False) -> float:
     return (time.perf_counter() - start) / calls
 
 
+def refused(run) -> None:
+    """Call ``run``, which must raise ``CapExceededError``."""
+    from fpal.errors import CapExceededError
+
+    try:
+        run()
+    except CapExceededError:
+        return
+    raise RuntimeError("the call should be refused")
+
+
 def refuse_wide_symbol() -> None:
     """``sym(f) = sym(f)`` with f of arity 10 on chain(2), auto mode at the
     default settings: too many interpretations to enumerate, too many
     table entries to sample, so the check is refused."""
     from fpal.cpo_model import chain, check_equation
-    from fpal.errors import CapExceededError
     from fpal.term import Equation, Sym, Symbol
 
     f = Sym(Symbol("f", 10))
-    try:
-        check_equation(Equation.of("wide", f, f), chain(2))
-    except CapExceededError:
-        return
-    raise RuntimeError("the arity-10 check should be refused")
+    refused(lambda: check_equation(Equation.of("wide", f, f), chain(2)))
 
 
 def check_conway() -> None:
@@ -162,7 +202,14 @@ def items(tmp: str) -> dict:
     s4 = os.path.join(tmp, "S4.json")
     out["cli fpal divisors S4"] = lambda: cli_run(["divisors", s4])
     psl = algebra.group_from_permutations(PSL27_GENERATORS)
-    out["all_subgroup_sets PSL(2,7)"] = lambda: sample(lambda: algebra.all_subgroup_sets(psl))
+    out["composition_factors PSL(2,7)"] = lambda: sample(lambda: algebra.composition_factors(psl))
+    psl213 = algebra.transition_monoid(from_generators(PSL213_GENERATORS))
+    if psl213.order != 1092:
+        raise RuntimeError("the PSL(2,13) automaton should have monoid order 1092")
+    out["algebra_report PSL(2,13), cap 1092"] = lambda: sample(
+        lambda: algebra.algebra_report(psl213, cap=1092))
+    out["algebra_report PSL(2,13), refused at cap 1024"] = lambda: sample(
+        lambda: refused(lambda: algebra.algebra_report(psl213)))
     out["symmetric_group(6)"] = lambda: sample(lambda: algebra.symmetric_group(6))
     t5 = full_transformations(5)
     out["transition_monoid T5"] = lambda: sample(lambda: algebra.transition_monoid(t5))

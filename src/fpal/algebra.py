@@ -14,17 +14,17 @@ them.  The cyclic divisors C_p of H are the primes p dividing |H|
 primes (Burnside), is solvable and has no other divisor, so such an H
 whose C_p are all found already adds nothing and is not built.  Each H
 that is built is an explicit table, its subgroups index sets into that
-table.  A nonabelian divisor is a quotient of a perfect subgroup, which
-lies in the solvable residual of H, found by closing commutators: a
-trivial residual gives none, one of order 60 is A_5.  Only a larger
-residual needs one search of its subgroup lattice, and its sections K/N
-are read off that lattice and those index sets.  The searches are
-guarded by size caps.
+table.  Normal subgroups are joins of the subgroups that conjugacy
+classes generate, so no subgroup lattice is ever listed.  A nonabelian
+divisor is a quotient of a perfect subgroup, which lies in the solvable
+residual of H, found from the classes of commutators: a trivial residual
+gives none, one of order 60 is A_5.  A larger residual is searched over
+its 2-generated subgroups, and the sections K/N are read off those index
+sets.  The searches are guarded by size caps.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from math import gcd
 from types import MappingProxyType
@@ -41,10 +41,9 @@ from .errors import CapExceededError
 
 DEFAULT_SUBGROUP_CAP = 1024
 
-# Entries kept by each of the module's caches: a few times the distinct
-# group tables (76) and monoids (61) that one pass of perfbench's
-# divisors-groups workload creates, so such a pass evicts nothing.
-SUBGROUP_CACHE_SIZE = 256
+# Entries kept by the module's cache: a few times the distinct monoids
+# (61) that one pass of perfbench's divisors-groups workload creates, so
+# such a pass evicts nothing.
 MONOID_CACHE_SIZE = 256
 
 
@@ -174,13 +173,6 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = tuple(row.index(identity) for row in rows)
 
-    def check_associative(self) -> bool:
-        """Full associativity check; cubic, so only sensible for small
-        orders."""
-        t = self.table
-        return all(t[ab] == tuple(row[bc] for bc in t[b])
-                   for row in t for b, ab in enumerate(row))
-
     def element_order(self, i: int) -> int:
         k, x = 1, i
         while x != self.identity:
@@ -264,59 +256,12 @@ def maximal_subgroup_at(m: TransformationMonoid, e: int, units: list | None = No
 
 
 # ---------------------------------------------------------------------------
-# subgroup enumeration
-
-_subgroup_cache: dict = {}
+# subgroups, conjugacy classes and normal subgroups
 
 
-def _check_cap(g: FiniteGroup, cap: int) -> None:
-    if g.order > cap:
-        raise CapExceededError(
-            f"subgroup enumeration cap {cap} exceeded by group of order {g.order}"
-        )
-
-
-def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
-    """Every subgroup, as a sorted tuple of element indices, in (size,
-    element set) order.  Subgroups are generated by repeatedly joining
-    with cyclic subgroups, which reaches everything because each subgroup
-    is reachable from a maximal chain.  During the search a subgroup is
-    an integer bitmask over the elements, kept with its element list and
-    the generators it was built from."""
-    _check_cap(g, cap)
-    cached = _subgroup_cache.get(g.table)
-    if cached is not None:
-        return cached
-    rows, cols, e = g.table, g.cols, g.identity
-    found = {}  # mask -> (elements, generators)
-    for x in range(g.order):
-        elems, mask, y = [e], 1 << e, x
-        while y != e:
-            elems.append(y)
-            mask |= 1 << y
-            y = rows[y][x]
-        found.setdefault(mask, (elems, (x,)))
-    cyclic_gens = [gens[0] for _, gens in found.values()]
-    queue = deque(found)
-    while queue:
-        h = queue.popleft()
-        h_elems, h_gens = found[h]
-        # <H, x> = <H, y> for every y in Hx or xH: mark those as done
-        done = h
-        for x in cyclic_gens:
-            if done >> x & 1:
-                continue
-            row, col = rows[x], cols[x]
-            for y in h_elems:
-                done |= 1 << row[y] | 1 << col[y]
-            gens = h_gens + (x,)
-            k, k_elems = _join(rows, cols, e, h, h_elems, gens)
-            if k not in found:
-                found[k] = (k_elems, gens)
-                queue.append(k)
-    out = sorted((tuple(sorted(elems)) for elems, _ in found.values()),
-                 key=lambda t: (len(t), t))
-    return _remember(_subgroup_cache, g.table, tuple(out), SUBGROUP_CACHE_SIZE)
+def _check_cap(order: int, cap: int) -> None:
+    if order > cap:
+        raise CapExceededError(f"subgroup enumeration cap {cap} exceeded by group of order {order}")
 
 
 def _join(rows, cols, e: int, h: int, h_elems: list, gens: tuple) -> tuple:
@@ -340,24 +285,65 @@ def _join(rows, cols, e: int, h: int, h_elems: list, gens: tuple) -> tuple:
     return mask, elems
 
 
-def _maximal_normals(g: FiniteGroup, subs, k) -> list:
-    """The maximal proper normal subgroups of the subgroup ``k`` of ``g``,
-    in the order of ``subs``, the subgroup lattice of ``g``: the members
-    of ``subs`` properly inside ``k`` that every element of ``k``
-    normalizes, less those inside a larger one.  Quotients by these are
-    exactly the simple quotients of ``k``."""
-    k_set = set(k)
-    table, inv = g.table, g.inverse
-    normals = []
-    for n in subs:
-        if len(n) >= len(k) or not k_set.issuperset(n):
-            continue
-        n_set = set(n)
-        # x y x^-1 for every x in K and y in N
-        if all(table[table[x][y]][inv[x]] in n_set for x in k for y in n):
-            normals.append(n)
-    return [n for i, n in enumerate(normals)
-            if not any(set(n) < set(m) for m in normals[i + 1:])]
+def _generate(g: FiniteGroup, seeds, h: tuple | None = None, normal_in: tuple = ()) -> tuple:
+    """The subgroup generated by the subgroup ``h`` (trivial by default)
+    and ``seeds``, both as (mask, elements, generators); each seed outside
+    the subgroup so far joins the generators, and its conjugates by
+    ``normal_in`` join the seeds: the normal closure in <normal_in>."""
+    rows, cols, inv, e = g.table, g.cols, g.inverse, g.identity
+    mask, elems, gens = h or (1 << e, [e], ())
+    seeds = list(seeds)
+    for z in seeds:
+        if not mask >> z & 1:
+            gens += (z,)
+            mask, elems = _join(rows, cols, e, mask, elems, gens)
+            seeds += [rows[rows[inv[s]][z]][s] for s in normal_in]
+    return mask, elems, gens
+
+
+def _orbits(xs, moves) -> list:
+    """The orbits meeting ``xs`` of the maps that ``moves`` gives for each
+    item, each listed from its first member in ``xs``."""
+    seen, out = set(), []
+    for x in xs:
+        if x not in seen:
+            seen.add(x)
+            out.append([x])
+            for y in out[-1]:
+                for z in moves(y):
+                    if z not in seen:
+                        seen.add(z)
+                        out[-1].append(z)
+    return out
+
+
+def _conjugation(g: FiniteGroup, gens):
+    """y -> [s^-1 y s for s in gens], whose orbits are classes of <gens>."""
+    rows, inv = g.table, g.inverse
+    return lambda y: [rows[rows[inv[s]][y]][s] for s in gens]
+
+
+def _maximal_normals(g: FiniteGroup, k) -> list:
+    """The maximal proper normal subgroups of the subgroup K of ``g`` with
+    elements ``k``, as sorted index tuples in (size, element set) order;
+    the quotients by them are the simple quotients of K.  Every normal
+    subgroup of K is the join of the subgroups its K-classes generate, so
+    they are grown from the trivial one by joining classes, breadth first;
+    a proper one is maximal when every class outside it joins it up to K."""
+    whole, _, gens = _generate(g, k)
+    classes = _orbits(k, _conjugation(g, gens))
+    queue = [_generate(g, ())]
+    seen, maximal = {queue[0][0]}, []
+    for n in queue:
+        joins = [_generate(g, cls, n) for cls in classes if not n[0] >> cls[0] & 1]
+        proper = [m for m in joins if m[0] != whole]
+        if not proper and n[0] != whole:
+            maximal.append(tuple(sorted(n[1])))
+        for m in proper:
+            if m[0] not in seen:
+                seen.add(m[0])
+                queue.append(m)
+    return sorted(maximal, key=lambda t: (len(t), t))
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +446,8 @@ def _section_id(g: FiniteGroup, k, n) -> SimpleGroupId:
 def is_simple(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> bool:
     """Nontrivial with no proper nontrivial normal subgroup.  The trivial
     group is not simple."""
-    if g.order < 2:
-        return False
-    subs = all_subgroup_sets(g, cap)
-    return _maximal_normals(g, subs, subs[-1]) == [subs[0]]
+    _check_cap(g.order, cap)
+    return _maximal_normals(g, range(g.order)) == [(g.identity,)]
 
 
 def fingerprint(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> SimpleGroupId:
@@ -475,15 +459,14 @@ def fingerprint(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> SimpleGroupI
 
 def composition_factors(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP, rng=None) -> tuple:
     """Multiset (sorted tuple) of simple factor fingerprints of any maximal
-    normal series, walked down the subgroup lattice of ``g``.  The default
-    tie-break takes the largest maximal normal subgroup, then the least
-    element set; pass ``rng`` to randomize the choice (the result is the
-    same multiset either way)."""
-    subs = all_subgroup_sets(g, cap)
+    normal series of ``g``.  The default tie-break takes the largest
+    maximal normal subgroup, then the least element set; pass ``rng`` to
+    randomize the choice (the result is the same multiset either way)."""
+    _check_cap(g.order, cap)
     factors = []
-    k = subs[-1]
+    k = tuple(range(g.order))
     while len(k) > 1:
-        candidates = sorted(_maximal_normals(g, subs, k), key=lambda s: (-len(s), s))
+        candidates = sorted(_maximal_normals(g, k), key=lambda s: (-len(s), s))
         n = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
         factors.append(_section_id(g, k, n))
         k = n
@@ -520,10 +503,10 @@ def _surely_solvable(n: int) -> bool:
 
 def _least_cyclic_subgroups(g: FiniteGroup) -> dict:
     """For each prime p dividing |G|, the least subgroup of order p as a
-    sorted index tuple.  By Cauchy there is one; it is cyclic, so it is
-    generated by each of its elements of order p.  Each cyclic subgroup
-    is walked once: the powers x^j with j prime to the order of x
-    generate the same subgroup as x."""
+    sorted index tuple: by Cauchy there is one, and as two of them meet
+    only in the identity, it is the first one met, walking up from the
+    least element.  Each cyclic subgroup is walked once: the powers x^j
+    with j prime to the order of x generate the same subgroup as x."""
     rows, e = g.table, g.identity
     least: dict = {}
     done = 1 << e
@@ -538,40 +521,71 @@ def _least_cyclic_subgroups(g: FiniteGroup) -> dict:
         for j, y in enumerate(elems):
             if gcd(j, n) == 1:
                 done |= 1 << y
-        if _is_prime(n):
-            k = tuple(sorted(elems))
-            if n not in least or k < least[n]:
-                least[n] = k
+        if n not in least and _is_prime(n):
+            least[n] = tuple(sorted(elems))
     return least
 
 
 def _solvable_residual(g: FiniteGroup) -> list | None:
     """The elements of the last term of the derived series of ``g``, or
     None when that term is trivial, that is when ``g`` is solvable.  Each
-    derived subgroup K' is the normal closure in K of the commutators of
-    K's generators, grown by coset joins; the series stops early at an
-    order that ``_surely_solvable`` accepts."""
+    derived subgroup K' is generated by the K-classes of the commutators
+    of K's generators; the series stops early at an order that
+    ``_surely_solvable`` accepts."""
     if _surely_solvable(g.order):
         return None
-    rows, cols, inv, e = g.table, g.cols, g.inverse, g.identity
-    mask, elems, gens = 1 << e, [e], []
-    for x in range(g.order):
-        if not mask >> x & 1:
-            gens.append(x)
-            mask, elems = _join(rows, cols, e, mask, elems, tuple(gens))
+    rows, inv = g.table, g.inverse
+    _, elems, gens = _generate(g, range(g.order))
     while not _surely_solvable(len(elems)):
-        mask, d_elems, d_gens = 1 << e, [e], []
-        pending = [rows[rows[rows[inv[a]][inv[b]]][a]][b]
-                   for i, a in enumerate(gens) for b in gens[:i]]
-        for z in pending:
-            if not mask >> z & 1:
-                d_gens.append(z)
-                mask, d_elems = _join(rows, cols, e, mask, d_elems, tuple(d_gens))
-                pending += [rows[rows[inv[s]][z]][s] for s in gens]
+        commutators = [rows[rows[rows[inv[a]][inv[b]]][a]][b]
+                       for i, a in enumerate(gens) for b in gens[:i]]
+        _, d_elems, d_gens = _generate(g, commutators, normal_in=gens)
         if len(d_elems) == len(elems):
             return elems
         elems, gens = d_elems, d_gens
     return None
+
+
+def _nonabelian_witnesses(g: FiniteGroup, residual: list) -> dict:
+    """The nonabelian simple divisors of ``g``, whose solvable residual R
+    is ``residual``, each with its least subgroup K and the first maximal
+    normal subgroup N of K giving it.  K is perfect, so inside R, and
+    2-generated: preimages of two generators of K/N (simple groups are
+    2-generated) generate a subgroup with quotient K/N.  Each such
+    subgroup of R is R-conjugate to a <x, y> with x the first member of
+    an R-class, and <x, y> = <x, cy> = <x, yc> for c in <x>.  K is the
+    least R-conjugate of the least of these subgroups giving K/N."""
+    rows, cols, e = g.table, g.cols, g.identity
+    r = sorted(residual)
+    conjugate = _conjugation(g, _generate(g, r)[2])
+    pairs: dict = {}  # mask -> elements, for orders that allow a perfect group
+    for x in (cls[0] for cls in _orbits(r, conjugate) if cls[0] != e):
+        c_mask, c_elems, _ = _generate(g, (x,))
+        done = c_mask
+        for y in r:
+            if done >> y & 1:
+                continue
+            row, col = rows[y], cols[y]
+            for c in c_elems:
+                done |= 1 << row[c] | 1 << col[c]
+            mask, elems = _join(rows, cols, e, c_mask, c_elems, (x, y))
+            if not _surely_solvable(len(elems)):
+                pairs.setdefault(mask, elems)
+    given: dict = {}  # nonabelian simple divisor -> the subgroups giving it, least first
+    for elems in sorted(pairs.values(), key=len):
+        k = tuple(sorted(elems))
+        for n in _maximal_normals(g, k):
+            if not _is_prime(len(k) // len(n)):
+                given.setdefault(_section_id(g, k, n), []).append(k)
+
+    def conjugates(h):  # of the subgroup h by each generator of R
+        return [tuple(sorted(c)) for c in zip(*map(conjugate, h))]
+
+    out = {}
+    for fp, ks in given.items():
+        k = min(map(min, _orbits([k for k in ks if len(k) == len(ks[0])], conjugates)))
+        out[fp] = k, next(n for n in _maximal_normals(g, k) if _section_id(g, k, n) == fp)
+    return out
 
 
 def _group_divisors_with_witnesses(g: FiniteGroup, cap: int) -> dict:
@@ -580,13 +594,12 @@ def _group_divisors_with_witnesses(g: FiniteGroup, cap: int) -> dict:
     that has it as a quotient and the least maximal normal subgroup N of K
     giving it, in the order a scan of the subgroup lattice in that order
     finds them.  The least K for C_p has order p, with N trivial.  The
-    least K for a nonabelian S is perfect, else its perfect residual would
-    be a smaller one, so it lies in the solvable residual R of the group:
-    with R trivial there is no such S, with R of order 60 (perfect, so
-    A_5) K is R itself and S is A_5, and otherwise the subgroups of order
-    60 or more in the lattice of R are scanned.  Groups above ``cap`` are
-    refused, whichever route they would take."""
-    _check_cap(g, cap)
+    least K for a nonabelian S lies in the solvable residual R of the
+    group: with R trivial there is no such S, with R of order 60 (perfect,
+    so A_5) K is R itself and S is A_5, and otherwise the 2-generated
+    subgroups of R are searched.  Groups above ``cap`` are refused,
+    whichever route they would take."""
+    _check_cap(g.order, cap)
     e = g.identity
     found = {_section_id(g, k, (e,)): (k, (e,))
              for k in _least_cyclic_subgroups(g).values()}
@@ -595,21 +608,7 @@ def _group_divisors_with_witnesses(g: FiniteGroup, cap: int) -> dict:
         k = tuple(sorted(residual))
         found[_section_id(g, k, (e,))] = (k, (e,))
     elif residual is not None:
-        # the lattice of the residual alone, as its own table; its
-        # elements in ascending order keep the (size, element set) order
-        r = sorted(residual)
-        pos = {x: i for i, x in enumerate(r)}
-        table = g.table
-        sub = FiniteGroup._known(tuple(tuple(pos[table[x][y]] for y in r) for x in r),
-                                 pos[g.identity])
-        subs = [tuple(r[i] for i in k) for k in all_subgroup_sets(sub, cap)]
-        for k in subs:
-            if len(k) < 60:
-                continue
-            for n in _maximal_normals(g, subs, k):
-                fp = _section_id(g, k, n)
-                if fp not in found:
-                    found[fp] = (k, n)
+        found.update(_nonabelian_witnesses(g, residual))
 
     def scan_order(item):
         k, n = item[1]
@@ -676,12 +675,12 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     ``_class_leaders``) is looked at: the groups of a class are
     isomorphic, so a later member would add no divisor, and the first
     idempotent giving each divisor is still a class leader.  The rest of
-    the class reuses the leader's order.  A leader's group H is built
-    and searched only when it can add a divisor: when |H| is at most
-    ``cap``, is an order at which every group is solvable, and has only
+    the class reuses the leader's order.  A leader above ``cap`` is
+    refused as soon as its units give |H|, before its group is built.
+    Otherwise H is built and searched only when it can add a divisor:
+    when |H| is an order at which every group is solvable and has only
     primes p whose C_p is already found, the divisors of H are those C_p
-    (Cauchy) and it is skipped.  A leader above ``cap`` is always built,
-    and refused.  Cached per set of maps, which automata with different
+    (Cauchy) and it is skipped.  Cached per set of maps, which automata with different
     letters can share, so the witnesses name their idempotent by index
     only."""
     key = (m.element_key(), cap)
@@ -695,9 +694,9 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     for e in sorted(set(leaders)):
         units = _units_at(m, e)
         n = order_of[e] = len(units)
+        _check_cap(n, cap)
         # the simple divisors of prime order p in ``out`` are the C_p
-        if n <= cap and _surely_solvable(n) and \
-                set(_prime_factors(n)) <= {fp.order for fp in out}:
+        if _surely_solvable(n) and set(_prime_factors(n)) <= {fp.order for fp in out}:
             continue
         h = maximal_subgroup_at(m, e, units)
         for fp, w in _group_divisors_with_witnesses(h, cap).items():

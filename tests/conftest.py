@@ -57,6 +57,48 @@ def entails_sized_automaton() -> Automaton:
     return Automaton(13, ("a", "b", "c"), ENTAILS_SIZED_DELTA)
 
 
+def _gf4_mul(a: int, b: int) -> int:
+    """Product in GF(4) = GF(2)[w]/(w^2 + w + 1), elements as bit pairs
+    (2 is w, 3 is w^2 = w + 1); addition is xor."""
+    p = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+    return p ^ 0b111 if p & 4 else p
+
+
+def asl24_automaton() -> Automaton:
+    """ASL(2,4) = 2^4:SL(2,4), order 960 and perfect, acting on the 16
+    vectors (a, b) of GF(4)^2, vector (a, b) being state 4a + b + 1.  The
+    letters are the translation by (1, 0) and SL(2,4)'s [[1,1],[0,1]],
+    [[0,1],[1,0]] and diag(w, w^2)."""
+    maps = (
+        lambda a, b: (a ^ 1, b),
+        lambda a, b: (a ^ b, b),
+        lambda a, b: (b, a),
+        lambda a, b: (_gf4_mul(2, a), _gf4_mul(3, b)),
+    )
+    gens = [tuple(4 * x + y + 1 for x, y in (f(a, b) for a in range(4) for b in range(4)))
+            for f in maps]
+    return permutation_automaton(gens)
+
+
+def psl213_automaton() -> Automaton:
+    """PSL(2,13), order 1092, on the 14 points of the projective line over
+    GF(13): x is state x + 1 and infinity is state 14.  The letters are
+    x -> x + 1, x -> 4x (4 generates the nonzero squares) and x -> -1/x."""
+    inf = 13
+
+    def shift(x):
+        return inf if x == inf else (x + 1) % 13
+
+    def scale(x):
+        return inf if x == inf else 4 * x % 13
+
+    def invert(x):
+        return 0 if x == inf else inf if x == 0 else -pow(x, -1, 13) % 13
+
+    return permutation_automaton([tuple(f(x) + 1 for x in range(14))
+                                  for f in (shift, scale, invert)])
+
+
 def _cycle(n: int, k: int = 1) -> tuple:
     return tuple((s + k) % n + 1 for s in range(n))
 

@@ -3,9 +3,11 @@ library.  They build the full product table of a monoid where
 ``fpal.algebra`` composes maps on demand, they enumerate directly what
 ``fpal.algebra`` derives from the maximal subgroups, and they build
 explicit subgroup and quotient tables where ``fpal.algebra`` reads
-sections off one subgroup lattice, and they scan the whole subgroup
-lattice for divisor witnesses where ``fpal.algebra`` uses Cauchy's
-theorem and the solvable residual, and they search the maximal subgroup
+sections off index sets, they list the whole subgroup lattice and filter
+it for normal subgroups where ``fpal.algebra`` joins conjugacy classes,
+and they scan that lattice for divisor witnesses where ``fpal.algebra``
+uses Cauchy's theorem, the solvable residual and its 2-generated
+subgroups, and they search the maximal subgroup
 at every image/kernel class leader where ``fpal.algebra`` skips those
 that can add no divisor; the tests replay the fast routes against
 them.  For the model checker they check an equation one
@@ -29,9 +31,9 @@ from fpal.algebra import (
     _class_leaders,
     _group_divisors_with_witnesses,
     _IdempotentWalk,
-    _maximal_normals,
+    _check_cap,
+    _join,
     _section_id,
-    all_subgroup_sets,
     idempotents,
     maximal_subgroup_at,
 )
@@ -70,6 +72,14 @@ def product_table(m: TransformationMonoid) -> np.ndarray:
     return table
 
 
+def is_associative(g: FiniteGroup) -> bool:
+    """Whether the table of ``g`` is associative, by checking every triple;
+    cubic, so only sensible for small orders."""
+    t = g.table
+    return all(t[ab] == tuple(row[bc] for bc in t[b])
+               for row in t for b, ab in enumerate(row))
+
+
 def table_idempotents(table: np.ndarray) -> list:
     return [i for i in range(len(table)) if table[i, i] == i]
 
@@ -83,6 +93,73 @@ def closure(table: np.ndarray, seed) -> tuple:
         if merged.size == cur.size:
             return tuple(int(v) for v in cur)
         cur = merged
+
+
+_lattices: dict = {}
+
+
+def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
+    """Every subgroup, as a sorted tuple of element indices, in (size,
+    element set) order, remembered per group table.  Subgroups are
+    generated by repeatedly joining with cyclic subgroups, which reaches
+    everything because each subgroup is reachable from a maximal chain.
+    During the search a subgroup is an integer bitmask over the elements,
+    kept with its element list and the generators it was built from."""
+    _check_cap(g.order, cap)
+    cached = _lattices.get(g.table)
+    if cached is not None:
+        return cached
+    rows, cols, e = g.table, g.cols, g.identity
+    found = {}  # mask -> (elements, generators)
+    for x in range(g.order):
+        elems, mask, y = [e], 1 << e, x
+        while y != e:
+            elems.append(y)
+            mask |= 1 << y
+            y = rows[y][x]
+        found.setdefault(mask, (elems, (x,)))
+    cyclic_gens = [gens[0] for _, gens in found.values()]
+    queue = deque(found)
+    while queue:
+        h = queue.popleft()
+        h_elems, h_gens = found[h]
+        # <H, x> = <H, y> for every y in Hx or xH: mark those as done
+        done = h
+        for x in cyclic_gens:
+            if done >> x & 1:
+                continue
+            row, col = rows[x], cols[x]
+            for y in h_elems:
+                done |= 1 << row[y] | 1 << col[y]
+            gens = h_gens + (x,)
+            k, k_elems = _join(rows, cols, e, h, h_elems, gens)
+            if k not in found:
+                found[k] = (k_elems, gens)
+                queue.append(k)
+    out = sorted((tuple(sorted(elems)) for elems, _ in found.values()),
+                 key=lambda t: (len(t), t))
+    _lattices[g.table] = tuple(out)
+    return _lattices[g.table]
+
+
+def maximal_normals_in_lattice(g: FiniteGroup, subs, k) -> list:
+    """The maximal proper normal subgroups of the subgroup ``k`` of ``g``,
+    in the order of ``subs``, the subgroup lattice of ``g``: the members
+    of ``subs`` properly inside ``k`` that every element of ``k``
+    normalizes, less those inside a larger one.  The reference for
+    ``fpal.algebra._maximal_normals``."""
+    k_set = set(k)
+    table, inv = g.table, g.inverse
+    normals = []
+    for n in subs:
+        if len(n) >= len(k) or not k_set.issuperset(n):
+            continue
+        n_set = set(n)
+        # x y x^-1 for every x in K and y in N
+        if all(table[table[x][y]][inv[x]] in n_set for x in k for y in n):
+            normals.append(n)
+    return [n for i, n in enumerate(normals)
+            if not any(set(n) < set(m) for m in normals[i + 1:])]
 
 
 def subgroup_sets(g: FiniteGroup) -> list:
@@ -291,7 +368,7 @@ def group_divisors_with_witnesses(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CA
     subs = all_subgroup_sets(g, cap)
     witnesses: dict = {}
     for k in subs:
-        for n in _maximal_normals(g, subs, k):
+        for n in maximal_normals_in_lattice(g, subs, k):
             fp = _section_id(g, k, n)
             if fp not in witnesses:
                 witnesses[fp] = DivisorWitness(

@@ -11,12 +11,12 @@ from conftest import (
     full_transformations,
     group_plus_extensive,
     permutation_automaton,
+    psl213_automaton,
 )
 from fpal import algebra, cli, entailment
 from fpal.algebra import (
     FiniteGroup,
     SimpleGroupId,
-    all_subgroup_sets,
     composition_factors,
     cyclic_group,
     divides,
@@ -35,6 +35,7 @@ from fpal.automaton import Automaton, counter, full_T2, symmetric_automaton, to_
 from fpal.errors import CapExceededError
 import oracle
 from oracle import (
+    all_subgroup_sets,
     group_from_monoid_indices,
     group_subsemigroups,
     simple_divisors_monoid_bruteforce,
@@ -60,6 +61,11 @@ def alternating4() -> FiniteGroup:
 
 def alternating5() -> FiniteGroup:
     return group_from_permutations([(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)])
+
+
+def alternating6() -> FiniteGroup:
+    """A_6 = <(1 2 3), (2 3 4 5 6)>, order 360."""
+    return group_from_permutations([(2, 3, 1, 4, 5, 6), (1, 3, 4, 5, 6, 2)])
 
 
 def names(ids) -> list:
@@ -129,7 +135,7 @@ def test_cyclic_group_structure():
     assert c6.order == 6
     assert c6.is_abelian()
     assert sorted(c6.element_orders()) == [1, 2, 3, 3, 6, 6]
-    assert c6.check_associative()
+    assert oracle.is_associative(c6)
 
 
 def test_group_from_permutations_closure():
@@ -153,8 +159,9 @@ def test_group_validation_rejects_non_group():
 
 
 def test_group_tables_are_immutable():
-    # a group is checked once, when built, and its table keys the
-    # subgroup cache, so neither may change under the caller
+    # a group built through FiniteGroup is checked once, when built, and
+    # its table keys the oracle's lattice cache, so neither may change
+    # under the caller
     g = cyclic_group(2)
     for target, index in ((g.table, (0, 0)), (g.table, 0), (g.table[0], 0), (g.inverse, 0)):
         with pytest.raises(TypeError):
@@ -163,8 +170,8 @@ def test_group_tables_are_immutable():
 
 
 def test_groups_built_without_checks_pass_them(monkeypatch, corpus_monoids):
-    # maximal subgroups and solvable residuals are groups by construction
-    # and skip FiniteGroup's checks; each must pass them all the same
+    # maximal subgroups are groups by construction and skip FiniteGroup's
+    # checks; each must pass them all the same
     known = FiniteGroup._known.__func__
     built = []
 
@@ -173,7 +180,7 @@ def test_groups_built_without_checks_pass_them(monkeypatch, corpus_monoids):
         ref = FiniteGroup(rows, labels)
         assert (g.table, g.cols, g.identity, g.inverse, g.labels) == (
             ref.table, ref.cols, ref.identity, ref.inverse, ref.labels)
-        assert g.order > 60 or g.check_associative()
+        assert g.order > 60 or oracle.is_associative(g)
         built.append(g.order)
         return g
 
@@ -186,9 +193,12 @@ def test_groups_built_without_checks_pass_them(monkeypatch, corpus_monoids):
             maximal_subgroup_at(m, e)
             count += 1
     assert len(built) == count
+    # the divisor search reads subgroups as index sets of the group it is
+    # given, and builds no table of its own, not even for a residual
+    # larger than A_5
     built.clear()
-    simple_divisors_group(direct_product(psl27(), cyclic_group(2)))
-    assert built == [168]
+    assert len(simple_divisors_group(direct_product(psl27(), cyclic_group(2)))) == 4
+    assert built == []
 
 
 # The subgroup and quotient tables live in the oracle, the reference for
@@ -354,27 +364,39 @@ def psl27() -> FiniteGroup:
     return group_from_permutations(PSL27_GENERATORS)
 
 
-def test_one_subgroup_lattice_per_group(monkeypatch):
+def test_normal_subgroups_come_from_one_routine(monkeypatch):
+    # no subgroup lattice is listed: composition factors, simplicity and
+    # nonabelian witnesses all read _maximal_normals, once per factor of
+    # the series, once per simplicity test, and only on subgroups of a
+    # residual larger than A_5 in the divisor search
+    assert not hasattr(algebra, "all_subgroup_sets")
     calls = []
 
-    def counted(g, cap=algebra.DEFAULT_SUBGROUP_CAP):
-        calls.append(g.order)
-        return all_subgroup_sets(g, cap)
+    def counted(g, k):
+        calls.append(len(k))
+        return maximal_normals(g, k)
 
-    monkeypatch.setattr(algebra, "all_subgroup_sets", counted)
+    maximal_normals = algebra._maximal_normals
+    monkeypatch.setattr(algebra, "_maximal_normals", counted)
     # every group of the corpus has a trivial residual or A_5, as do S5 and
     # A5 x C2; PSL(2,7) is its own residual, and the residual of
-    # PSL(2,7) x C2 is PSL(2,7), whose lattice alone is searched
-    searched = [(g, []) for g in group_corpus()]
-    searched += [(symmetric_group(5), []), (direct_product(alternating5(), cyclic_group(2)), []),
-                 (psl27(), [168]), (direct_product(psl27(), cyclic_group(2)), [168])]
-    for g, divisor_calls in searched:
+    # PSL(2,7) x C2 is PSL(2,7)
+    searched = [(g, False) for g in group_corpus()]
+    searched += [(symmetric_group(5), False),
+                 (direct_product(alternating5(), cyclic_group(2)), False),
+                 (psl27(), True), (direct_product(psl27(), cyclic_group(2)), True)]
+    for g, nonabelian_search in searched:
         calls.clear()
-        composition_factors(g)
+        factors = composition_factors(g)
+        assert len(calls) == len(factors)
+        assert calls[:1] == ([g.order] if g.order > 1 else [])
+        calls.clear()
+        is_simple(g)
         assert calls == [g.order]
         calls.clear()
         algebra._group_divisors_with_witnesses(g, algebra.DEFAULT_SUBGROUP_CAP)
-        assert calls == divisor_calls
+        assert bool(calls) == nonabelian_search
+        assert all(n <= 168 for n in calls)
 
 
 # -- divisors -------------------------------------------------------------------
@@ -447,11 +469,24 @@ def test_divisor_witnesses_match_the_lattice_scan():
         direct_product(alternating5(), cyclic_group(2)),
         psl27(),
         direct_product(psl27(), cyclic_group(2)),
+        alternating6(),
     ] + [maximal_subgroup_at(t5, e) for e in idempotents(t5)]
     for g in groups:
         got = algebra._group_divisors_with_witnesses(g, algebra.DEFAULT_SUBGROUP_CAP)
         assert list(got.items()) == list(oracle.group_divisors_with_witnesses(g).items()), g.order
-    assert len(groups) == len(group_corpus()) + 4 + 196
+    assert len(groups) == len(group_corpus()) + 5 + 196
+
+
+def test_maximal_normals_match_the_lattice_filter():
+    # normal subgroups from class joins against the filter of the whole
+    # subgroup lattice, on every subgroup k
+    checked = 0
+    for g in group_corpus() + [alternating6()]:
+        subs = oracle.all_subgroup_sets(g)
+        for k in subs:
+            assert algebra._maximal_normals(g, k) == oracle.maximal_normals_in_lattice(g, subs, k)
+            checked += 1
+    assert checked == sum(len(oracle.all_subgroup_sets(g)) for g in group_corpus()) + 501
 
 
 def test_solvable_residuals():
@@ -579,8 +614,29 @@ def test_a_leader_above_the_cap_is_refused_though_its_primes_are_found(
         "error[cap-exceeded]: subgroup enumeration cap 23 exceeded by group of order 24\n")
 
 
+def test_a_leader_above_the_cap_is_refused_before_its_group_is_built(
+        tmp_path, capsys, monkeypatch):
+    # PSL(2,13) on 14 points has order 1092, above the default cap 1024;
+    # its order is known from its units, so its 1092 x 1092 table is
+    # never built
+    built = count_builds(monkeypatch)
+    monkeypatch.setattr(entailment, "_divisor_tables", {})
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    q = psl213_automaton()
+    message = "subgroup enumeration cap 1024 exceeded by group of order 1092"
+    with pytest.raises(CapExceededError) as refused:
+        algebra.algebra_report(transition_monoid(q))
+    assert str(refused.value) == message
+    path = tmp_path / "psl213.json"
+    path.write_text(json.dumps(to_dict(q)))
+    assert cli.main(["divisors", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error[cap-exceeded]: {message}\n")
+    assert built == []
+
+
 def test_prime_factors_match_sympy():
-    from sympy import factorint
+    factorint = pytest.importorskip("sympy").factorint
 
     assert algebra._prime_factors(1) == []
     for n in range(2, 5001):
@@ -731,17 +787,10 @@ def test_cached_walk_keeps_each_automatons_witness_words():
 
 def test_caches_are_bounded(monkeypatch):
     monkeypatch.setattr(algebra, "MONOID_CACHE_SIZE", 2)
-    monkeypatch.setattr(algebra, "SUBGROUP_CACHE_SIZE", 3)
     monkeypatch.setattr(algebra, "_walk_cache", {})
-    monkeypatch.setattr(algebra, "_subgroup_cache", {})
     for n in range(2, 7):
         assert simple_divisors_monoid(transition_monoid(counter(n)))
     assert len(algebra._walk_cache) == 2
-    # solvable groups need no lattice for their divisors; composition
-    # factors still search one per group
-    for n in range(2, 7):
-        assert composition_factors(cyclic_group(n))
-    assert len(algebra._subgroup_cache) == 3
     # the per-automaton divisor tables of entailment share the monoid bound
     monkeypatch.setattr(entailment, "_divisor_tables", {})
     for n in range(2, 7):

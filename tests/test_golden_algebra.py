@@ -7,7 +7,9 @@ sections were read off one subgroup lattice (no subgroup or quotient
 tables); ``subgroup_lattices.json`` was recorded before the lattice
 search moved from numpy index arrays to integer bitsets;
 ``divisors_cli.json`` was recorded while every maximal subgroup still had
-its whole subgroup lattice searched.  The monoid and divisor output of
+its whole subgroup lattice searched, and ``divisors_cli_large.json`` while
+the solvable residual of a maximal subgroup still had its lattice
+searched.  The monoid and divisor output of
 the CLI, the entailment reports, the group divisors with their witnesses
 and the subgroup lattices must stay identical.
 Rerun this module as a script to rewrite them from the current code.
@@ -16,16 +18,23 @@ Rerun this module as a script to rewrite them from the current code.
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
+from unittest import mock
 
 import pytest
 
-from conftest import alternating5_automaton, full_transformations, random_automaton
+from conftest import (
+    alternating5_automaton,
+    asl24_automaton,
+    full_transformations,
+    psl213_automaton,
+    random_automaton,
+)
 from fpal.algebra import (
     DEFAULT_SUBGROUP_CAP,
     _group_divisors_with_witnesses,
-    all_subgroup_sets,
     composition_factors,
 )
 from fpal.automaton import (
@@ -39,6 +48,7 @@ from fpal.automaton import (
 from fpal import entailment
 from fpal.cli import main
 from fpal.entailment import entails
+from oracle import all_subgroup_sets
 from test_algebra import automaton_groups, group_corpus
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -46,6 +56,7 @@ CLI_GOLDEN = GOLDEN / "algebra_cli.json"
 ENTAILS_GOLDEN = GOLDEN / "entails.json"
 GROUPS_GOLDEN = GOLDEN / "group_divisors.json"
 DIVISORS_GOLDEN = GOLDEN / "divisors_cli.json"
+LARGE_DIVISORS_GOLDEN = GOLDEN / "divisors_cli_large.json"
 LATTICES_GOLDEN = GOLDEN / "subgroup_lattices.json"
 
 RANDOM_SEEDS = (0, 3, 5, 9, 11)
@@ -83,17 +94,42 @@ def divisors_inputs() -> dict:
     }
 
 
+def large_divisors_inputs() -> dict:
+    """Automata whose group has a perfect residual far above A_5, with the
+    ``FPAL_CONFIG`` settings each runs under: ASL(2,4) (order 960, under
+    the default cap), S6 (residual A_6) and PSL(2,13) (order 1092, with
+    the cap raised to it)."""
+    return {
+        "ASL(2,4)": (asl24_automaton(), None),
+        "S6": (symmetric_automaton(6), None),
+        "PSL(2,13) cap 1092": (psl213_automaton(), {"subgroup_cap": 1092}),
+    }
+
+
+def divisors_cli_output(q: Automaton, tmp_path, config=None) -> dict:
+    """Stdout, stderr and exit code of ``fpal divisors`` on ``q``, with
+    ``FPAL_CONFIG`` naming a file that holds ``config``, or unset."""
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(to_dict(q)))
+    env = {k: v for k, v in os.environ.items() if k != "FPAL_CONFIG"}
+    if config is not None:
+        env["FPAL_CONFIG"] = str(tmp_path / "config.json")
+        pathlib.Path(env["FPAL_CONFIG"]).write_text(json.dumps(config))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(["divisors", str(path)])
+    return {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "exit": code}
+
+
 def divisors_cli_outputs(tmp_path) -> dict:
-    """Stdout, stderr and exit code of ``fpal divisors`` per input."""
-    out = {}
-    for name, q in divisors_inputs().items():
-        path = tmp_path / "q.json"
-        path.write_text(json.dumps(to_dict(q)))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["divisors", str(path)])
-        out[name] = {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "exit": code}
-    return out
+    """``divisors_cli_output`` per input."""
+    return {name: divisors_cli_output(q, tmp_path) for name, q in divisors_inputs().items()}
+
+
+def large_divisors_cli_outputs(tmp_path) -> dict:
+    return {name: divisors_cli_output(q, tmp_path, config)
+            for name, (q, config) in large_divisors_inputs().items()}
 
 
 def split_cycles() -> InitializedAutomaton:
@@ -181,6 +217,8 @@ def test_golden_divisors_of_nonsolvable_automata(tmp_path, monkeypatch):
     monkeypatch.delenv("FPAL_CONFIG", raising=False)
     got = json.dumps(divisors_cli_outputs(tmp_path), indent=2) + "\n"
     assert got == DIVISORS_GOLDEN.read_text()
+    got = json.dumps(large_divisors_cli_outputs(tmp_path), indent=2) + "\n"
+    assert got == LARGE_DIVISORS_GOLDEN.read_text()
 
 
 @pytest.mark.parametrize("label", list(entails_queries()))
@@ -220,5 +258,7 @@ if __name__ == "__main__":
         GROUPS_GOLDEN.write_text(json.dumps(group_outputs(pathlib.Path(tmp)), indent=2) + "\n")
         DIVISORS_GOLDEN.write_text(
             json.dumps(divisors_cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
+        LARGE_DIVISORS_GOLDEN.write_text(
+            json.dumps(large_divisors_cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
     ENTAILS_GOLDEN.write_text(json.dumps(entails_outputs(), indent=2) + "\n")
     LATTICES_GOLDEN.write_text(lattice_text())
