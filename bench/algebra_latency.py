@@ -1,7 +1,9 @@
 """Best-of-N latencies of fpal's algebra engine, timed in process.
 
 Times ``fpal divisors`` (``fpal.cli.main``, stdout discarded) on the A5,
-S4, T4, S5, T5, PSL(2,7), S6 and ASL(2,4) automata, ``algebra_report``
+S4, T4, S5, T5, PSL(2,7), S6 and ASL(2,4) automata and on counter(300)
+and counter(210), whose groups are cyclic of orders with three and four
+primes, ``fpal monoid`` on counter(6), ``algebra_report``
 on the PSL(2,13) automaton with the subgroup cap raised to its order
 1092 and at the default cap (1024), where it is refused,
 ``composition_factors`` on PSL(2,7), ``symmetric_group(6)``, and
@@ -27,7 +29,7 @@ each tree in turn, the first tree going first on even samples and last on
 odd ones, so drift of the machine over the run reaches both trees alike::
 
     python3 bench/algebra_latency.py --tree parent=../parent/src \\
-        --tree change=src --out BENCH_12.json
+        --tree change=src --out BENCH_13.json
 
 The output holds ``nproc``, the Python version, and per tree the best
 seconds of every item and the line count of its ``fpal`` package.
@@ -103,7 +105,7 @@ def full_transformations(n: int):
 
 
 def automata() -> dict:
-    from fpal.automaton import symmetric_automaton
+    from fpal.automaton import counter, symmetric_automaton
 
     return {
         "A5": from_generators(A5_GENERATORS),
@@ -114,6 +116,8 @@ def automata() -> dict:
         "PSL(2,7)": from_generators(PSL27_GENERATORS),
         "S6": symmetric_automaton(6),
         "ASL(2,4)": from_generators(ASL24_GENERATORS),
+        "counter(300)": counter(300),
+        "counter(210)": counter(210),
     }
 
 
@@ -185,7 +189,7 @@ def items(tmp: str) -> dict:
     """Item name -> a function taking one sample of it, in seconds, for the
     fpal found on ``sys.path``.  Whole-run items are named ``cli ...``."""
     from fpal import algebra, cli, entailment
-    from fpal.automaton import Automaton, to_dict
+    from fpal.automaton import Automaton, counter, to_dict
 
     out = {}
     for name, q in automata().items():
@@ -198,6 +202,15 @@ def items(tmp: str) -> dict:
                     raise RuntimeError(f"fpal divisors failed on {name}")
 
         out[f"divisors {name}"] = lambda run=divisors: sample(run)
+    c6 = os.path.join(tmp, "c6.json")
+    pathlib.Path(c6).write_text(json.dumps(to_dict(counter(6))))
+
+    def monoid_c6():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(["monoid", c6]) != 0:
+                raise RuntimeError("fpal monoid failed on counter(6)")
+
+    out["monoid c6"] = lambda: sample(monoid_c6)
     out["cli fpal --help"] = lambda: cli_run(["--help"])
     s4 = os.path.join(tmp, "S4.json")
     out["cli fpal divisors S4"] = lambda: cli_run(["divisors", s4])

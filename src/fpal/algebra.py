@@ -11,10 +11,11 @@ the idempotents of M.  Idempotents with the same image or the same kernel
 have isomorphic maximal subgroups, so one H is looked at per class of
 them.  The cyclic divisors C_p of H are the primes p dividing |H|
 (Cauchy).  A group of order under 60, or of an order with at most two
-primes (Burnside), is solvable and has no other divisor, so such an H
-whose C_p are all found already adds nothing and is not built.  Each H
-that is built is an explicit table, its subgroups index sets into that
-table.  Normal subgroups are joins of the subgroups that conjugacy
+primes (Burnside), is solvable, and a cyclic group is abelian; neither
+has another divisor, so for such an H the C_p are read off the powers of
+its units, composed as maps, and no table is built.  Every other H is
+built as an explicit table, its subgroups index sets into that table.
+Normal subgroups are joins of the subgroups that conjugacy
 classes generate, so no subgroup lattice is ever listed.  A nonabelian
 divisor is a quotient of a perfect subgroup, which lies in the solvable
 residual of H, found from the classes of commutators: a trivial residual
@@ -501,29 +502,34 @@ def _surely_solvable(n: int) -> bool:
     return n < 60 or len(_prime_factors(n)) <= 2
 
 
-def _least_cyclic_subgroups(g: FiniteGroup) -> dict:
-    """For each prime p dividing |G|, the least subgroup of order p as a
-    sorted index tuple: by Cauchy there is one, and as two of them meet
-    only in the identity, it is the first one met, walking up from the
-    least element.  Each cyclic subgroup is walked once: the powers x^j
-    with j prime to the order of x generate the same subgroup as x."""
-    rows, e = g.table, g.identity
+def _least_cyclic_subgroups(members, step, e: int, need, until_generator: bool = False) -> tuple:
+    """For each prime p in ``need``, the least subgroup of order p of the
+    group with elements ``members`` (ascending), identity e and product
+    ``step(y, x)`` = yx, as a sorted tuple: by Cauchy there is one when p
+    divides the order, and as two of them meet only in the identity, it
+    is the first one met, walking up from the least element.  Each cyclic
+    subgroup is walked once: the powers x^j with j prime to the order of x
+    generate the same subgroup as x.  Also whether some element generates
+    the group; the walk stops once every p is met and, with
+    ``until_generator``, a generator too."""
     least: dict = {}
-    done = 1 << e
-    for x in range(g.order):
-        if done >> x & 1:
+    done, left, cyclic = set(), set(need), False
+    for x in members:
+        if not left and (cyclic or not until_generator):
+            break
+        if x in done:
             continue
         elems, y = [e], x
         while y != e:
             elems.append(y)
-            y = rows[y][x]
+            y = step(y, x)
         n = len(elems)
-        for j, y in enumerate(elems):
-            if gcd(j, n) == 1:
-                done |= 1 << y
-        if n not in least and _is_prime(n):
+        done.update(y for j, y in enumerate(elems) if gcd(j, n) == 1)
+        if n in left:
+            left.discard(n)
             least[n] = tuple(sorted(elems))
-    return least
+        cyclic = cyclic or n == len(members)
+    return least, cyclic
 
 
 def _solvable_residual(g: FiniteGroup) -> list | None:
@@ -600,9 +606,10 @@ def _group_divisors_with_witnesses(g: FiniteGroup, cap: int) -> dict:
     subgroups of R are searched.  Groups above ``cap`` are refused,
     whichever route they would take."""
     _check_cap(g.order, cap)
-    e = g.identity
-    found = {_section_id(g, k, (e,)): (k, (e,))
-             for k in _least_cyclic_subgroups(g).values()}
+    rows, e = g.table, g.identity
+    least, _ = _least_cyclic_subgroups(range(g.order), lambda y, x: rows[y][x], e,
+                                       _prime_factors(g.order))
+    found = {_section_id(g, k, (e,)): (k, (e,)) for k in least.values()}
     residual = _solvable_residual(g)
     if residual is not None and len(residual) == 60:
         k = tuple(sorted(residual))
@@ -677,12 +684,12 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     idempotent giving each divisor is still a class leader.  The rest of
     the class reuses the leader's order.  A leader above ``cap`` is
     refused as soon as its units give |H|, before its group is built.
-    Otherwise H is built and searched only when it can add a divisor:
-    when |H| is an order at which every group is solvable and has only
-    primes p whose C_p is already found, the divisors of H are those C_p
-    (Cauchy) and it is skipped.  Cached per set of maps, which automata with different
-    letters can share, so the witnesses name their idempotent by index
-    only."""
+    When every group of order |H| is solvable, or H is cyclic, the
+    divisors of H are the C_p for the primes p dividing |H| (Cauchy): the
+    C_p not found yet are read off the powers of the units, and no table
+    is built.  Only the other H are built and searched.  Cached per set of
+    maps, which automata with different letters can share, so the
+    witnesses name their idempotent by index only."""
     key = (m.element_key(), cap)
     cached = _walk_cache.get(key)
     if cached is not None:
@@ -696,7 +703,12 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
         n = order_of[e] = len(units)
         _check_cap(n, cap)
         # the simple divisors of prime order p in ``out`` are the C_p
-        if _surely_solvable(n) and set(_prime_factors(n)) <= {fp.order for fp in out}:
+        need = set(_prime_factors(n)) - {fp.order for fp in out}
+        solvable = _surely_solvable(n)
+        least, cyclic = _least_cyclic_subgroups(units, m.product, e, need, not solvable)
+        if solvable or cyclic:
+            for p, k in least.items():
+                out[SimpleGroupId(p, (1,) + (p,) * (p - 1), f"C_{p}")] = DivisorWitness(k, (e,), e)
             continue
         h = maximal_subgroup_at(m, e, units)
         for fp, w in _group_divisors_with_witnesses(h, cap).items():

@@ -57,7 +57,8 @@ BLOCK = 32
 BLOCK_ENTRIES = 1024
 
 # Cache bounds.  A run checks over a few posets at a few arities each, and
-# count_monotone is keyed by the cap as well.
+# count_monotone is keyed by the cap as well.  The pools of exhaustive
+# checks share the poset bound.
 _POSET_CACHE_SIZE = 16
 _PLAN_CACHE_SIZE = 64
 _COUNT_CACHE_SIZE = 256
@@ -253,6 +254,18 @@ def _upper_bounds(poset: PosetModel) -> _UpperBounds:
     return _UpperBounds(poset)
 
 
+@lru_cache(maxsize=_POSET_CACHE_SIZE)
+def _height(poset: PosetModel) -> int:
+    return poset.height()
+
+
+@lru_cache(maxsize=_POSET_CACHE_SIZE)
+def _monotone_pool(poset: PosetModel, arity: int) -> tuple:
+    """Every monotone table P^arity -> P as a tuple, in the order of
+    ``_monotone_tables``."""
+    return tuple(map(tuple, _monotone_tables(poset, arity)))
+
+
 def _monotone_tables(poset: PosetModel, arity: int):
     """Yield every monotone table P^arity -> P as a fresh list, by a
     depth-first search along the fill plan that tries each point's
@@ -404,7 +417,7 @@ def lfp(fn: TableFn, params=()) -> int:
         c = c * poset.size + v
     # the body at these parameters alone, x -> fn(x, params), as a block of one
     at_params = fn.table[c::poset.size ** len(params)]
-    return _fixed_points(poset, 1, 0, poset.height(), _Offsets())(at_params, 1)[0]
+    return _fixed_points(poset, 1, 0, _height(poset), _Offsets())(at_params, 1)[0]
 
 
 def _compile(m: Morphism, poset: PosetModel, height: int, slots: dict,
@@ -519,7 +532,7 @@ def eval_morphism(m: Morphism, interp: Interpretation) -> TableFn:
         slots[name] = len(tables)
         tables.append(fn.table)
     poset = interp.poset
-    table = _as_run(*_compile(m, poset, poset.height(), slots, _Offsets()))(tables, 1)
+    table = _as_run(*_compile(m, poset, _height(poset), slots, _Offsets()))(tables, 1)
     return TableFn(poset, m.source, m.target, table)
 
 
@@ -638,11 +651,10 @@ def check_equation(
         )
     else:
         seed = None
-        pools = [list(_monotone_tables(poset, s.in_arity)) for s in eq.symbols]
-        interpretations = iproduct(*pools)
+        interpretations = iproduct(*(_monotone_pool(poset, s.in_arity) for s in eq.symbols))
 
     slots = {s.name: k for k, s in enumerate(eq.symbols)}
-    height = poset.height()
+    height = _height(poset)
     offsets = _Offsets()
     lhs = _as_run(*_compile(eq.lhs, poset, height, slots, offsets))
     rhs = _as_run(*_compile(eq.rhs, poset, height, slots, offsets))

@@ -44,6 +44,13 @@ def alternating5_automaton() -> Automaton:
     return permutation_automaton([(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)])
 
 
+def c2_times_c30_automaton() -> Automaton:
+    """One letter swaps states 1 and 2, the other cycles states 3-32: the
+    group C_2 x C_30, of order 60 with three primes, and not cyclic."""
+    return permutation_automaton([(2, 1) + tuple(range(3, 33)),
+                                  (1, 2) + tuple(range(4, 33)) + (3,)])
+
+
 # S3 on states 1-3 beside an extensive automaton on states 4-13 (every
 # letter moves a state up or leaves it): monoid order 77, 7 idempotents.
 # The 13-state automaton that bench/algebra_latency.py times.

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from conftest import (
     STREAM_GROUPS,
     alternating5_automaton,
+    c2_times_c30_automaton,
     entails_sized_automaton,
     full_transformations,
     group_plus_extensive,
@@ -524,11 +526,11 @@ def count_builds(monkeypatch) -> list:
 
 
 def test_one_maximal_subgroup_per_image_kernel_class(monkeypatch):
-    # T_n has one class per rank, with groups S_n, ..., S_2, 1; the walk
-    # builds S_2 (C_2), S_3 (C_3) and, in T5, S_5 (C_5 and A_5), and skips
-    # the trivial group and S_4, which is solvable with C_2 and C_3 found
+    # T_n has one class per rank, with groups S_n, ..., S_2, 1; S_2, S_3
+    # and S_4 are solvable by their order, so their C_2 and C_3 are read
+    # off their units; the walk builds only S_5 in T5 (C_5 and A_5)
     built = count_builds(monkeypatch)
-    for n, groups in ((4, [2, 6]), (5, [2, 6, 120])):
+    for n, groups in ((4, []), (5, [120])):
         m = transition_monoid(full_transformations(n))
         built.clear()
         report = algebra.algebra_report(m)
@@ -554,11 +556,17 @@ def a5_after_c30() -> Automaton:
 
 @pytest.mark.parametrize("q, orders, built_orders, divisors", [
     # S3 beside an extensive automaton: 7 idempotents, each its own class,
-    # with groups 1, 1, C2, C3, S3, C3, S3; only C2 and the first C3 are
-    # built, and S3 adds nothing to them
-    (entails_sized_automaton(), [1, 1, 2, 3, 6, 3, 6], [2, 3], ["C_2", "C_3"]),
-    # A_5 is not solvable, so it is built though C_30 gave its primes
-    (a5_after_c30(), [30, 60], [30, 60], ["C_2", "C_3", "C_5", "A_5"]),
+    # with groups 1, 1, C2, C3, S3, C3, S3, all solvable by their order:
+    # none is built
+    (entails_sized_automaton(), [1, 1, 2, 3, 6, 3, 6], [], ["C_2", "C_3"]),
+    # C_30 is cyclic, so its primes need no table; A_5 is not solvable,
+    # so it is built though C_30 gave its primes
+    (a5_after_c30(), [30, 60], [60], ["C_2", "C_3", "C_5", "A_5"]),
+    # cyclic groups of orders with three and four primes, and C_2 x C_30,
+    # of order 60 with three primes and not cyclic, which is built
+    (counter(300), [300], [], ["C_2", "C_3", "C_5"]),
+    (counter(210), [210], [], ["C_2", "C_3", "C_5", "C_7"]),
+    (c2_times_c30_automaton(), [60], [60], ["C_2", "C_3", "C_5"]),
 ])
 def test_walk_builds_only_groups_that_can_add_a_divisor(monkeypatch, q, orders, built_orders,
                                                         divisors):
@@ -571,7 +579,8 @@ def test_walk_builds_only_groups_that_can_add_a_divisor(monkeypatch, q, orders, 
 
 def walk_inputs(corpus_monoids) -> list:
     big = [full_transformations(4), full_transformations(5), symmetric_automaton(5),
-           permutation_automaton(PSL27_GENERATORS), entails_sized_automaton(), a5_after_c30()]
+           permutation_automaton(PSL27_GENERATORS), entails_sized_automaton(), a5_after_c30(),
+           counter(60), counter(210), c2_times_c30_automaton()]
     stream = [group_plus_extensive(name) for name in STREAM_GROUPS]
     return corpus_monoids + [transition_monoid(q) for q in big + stream]
 
@@ -585,8 +594,40 @@ def test_walk_matches_the_every_leader_reference(monkeypatch, corpus_monoids):
     for m, (report, witnesses) in zip(monoids, fast):
         assert report == algebra.algebra_report(m)
         assert witnesses == dict(divisor_witnesses_monoid(m))
-    assert len(monoids) == len(corpus_monoids) + 16
+    assert len(monoids) == len(corpus_monoids) + 19
     assert sum(bool(report["simple_divisors"]) for report, _ in fast[-10:]) == 9
+
+
+def test_unit_walk_matches_the_table_walk(corpus_monoids):
+    # the cyclic subgroups read off a leader's units, composed as maps,
+    # are those of its maximal subgroup's table, for every set of primes
+    qs = [full_transformations(4), full_transformations(5), symmetric_automaton(5),
+          permutation_automaton(PSL27_GENERATORS), entails_sized_automaton()]
+    walks = cyclic = 0
+    for m in corpus_monoids + [transition_monoid(q) for q in qs]:
+        for e in sorted(set(algebra._class_leaders(m, idempotents(m)))):
+            units = algebra._units_at(m, e)
+            h = maximal_subgroup_at(m, e, units)
+            rows, labels = h.table, h.labels
+            generated = h.order in h.element_orders()
+            primes = algebra._prime_factors(h.order)
+            for k in range(len(primes) + 1):
+                for need in itertools.combinations(primes, k):
+                    for until_generator in (False, True):
+                        least, gen = algebra._least_cyclic_subgroups(
+                            units, m.product, e, need, until_generator)
+                        table_least, table_gen = algebra._least_cyclic_subgroups(
+                            range(h.order), lambda y, x: rows[y][x], h.identity, need,
+                            until_generator)
+                        assert least == {p: tuple(labels[x] for x in sub)
+                                         for p, sub in table_least.items()}
+                        assert sorted(least) == sorted(need)
+                        assert gen == table_gen
+                        if until_generator:
+                            assert gen == generated
+                        walks += 1
+            cyclic += generated
+    assert (walks, cyclic) == (1382, 492)
 
 
 def test_a_leader_above_the_cap_is_refused_though_its_primes_are_found(

@@ -13,6 +13,8 @@ from fpal.cpo_model import (
     TableFn,
     _cover_preds,
     _fill_plan,
+    _height,
+    _monotone_pool,
     _upper_bounds,
     chain,
     check_equation,
@@ -167,8 +169,25 @@ def test_enumeration_order_is_fixed():
 
 
 def test_model_caches_are_bounded():
-    for cache in (_cover_preds, _fill_plan, _upper_bounds, count_monotone):
+    for cache in (_cover_preds, _fill_plan, _upper_bounds, count_monotone, _height,
+                  _monotone_pool):
         assert cache.cache_info().maxsize is not None
+
+
+def test_exhaustive_pools_are_enumerated_once_per_poset_and_arity():
+    # two exhaustive checks over C2 and V, with symbols of arity 1 and 2,
+    # enumerate four pools; the second check of each poset reads them back
+    f, g = Sym(Symbol("f", 1)), Sym(Symbol("g", 2))
+    eq = Equation.of("fg", Comp(f, g), Comp(f, g))
+    _monotone_pool.cache_clear()
+    _height.cache_clear()
+    for poset in (C2, V, C2, V):
+        assert check_equation(eq, poset, mode="exhaustive").holds
+    assert _monotone_pool.cache_info()[:2] == (4, 4)
+    assert _height.cache_info()[:2] == (2, 2)
+    for poset, arity in ((C2, 1), (C2, 2), (V, 1), (V, 2)):
+        assert _monotone_pool(poset, arity) == tuple(
+            tuple(fn.table) for fn in enumerate_monotone(poset, arity))
 
 
 def test_tablefn_call_and_encoding():

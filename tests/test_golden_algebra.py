@@ -9,7 +9,9 @@ search moved from numpy index arrays to integer bitsets;
 ``divisors_cli.json`` was recorded while every maximal subgroup still had
 its whole subgroup lattice searched, and ``divisors_cli_large.json`` while
 the solvable residual of a maximal subgroup still had its lattice
-searched.  The monoid and divisor output of
+searched.  ``divisors_cli_cauchy.json`` was recorded while every maximal
+subgroup that can add a prime still had its Cayley table built.  The
+monoid and divisor output of
 the CLI, the entailment reports, the group divisors with their witnesses
 and the subgroup lattices must stay identical.
 Rerun this module as a script to rewrite them from the current code.
@@ -28,6 +30,7 @@ import pytest
 from conftest import (
     alternating5_automaton,
     asl24_automaton,
+    c2_times_c30_automaton,
     full_transformations,
     psl213_automaton,
     random_automaton,
@@ -57,6 +60,7 @@ ENTAILS_GOLDEN = GOLDEN / "entails.json"
 GROUPS_GOLDEN = GOLDEN / "group_divisors.json"
 DIVISORS_GOLDEN = GOLDEN / "divisors_cli.json"
 LARGE_DIVISORS_GOLDEN = GOLDEN / "divisors_cli_large.json"
+CAUCHY_DIVISORS_GOLDEN = GOLDEN / "divisors_cli_cauchy.json"
 LATTICES_GOLDEN = GOLDEN / "subgroup_lattices.json"
 
 RANDOM_SEEDS = (0, 3, 5, 9, 11)
@@ -106,6 +110,18 @@ def large_divisors_inputs() -> dict:
     }
 
 
+def cauchy_divisors_inputs() -> dict:
+    """Automata whose simple divisors are the C_p of a maximal subgroup
+    that is cyclic or solvable by its order: counter(300) (tuple maps,
+    cyclic of an order with three primes), counter(210) (four primes,
+    cyclic) and C_2 x C_30 (order 60 with three primes, not cyclic)."""
+    return {
+        "counter(300)": counter(300),
+        "counter(210)": counter(210),
+        "C2 x C30": c2_times_c30_automaton(),
+    }
+
+
 def divisors_cli_output(q: Automaton, tmp_path, config=None) -> dict:
     """Stdout, stderr and exit code of ``fpal divisors`` on ``q``, with
     ``FPAL_CONFIG`` naming a file that holds ``config``, or unset."""
@@ -130,6 +146,10 @@ def divisors_cli_outputs(tmp_path) -> dict:
 def large_divisors_cli_outputs(tmp_path) -> dict:
     return {name: divisors_cli_output(q, tmp_path, config)
             for name, (q, config) in large_divisors_inputs().items()}
+
+
+def cauchy_divisors_cli_outputs(tmp_path) -> dict:
+    return {name: divisors_cli_output(q, tmp_path) for name, q in cauchy_divisors_inputs().items()}
 
 
 def split_cycles() -> InitializedAutomaton:
@@ -221,6 +241,12 @@ def test_golden_divisors_of_nonsolvable_automata(tmp_path, monkeypatch):
     assert got == LARGE_DIVISORS_GOLDEN.read_text()
 
 
+def test_golden_divisors_of_cyclic_and_solvable_order_groups(tmp_path, monkeypatch):
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    got = json.dumps(cauchy_divisors_cli_outputs(tmp_path), indent=2) + "\n"
+    assert got == CAUCHY_DIVISORS_GOLDEN.read_text()
+
+
 @pytest.mark.parametrize("label", list(entails_queries()))
 def test_golden_entails(label):
     golden = json.loads(ENTAILS_GOLDEN.read_text())
@@ -260,5 +286,7 @@ if __name__ == "__main__":
             json.dumps(divisors_cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
         LARGE_DIVISORS_GOLDEN.write_text(
             json.dumps(large_divisors_cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
+        CAUCHY_DIVISORS_GOLDEN.write_text(
+            json.dumps(cauchy_divisors_cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
     ENTAILS_GOLDEN.write_text(json.dumps(entails_outputs(), indent=2) + "\n")
     LATTICES_GOLDEN.write_text(lattice_text())
