@@ -3,7 +3,8 @@
 Times ``fpal divisors`` (``fpal.cli.main``, stdout discarded) on the A5,
 S4, T4, S5, T5, PSL(2,7), S6 and ASL(2,4) automata and on counter(300)
 and counter(210), whose groups are cyclic of orders with three and four
-primes, ``fpal monoid`` on counter(6), ``algebra_report``
+primes, ``fpal monoid`` on counter(6) and on T5 (3125 elements, the
+largest JSON document the bench writes), ``algebra_report``
 on the PSL(2,13) automaton with the subgroup cap raised to its order
 1092 and at the default cap (1024), where it is refused,
 ``composition_factors`` on PSL(2,7), ``symmetric_group(6)``, and
@@ -19,9 +20,13 @@ timed whole: the model checker on every library identity.  Each sample starts
 with fpal's caches empty, so it pays for the whole divisor search; the
 best of ``--repeat`` samples is kept.  The 13-state items take under a
 millisecond, so each of their samples is the mean of ``SMALL_CALLS``
-calls.  Two items are whole ``python -m fpal`` runs in a
-fresh interpreter, imports included: ``fpal --help`` and ``fpal divisors``
-on S4, each the best of ``CLI_RUNS`` runs.
+calls.  The items named ``cli ...`` time the command-line front end, each
+the best of ``CLI_RUNS`` samples.  ``cli divisors x20`` is twenty
+in-process ``fpal divisors`` runs on small automata (counters, S3 and S4),
+started with the argument parsers dropped as well, so each sample builds
+them as a new process would.  The other two are whole ``python -m fpal``
+runs in a fresh interpreter, imports included: ``fpal --help`` and
+``fpal divisors`` on S4.
 
 Each source tree is imported by its own worker interpreter, and the
 samples alternate between the trees: every sample of an item is taken on
@@ -29,7 +34,7 @@ each tree in turn, the first tree going first on even samples and last on
 odd ones, so drift of the machine over the run reaches both trees alike::
 
     python3 bench/algebra_latency.py --tree parent=../parent/src \\
-        --tree change=src --out BENCH_13.json
+        --tree change=src --out BENCH_14.json
 
 The output holds ``nproc``, the Python version, and per tree the best
 seconds of every item and the line count of its ``fpal`` package.
@@ -133,6 +138,16 @@ def clear_caches() -> None:
     cpo_model.count_monotone.cache_clear()
 
 
+def clear_parsers() -> None:
+    """Drop the CLI's cached argument parsers (a tree from before the
+    per-command parsers has only ``build_parser``)."""
+    from fpal import cli
+
+    cli.build_parser.cache_clear()
+    if hasattr(cli, "_command_parser"):
+        cli._command_parser.cache_clear()
+
+
 def sample(run, calls: int = 1, warm: bool = False) -> float:
     """Mean seconds of ``calls`` calls of ``run``, started with fpal's
     caches empty; with ``warm``, one untimed call fills them first."""
@@ -167,14 +182,19 @@ def refuse_wide_symbol() -> None:
     refused(lambda: check_equation(Equation.of("wide", f, f), chain(2)))
 
 
-def check_conway() -> None:
-    """``fpal check --builtin conway --samples 200``: every library
-    identity on chain(2), with the default seed."""
+def fpal_quietly(*argv: str) -> None:
+    """``fpal.cli.main(argv)`` with stdout discarded; it must exit 0."""
     from fpal import cli
 
     with contextlib.redirect_stdout(io.StringIO()):
-        if cli.main(["check", "--builtin", "conway", "--samples", "200"]) != 0:
-            raise RuntimeError("fpal check failed on the conway library")
+        if cli.main(list(argv)) != 0:
+            raise RuntimeError(f"fpal {' '.join(argv)} failed")
+
+
+def check_conway() -> None:
+    """``fpal check --builtin conway --samples 200``: every library
+    identity on chain(2), with the default seed."""
+    fpal_quietly("check", "--builtin", "conway", "--samples", "200")
 
 
 def cli_run(argv: list) -> float:
@@ -187,30 +207,33 @@ def cli_run(argv: list) -> float:
 
 def items(tmp: str) -> dict:
     """Item name -> a function taking one sample of it, in seconds, for the
-    fpal found on ``sys.path``.  Whole-run items are named ``cli ...``."""
-    from fpal import algebra, cli, entailment
-    from fpal.automaton import Automaton, counter, to_dict
+    fpal found on ``sys.path``.  Items named ``cli ...`` time the front end
+    and take ``CLI_RUNS`` samples."""
+    from fpal import algebra, entailment
+    from fpal.automaton import Automaton, counter, symmetric_automaton, to_dict
+
+    def write(name: str, q) -> str:
+        path = os.path.join(tmp, f"{name}.json")
+        pathlib.Path(path).write_text(json.dumps(to_dict(q)))
+        return path
 
     out = {}
     for name, q in automata().items():
-        path = os.path.join(tmp, f"{name}.json")
-        pathlib.Path(path).write_text(json.dumps(to_dict(q)))
+        path = write(name, q)
+        out[f"divisors {name}"] = lambda path=path: sample(lambda: fpal_quietly("divisors", path))
+    c6 = write("c6", counter(6))
+    out["monoid c6"] = lambda: sample(lambda: fpal_quietly("monoid", c6))
+    t5_file = os.path.join(tmp, "T5.json")
+    out["monoid T5"] = lambda: sample(lambda: fpal_quietly("monoid", t5_file))
+    small_files = [write(f"counter{n}", counter(n)) for n in range(2, 20)]
+    small_files += [write(f"S{n}-small", symmetric_automaton(n)) for n in (3, 4)]
 
-        def divisors(path=path, name=name):
-            with contextlib.redirect_stdout(io.StringIO()):
-                if cli.main(["divisors", path]) != 0:
-                    raise RuntimeError(f"fpal divisors failed on {name}")
+    def divisors_x20():
+        clear_parsers()
+        for path in small_files:
+            fpal_quietly("divisors", path)
 
-        out[f"divisors {name}"] = lambda run=divisors: sample(run)
-    c6 = os.path.join(tmp, "c6.json")
-    pathlib.Path(c6).write_text(json.dumps(to_dict(counter(6))))
-
-    def monoid_c6():
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(["monoid", c6]) != 0:
-                raise RuntimeError("fpal monoid failed on counter(6)")
-
-    out["monoid c6"] = lambda: sample(monoid_c6)
+    out["cli divisors x20"] = lambda: sample(divisors_x20)
     out["cli fpal --help"] = lambda: cli_run(["--help"])
     s4 = os.path.join(tmp, "S4.json")
     out["cli fpal divisors S4"] = lambda: cli_run(["divisors", s4])

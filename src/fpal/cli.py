@@ -9,6 +9,9 @@ Subcommands::
     fpal check ...              model-check equations over a finite poset
     fpal family KIND [FILES]    completeness of a family of automata
 
+In JSON mode (the default) stdout is exactly ``json.dumps(result,
+indent=2)`` and a newline; help and usage text come from argparse.
+
 Exit status: 0 when the requested property holds (or the command is purely
 informational), 1 when it fails, 2 on any error.  Errors print a single
 ``error[<code>]: message`` line on stderr.
@@ -26,6 +29,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import algebra, automaton, cpo_model, entailment, identities
 from .errors import (
@@ -117,11 +121,36 @@ def _scalar(value) -> str:
     return str(value)
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, its lines after the first starting with
+    ``pad``, without the pure-Python encoder (no JSON string holds a newline)."""
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is bool or kind is float or obj is None:
+        return json.dumps(obj)
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if all(type(v) is int for v in obj):
+            body = map(int.__repr__, obj)
+        else:
+            body = [_escape(v) if type(v) is str else _json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(body) + pad + "]" if obj else "[]"
+    if kind is dict and all(type(k) is str for k in obj):
+        body = [_escape(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(body) + pad + "}" if obj else "{}"
+    # json.dumps with an indent leaves reference cycles behind: only odd types
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 def emit(obj, config: Config) -> None:
+    """Write ``obj``: ``json.dumps(obj, indent=2)`` and a newline, or text."""
     if config.format == "text":
         sys.stdout.write("\n".join(_render_text(obj)) + "\n")
     else:
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+        sys.stdout.write(_json_text(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +273,8 @@ def cmd_check(args, config: Config) -> int:
         for eq in eqs
     ]
     all_hold = all(r.holds for r in results)
-    emit(
-        {
-            "poset": poset.name,
-            "all_hold": all_hold,
-            "results": [r.to_json() for r in results],
-        },
-        config,
-    )
+    emit({"poset": poset.name, "all_hold": all_hold,
+          "results": [r.to_json() for r in results]}, config)
     return 0 if all_hold else 1
 
 
@@ -277,43 +300,29 @@ def cmd_family(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``fpal`` argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="fpal",
-        description="Fixed-point identities of finite automata: monoids, "
-        "divisors, entailment and model checking.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("monoid", help="transition monoid of an automaton")
+def _automaton_args(p) -> None:
     p.add_argument("automaton", help="automaton JSON file")
-    p.set_defaults(run=cmd_monoid)
 
-    p = sub.add_parser("divisors", help="simple-group divisors of an automaton")
-    p.add_argument("automaton", help="automaton JSON file")
-    p.set_defaults(run=cmd_divisors)
 
-    p = sub.add_parser("gamma", help="the identity attached to an automaton")
-    p.add_argument("automaton", help="automaton JSON file")
+def _gamma_args(p) -> None:
+    _automaton_args(p)
     p.add_argument("-p", "--params", type=int, default=1,
                    help="parameter arity (default 1)")
     p.add_argument("--initial", type=int, metavar="STATE",
                    help="emit the single-component identity at this state "
                    "(defaults to the file's marked initial state, if any)")
-    p.set_defaults(run=cmd_gamma)
 
-    p = sub.add_parser("entails", help="decide consequence between identities")
+
+def _entails_args(p) -> None:
     p.add_argument("--hyp", action="append", required=True, metavar="FILE",
                    help="hypothesis automaton (repeatable)")
     p.add_argument("--concl", required=True, metavar="FILE",
                    help="conclusion automaton")
     p.add_argument("--reduce-reachable", action="store_true",
                    help="restrict initialized hypotheses to reachable states")
-    p.set_defaults(run=cmd_entails)
 
-    p = sub.add_parser("check", help="model-check equations over a poset")
+
+def _check_args(p) -> None:
     p.add_argument("equations", nargs="?", help="equation file")
     p.add_argument("--builtin", choices=["conway"],
                    help="check the built-in identity library")
@@ -329,16 +338,52 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--samples", type=int,
                        help="number of random interpretations")
     p.add_argument("--seed", type=int, help="seed for sampling")
-    p.set_defaults(run=cmd_check)
 
-    p = sub.add_parser("family", help="completeness of a family of automata")
+
+def _family_args(p) -> None:
     p.add_argument("kind", choices=["cyclic", "symmetric", "alternating", "list"])
     p.add_argument("files", nargs="*", help="automaton files (kind 'list' only)")
     p.add_argument("--reduce-reachable", action="store_true",
                    help="restrict initialized members to reachable states")
-    p.set_defaults(run=cmd_family)
 
+
+# name -> (help, the function that adds the command's arguments)
+_COMMANDS = {
+    "monoid": ("transition monoid of an automaton", _automaton_args),
+    "divisors": ("simple-group divisors of an automaton", _automaton_args),
+    "gamma": ("the identity attached to an automaton", _gamma_args),
+    "entails": ("decide consequence between identities", _entails_args),
+    "check": ("model-check equations over a poset", _check_args),
+    "family": ("completeness of a family of automata", _family_args),
+}
+
+
+def _command_arguments(name: str, parser) -> argparse.ArgumentParser:
+    """``parser`` with the arguments of ``fpal <name>``.  It runs the module's
+    ``cmd_<name>`` as of now, so a wrapper put there beforehand is what runs."""
+    _COMMANDS[name][1](parser)
+    parser.set_defaults(run=globals()[f"cmd_{name}"])
     return parser
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``fpal`` argument parser, built once per process."""
+    parser = argparse.ArgumentParser(
+        prog="fpal",
+        description="Fixed-point identities of finite automata: monoids, "
+        "divisors, entailment and model checking.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in _COMMANDS.items():
+        _command_arguments(name, sub.add_parser(name, help=help_text))
+    return parser
+
+
+@functools.lru_cache(maxsize=len(_COMMANDS))
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser ``build_parser`` hands ``fpal <name>``'s arguments to."""
+    return _command_arguments(name, argparse.ArgumentParser(prog=f"fpal {name}"))
 
 
 _ERROR_CODES = (
@@ -356,17 +401,21 @@ _ERROR_CODES = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the named command's parser if it takes every argument, else the full one
+    args, rest = None, None
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         config = load_config(os.environ.get("FPAL_CONFIG"))
         return args.run(args, config)
     except tuple(exc for exc, _ in _ERROR_CODES) as err:
-        for exc_type, code in _ERROR_CODES:
-            if isinstance(err, exc_type):
-                print(f"error[{code}]: {err}", file=sys.stderr)
-                return 2
-        raise AssertionError("unreachable")
+        code = next(code for exc, code in _ERROR_CODES if isinstance(err, exc))
+        print(f"error[{code}]: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpal import cli
 from fpal.automaton import (
     Automaton,
     InitializedAutomaton,
@@ -12,6 +16,22 @@ from fpal.automaton import (
     to_dict,
 )
 from fpal.cli import main
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.fixture(autouse=True)
+def emitted_text_matches_json_dumps(monkeypatch):
+    """Every document a test here emits is also written with
+    ``json.dumps(indent=2)``, and the two texts must agree."""
+    emit = cli.emit
+
+    def checked(obj, config):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+        emit(obj, config)
+
+    monkeypatch.setattr(cli, "emit", checked)
 
 
 @pytest.fixture
@@ -415,3 +435,151 @@ print(json.dumps([codes, "numpy" in sys.modules]))
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 0], False]
+
+
+# ---------------------------------------------------------------------------
+# argument parsing: main against the full parser
+
+
+COMMANDS = ("monoid", "divisors", "gamma", "entails", "check", "family")
+
+# Help, usage errors and parsed namespaces that main must reproduce exactly
+# as build_parser().parse_args gives them.  Files need not exist: the
+# commands are replaced by stand-ins that only record their namespace.
+ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--help", "divisors"],
+    ["bogus"],
+    ["bogus", "a.json"],
+    *([command, "-h"] for command in COMMANDS),
+    ["divisors", "a.json", "--he"],
+    ["divisors"],
+    ["family"],
+    ["entails", "--concl", "c.json"],
+    ["gamma", "a.json", "--initial"],
+    ["divisors", "a.json", "b.json"],
+    ["monoid", "a.json", "--frobnicate"],
+    ["monoid", "--frobnicate", "a.json"],
+    ["gamma", "a.json", "-p", "x"],
+    ["check", "--builtin", "nope"],
+    ["family", "bogus"],
+    ["--", "divisors", "a.json"],
+    ["divisors", "--", "a.json"],
+    ["family", "cyclic", "--", "-x.json"],
+    ["gamma", "a.json", "--init", "1"],
+    ["gamma", "a.json", "--par", "2"],
+    ["entails", "--hyp=F", "--concl=F"],
+    ["check", "--exhaustive", "--samples", "3"],
+    ["monoid", "a.json"],
+    ["divisors", "a.json"],
+    ["gamma", "a.json", "-p", "2", "--initial", "3"],
+    ["entails", "--hyp", "a.json", "--hyp", "b.json", "--concl", "c.json",
+     "--reduce-reachable"],
+    ["check", "x.eq", "--poset", "chain:3", "--samples", "5", "--seed", "7"],
+    ["check", "--builtin", "conway", "--exhaustive"],
+    ["check", "--gamma", "a.json", "-p", "2"],
+    ["family", "list", "a.json", "b.json", "--reduce-reachable"],
+    ["family", "symmetric"],
+]
+
+
+def _clear_parsers():
+    cli.build_parser.cache_clear()
+    cli._command_parser.cache_clear()
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Stand-ins for every ``cmd_*`` that record the namespace they get.
+    The parser caches are emptied before and after, so no cached parser
+    keeps a stand-in."""
+    seen = []
+
+    def record(args, config):
+        seen.append(vars(args))
+        return 0
+
+    for command in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{command}", record)
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    _clear_parsers()
+    yield seen
+    _clear_parsers()
+
+
+def _outcome(call, capsys):
+    try:
+        result = ("parsed", call())
+    except SystemExit as stop:
+        result = ("exit", stop.code)
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, recorded, capsys):
+    expected = _outcome(lambda: vars(cli.build_parser().parse_args(argv)), capsys)
+    got = _outcome(lambda: main(argv), capsys)
+    if got[0] == ("parsed", 0):
+        got = (("parsed", recorded.pop()), *got[1:])
+    assert got == expected
+    assert recorded == []
+
+
+def test_parser_caches_are_bounded(recorded, capsys):
+    # a command line that names a command builds that command's parser
+    # alone, once per process: at most one parser per command
+    for _ in range(2):
+        for command in COMMANDS:
+            with pytest.raises(SystemExit):
+                main([command, "-h"])
+    capsys.readouterr()
+    assert cli._command_parser.cache_info().maxsize == len(COMMANDS)
+    assert cli._command_parser.cache_info().currsize == len(COMMANDS)
+    assert cli.build_parser.cache_info().currsize == 0
+    assert main(["divisors", "a.json"]) == 0
+    assert cli._command_parser.cache_info().currsize == len(COMMANDS)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: the bytes of json.dumps(indent=2)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_json_text_on_golden_documents(path):
+    doc = json.loads(path.read_text())
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([-(10**40), 10**40, -1, 0]),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, 0.1]),
+    st.text(),
+    st.sampled_from(["", " ", '"', "\\", "\n", "\x00\x1f", "\u00e9", "\u2028",
+                     "\U0001d11e", 'a "quoted" \u00fcber-string']),
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none())
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(st.text(max_size=5), inner, max_size=5),
+        st.dictionaries(_KEYS, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_json_text_matches_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
