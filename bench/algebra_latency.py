@@ -16,7 +16,11 @@ untimed call, and cold, with the caches emptied before every call (the
 emptying is timed too).  The auto-mode check of ``sym(f) = sym(f)`` with
 f of arity 10 on chain(2) is timed until it is refused, and ``fpal check
 --builtin conway --samples 200`` (``fpal.cli.main``, stdout discarded) is
-timed whole: the model checker on every library identity.  Each sample starts
+timed whole: the model checker on every library identity.  The last item
+is ``fpal divisors`` on the S7 automaton (order 5040, the monoid cap) with
+the subgroup cap raised to 5040 through ``FPAL_CONFIG``; it comes last
+because a tree that holds S7's maximal subgroup as a table keeps that
+memory for the rest of its worker's life.  Each sample starts
 with fpal's caches empty, so it pays for the whole divisor search; the
 best of ``--repeat`` samples is kept.  The 13-state items take under a
 millisecond, so each of their samples is the mean of ``SMALL_CALLS``
@@ -34,7 +38,7 @@ each tree in turn, the first tree going first on even samples and last on
 odd ones, so drift of the machine over the run reaches both trees alike::
 
     python3 bench/algebra_latency.py --tree parent=../parent/src \\
-        --tree change=src --out BENCH_14.json
+        --tree change=src --out BENCH_15.json
 
 The output holds ``nproc``, the Python version, and per tree the best
 seconds of every item and the line count of its ``fpal`` package.
@@ -53,6 +57,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 A5_GENERATORS = ((2, 3, 4, 5, 1), (2, 3, 1, 4, 5))
 PSL27_GENERATORS = ((2, 3, 4, 5, 6, 7, 1, 8), (8, 7, 4, 3, 6, 5, 2, 1))
@@ -264,6 +269,15 @@ def items(tmp: str) -> dict:
     out["entails 13 states, cold"] = lambda: sample(cold_entails, SMALL_CALLS)
     out["check sym f 10 refused"] = lambda: sample(refuse_wide_symbol)
     out["check conway, 200 samples"] = lambda: sample(check_conway)
+    s7 = write("S7", symmetric_automaton(7))
+    cap_file = os.path.join(tmp, "cap5040.json")
+    pathlib.Path(cap_file).write_text(json.dumps({"subgroup_cap": 5040}))
+
+    def divisors_s7():
+        with mock.patch.dict(os.environ, {"FPAL_CONFIG": cap_file}):
+            fpal_quietly("divisors", s7)
+
+    out["divisors S7, subgroup cap 5040"] = lambda: sample(divisors_s7)
     return out
 
 

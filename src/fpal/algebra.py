@@ -9,25 +9,28 @@ subsemigroup of M that happens to be a group; equivalently, S is a
 quotient K/N of a subgroup K of one of the maximal subgroups H sitting at
 the idempotents of M.  Idempotents with the same image or the same kernel
 have isomorphic maximal subgroups, so one H is looked at per class of
-them.  The cyclic divisors C_p of H are the primes p dividing |H|
-(Cauchy).  A group of order under 60, or of an order with at most two
-primes (Burnside), is solvable, and a cyclic group is abelian; neither
-has another divisor, so for such an H the C_p are read off the powers of
-its units, composed as maps, and no table is built.  Every other H is
-built as an explicit table, its subgroups index sets into that table.
-Normal subgroups are joins of the subgroups that conjugacy
-classes generate, so no subgroup lattice is ever listed.  A nonabelian
-divisor is a quotient of a perfect subgroup, which lies in the solvable
-residual of H, found from the classes of commutators: a trivial residual
-gives none, one of order 60 is A_5.  A larger residual is searched over
-its 2-generated subgroups, and the sections K/N are read off those index
-sets.  The searches are guarded by size caps.
+them.  A group is its elements, its identity and its product, and no
+table of products is built: the elements of H are monoid element
+indices, multiplied by composing their maps, and its subgroups are
+index sets.  The cyclic divisors C_p of H are the primes p dividing |H|
+(Cauchy), read off the powers of its elements.  A group of order under
+60, or of an order with at most two primes (Burnside), is solvable, and
+a cyclic group is abelian; neither has another divisor, so for such an
+H the search ends there.  Normal subgroups are joins of the subgroups
+that conjugacy classes generate, so no subgroup lattice is ever listed.
+A nonabelian divisor is a quotient of a perfect subgroup, which lies in
+the solvable residual of H, found from the classes of commutators: a
+trivial residual gives none, one of order 60 is A_5.  A larger residual
+is searched over its 2-generated subgroups, and the sections K/N are
+read off those index sets.  The searches are guarded by size caps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import compress, count
 from math import gcd
+from operator import eq
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -119,21 +122,26 @@ def transition_monoid(q: Automaton, cap: int = DEFAULT_MONOID_CAP) -> Transforma
 
 
 def idempotents(m: TransformationMonoid) -> list:
-    then = m.then
-    return [i for i, (t, p) in enumerate(zip(m.maps, m.padded)) if then(t, p) == t]
+    return list(compress(count(), map(eq, m.maps, map(m.then, m.maps, m.padded))))
 
 
 # ---------------------------------------------------------------------------
-# finite groups as explicit tables
+# finite groups, multiplied on demand
 
 
 class FiniteGroup:
-    """A finite group given by its multiplication table (index based), a
-    tuple of row tuples; ``cols`` is the same table read by columns.
+    """A finite group: its elements, ints ascending in ``elements``, its
+    identity and its product ``mul(y, x)`` = yx; no table of products is
+    kept.  A group of its own has the elements 0, ..., order - 1, and
+    ``labels[i]`` names element i (a group of permutations carries the
+    permutations).  A maximal subgroup of a monoid has the monoid element
+    indices of its members, which are their own labels (``labels`` is
+    ``elements``), and its product composes two maps and looks the
+    result up in the monoid.  ``FiniteGroup(table)`` takes a
+    multiplication table, a sequence of rows, checks that it is a group
+    and reads its products off the rows."""
 
-    ``labels`` names the elements; subgroups of a monoid's maximal
-    subgroups carry monoid element indices, quotients carry coset labels.
-    """
+    __slots__ = ("elements", "order", "identity", "mul", "labels")
 
     def __init__(self, table, labels=None):
         rows = tuple(map(tuple, table))
@@ -148,55 +156,45 @@ class FiniteGroup:
                 raise ValueError("label count differs from group order")
         if not all(0 <= v < n for row in rows for v in row):
             raise ValueError("table entries out of range")
-        cols = tuple(zip(*rows))
+        columns = tuple(zip(*rows))
         # Latin square: every row and column is a permutation.
-        if any(len(set(line)) != n for line in rows + cols):
+        if any(len(set(line)) != n for line in rows + columns):
             raise ValueError("table rows and columns must be permutations")
         idx = tuple(range(n))
-        ident = [e for e in idx if rows[e] == idx and cols[e] == idx]
+        ident = [e for e in idx if rows[e] == idx and columns[e] == idx]
         if len(ident) != 1:
             raise ValueError("table has no two-sided identity")
-        self._fill(rows, cols, ident[0], labels)
-
-    @classmethod
-    def _known(cls, rows: tuple, identity: int, labels=None) -> "FiniteGroup":
-        """A table that is a group by construction, a tuple of row tuples
-        with its identity known, taken without the checks of ``__init__``."""
-        g = cls.__new__(cls)
-        g._fill(rows, tuple(zip(*rows)), identity, labels)
-        return g
-
-    def _fill(self, rows: tuple, cols: tuple, identity: int, labels) -> None:
-        self.table = rows
-        self.cols = cols
-        self.order = len(rows)
-        self.labels = tuple(labels) if labels is not None else tuple(range(len(rows)))
-        self.identity = identity
-        self.inverse = tuple(row.index(identity) for row in rows)
+        self.elements, self.order, self.identity = range(n), n, ident[0]
+        self.mul = lambda y, x: rows[y][x]
+        self.labels = self.elements if labels is None else labels
 
     def element_order(self, i: int) -> int:
-        k, x = 1, i
+        mul, k, x = self.mul, 1, i
         while x != self.identity:
-            x = self.table[x][i]
+            x = mul(x, i)
             k += 1
         return k
 
     def element_orders(self) -> tuple:
-        return tuple(sorted(self.element_order(i) for i in range(self.order)))
+        return tuple(sorted(map(self.element_order, self.elements)))
 
     def is_abelian(self) -> bool:
-        return self.table == self.cols
+        mul, gens = self.mul, _generate(self, self.elements)[2]
+        return all(mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[:i])
+
+
+def _group(elements, identity: int, mul, labels=None) -> FiniteGroup:
+    """The group on ``elements`` with product ``mul``, a group by
+    construction, so unchecked.  The elements are their own labels unless
+    ``labels`` names them, and then they must be 0, ..., order - 1."""
+    g = FiniteGroup.__new__(FiniteGroup)
+    g.elements, g.order, g.identity, g.mul = elements, len(elements), identity, mul
+    g.labels = elements if labels is None else labels
+    return g
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
-
-
-def _cayley_table(maps: list, then, padded: list) -> tuple:
-    """Row i, column j: the position in ``maps`` of "maps[i], then
-    maps[j]", for maps closed under composition."""
-    pos = {t: k for k, t in enumerate(maps)}
-    return tuple(tuple(pos[then(t, p)] for p in padded) for t in maps)
 
 
 def _permutation_closure(perms) -> list:
@@ -216,12 +214,15 @@ def _permutation_closure(perms) -> list:
 
 def group_from_permutations(perms) -> FiniteGroup:
     """Close a set of permutations (1-based image tuples) under
-    composition and present the result as a FiniteGroup.  Labels are the
-    permutations themselves, sorted."""
+    composition and present the result as a FiniteGroup on 0, ..., order
+    - 1, element i being the i-th permutation in sorted order, which is
+    its label.  A product composes two maps and looks up the result."""
     maps = _permutation_closure(perms)
-    _, pad, then = map_form(len(maps[0]))
-    return FiniteGroup(_cayley_table(maps, then, [pad(p) for p in maps]),
-                       labels=[tuple(v + 1 for v in p) for p in maps])
+    encode, pad, then = map_form(len(maps[0]))
+    padded, pos = [pad(p) for p in maps], {t: i for i, t in enumerate(maps)}
+    return _group(range(len(maps)), pos[encode(range(len(maps[0])))],
+                  lambda y, x: pos[then(maps[y], padded[x])],
+                  tuple(tuple(v + 1 for v in p) for p in maps))
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -232,28 +233,18 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_from_permutations([cycle, swap])
 
 
-def _units_at(m: TransformationMonoid, e: int) -> list:
-    """The members of the maximal subgroup at the idempotent e, ascending:
-    the x with the image and the kernel of e.  Among maps with the image
-    of e, "e then x" equals x exactly when x also has the kernel of e, so
-    one composition per member of the image bucket finds them."""
-    then, padded, maps, t_e = m.then, m.padded, m.maps, m.maps[e]
-    return [x for x in m.by_image[frozenset(t_e)] if then(t_e, padded[x]) == maps[x]]
-
-
-def maximal_subgroup_at(m: TransformationMonoid, e: int, units: list | None = None) -> FiniteGroup:
+def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
     """The group of invertible elements of e M e, the largest group inside
-    the monoid whose unit is the idempotent e, labelled by monoid element
-    indices.  ``units`` may pass its members, as ``_units_at`` finds
+    the monoid whose unit is the idempotent e: the monoid elements x with
+    the image and the kernel of e, ascending, multiplied as in the monoid.
+    Among maps with the image of e, "e then x" equals x exactly when x
+    has the kernel of e too, so one composition per bucket member finds
     them."""
-    then, padded, t_e = m.then, m.padded, m.maps[e]
-    if then(t_e, padded[e]) != t_e:
+    then, padded, maps, index, t_e = m.then, m.padded, m.maps, m.index, m.maps[e]
+    units = tuple([x for x in m.by_image[frozenset(t_e)] if then(t_e, padded[x]) == maps[x]])
+    if e not in units:  # "e then e" is not e
         raise ValueError(f"element {e} is not idempotent")
-    if units is None:
-        units = _units_at(m, e)
-    return FiniteGroup._known(_cayley_table([m.maps[x] for x in units], then,
-                                            [padded[x] for x in units]),
-                              units.index(e), labels=units)
+    return _group(units, e, lambda y, x: index[then(maps[y], padded[x])])
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +256,26 @@ def _check_cap(order: int, cap: int) -> None:
         raise CapExceededError(f"subgroup enumeration cap {cap} exceeded by group of order {order}")
 
 
-def _join(rows, cols, e: int, h: int, h_elems: list, gens: tuple) -> tuple:
+def _join(mul, e: int, h: int, h_elems: list, gens: tuple, within: tuple = (0, ())) -> tuple:
     """The subgroup generated by the subgroup H (mask ``h``, elements
     ``h_elems``) and ``gens``, which must include generators of H, as
-    (mask, elements).  It grows by whole right cosets Hr: the union of
-    the cosets found is closed once each representative r times each
-    generator lies in it (Dimino's algorithm)."""
-    mask, elems, reps = h, list(h_elems), [e]
+    (mask, elements), in the group with product ``mul`` and identity e.
+    It grows by whole right cosets Hr: the union of the cosets found is
+    closed once each representative r times each generator lies in it
+    (Dimino's algorithm).  A subgroup known to hold the join, as (mask,
+    elements) ``within``, is it once the cosets fill over half (Lagrange)."""
+    mask, elems, reps, half = h, list(h_elems), [e], len(within[1]) // 2
     for r in reps:
-        row = rows[r]
         for s in gens:
-            z = row[s]
+            z = mul(r, s)
             if not mask >> z & 1:
                 reps.append(z)
-                col = cols[z]
-                coset = [col[y] for y in h_elems]
+                coset = [mul(y, z) for y in h_elems]
                 elems += coset
                 for v in coset:
                     mask |= 1 << v
+                if half and len(elems) > half:
+                    return within
     return mask, elems
 
 
@@ -291,14 +284,14 @@ def _generate(g: FiniteGroup, seeds, h: tuple | None = None, normal_in: tuple = 
     and ``seeds``, both as (mask, elements, generators); each seed outside
     the subgroup so far joins the generators, and its conjugates by
     ``normal_in`` join the seeds: the normal closure in <normal_in>."""
-    rows, cols, inv, e = g.table, g.cols, g.inverse, g.identity
+    mul, e, conjugate = g.mul, g.identity, _conjugation(g, normal_in)
     mask, elems, gens = h or (1 << e, [e], ())
     seeds = list(seeds)
     for z in seeds:
         if not mask >> z & 1:
             gens += (z,)
-            mask, elems = _join(rows, cols, e, mask, elems, gens)
-            seeds += [rows[rows[inv[s]][z]][s] for s in normal_in]
+            mask, elems = _join(mul, e, mask, elems, gens)
+            seeds += conjugate(z)
     return mask, elems, gens
 
 
@@ -318,10 +311,18 @@ def _orbits(xs, moves) -> list:
     return out
 
 
+def _inverse(g: FiniteGroup, x: int) -> int:
+    """x^-1, the last power of x before the identity."""
+    mul, e, y = g.mul, g.identity, x
+    while (z := mul(y, x)) != e:
+        y = z
+    return y
+
+
 def _conjugation(g: FiniteGroup, gens):
     """y -> [s^-1 y s for s in gens], whose orbits are classes of <gens>."""
-    rows, inv = g.table, g.inverse
-    return lambda y: [rows[rows[inv[s]][y]][s] for s in gens]
+    mul, pairs = g.mul, [(_inverse(g, s), s) for s in gens]
+    return lambda y: [mul(mul(t, y), s) for t, s in pairs]
 
 
 def _maximal_normals(g: FiniteGroup, k) -> list:
@@ -330,13 +331,22 @@ def _maximal_normals(g: FiniteGroup, k) -> list:
     the quotients by them are the simple quotients of K.  Every normal
     subgroup of K is the join of the subgroups its K-classes generate, so
     they are grown from the trivial one by joining classes, breadth first;
-    a proper one is maximal when every class outside it joins it up to K."""
+    a proper one is maximal when every class outside it joins it up to K.
+    A join is a union of classes whose order divides |K|, so when no
+    union of N with classes outside it has an order that is a proper
+    divisor of |K| but N's own, every join is K and none is built."""
     whole, _, gens = _generate(g, k)
     classes = _orbits(k, _conjugation(g, gens))
+    divisors = sum(1 << d for d in range(1, len(k)) if len(k) % d == 0)
     queue = [_generate(g, ())]
     seen, maximal = {queue[0][0]}, []
     for n in queue:
-        joins = [_generate(g, cls, n) for cls in classes if not n[0] >> cls[0] & 1]
+        outside = [cls for cls in classes if not n[0] >> cls[0] & 1]
+        orders = 1 << len(n[1])
+        for cls in outside:
+            orders |= orders << len(cls)
+        joins = [] if orders & divisors == 1 << len(n[1]) else [
+            _generate(g, cls, n) for cls in outside]
         proper = [m for m in joins if m[0] != whole]
         if not proper and n[0] != whole:
             maximal.append(tuple(sorted(n[1])))
@@ -431,12 +441,12 @@ def _section_id(g: FiniteGroup, k, n) -> SimpleGroupId:
     of ``g``, read off the cosets without building a quotient table: the
     order of the coset xN is the least j with x^j in N, and each coset
     has |N| members."""
-    n_set, table = set(n), g.table
+    n_set, mul = set(n), g.mul
     orders = []
     for x in k:
         j, y = 1, x
         while y not in n_set:
-            y = table[y][x]
+            y = mul(y, x)
             j += 1
         orders.append(j)
     coset_orders = tuple(sorted(orders)[::len(n)])
@@ -448,14 +458,14 @@ def is_simple(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> bool:
     """Nontrivial with no proper nontrivial normal subgroup.  The trivial
     group is not simple."""
     _check_cap(g.order, cap)
-    return _maximal_normals(g, range(g.order)) == [(g.identity,)]
+    return _maximal_normals(g, g.elements) == [(g.identity,)]
 
 
 def fingerprint(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> SimpleGroupId:
     """Fingerprint of a simple group; rejects non-simple input."""
     if not is_simple(g, cap):
         raise ValueError(f"group of order {g.order} is not simple")
-    return _section_id(g, range(g.order), (g.identity,))
+    return _section_id(g, g.elements, (g.identity,))
 
 
 def composition_factors(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP, rng=None) -> tuple:
@@ -465,7 +475,7 @@ def composition_factors(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP, rng=Non
     randomize the choice (the result is the same multiset either way)."""
     _check_cap(g.order, cap)
     factors = []
-    k = tuple(range(g.order))
+    k = tuple(g.elements)
     while len(k) > 1:
         candidates = sorted(_maximal_normals(g, k), key=lambda s: (-len(s), s))
         n = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
@@ -502,19 +512,24 @@ def _surely_solvable(n: int) -> bool:
     return n < 60 or len(_prime_factors(n)) <= 2
 
 
-def _least_cyclic_subgroups(members, step, e: int, need, until_generator: bool = False) -> tuple:
-    """For each prime p in ``need``, the least subgroup of order p of the
-    group with elements ``members`` (ascending), identity e and product
-    ``step(y, x)`` = yx, as a sorted tuple: by Cauchy there is one when p
-    divides the order, and as two of them meet only in the identity, it
-    is the first one met, walking up from the least element.  Each cyclic
-    subgroup is walked once: the powers x^j with j prime to the order of x
-    generate the same subgroup as x.  Also whether some element generates
-    the group; the walk stops once every p is met and, with
+def _cyclic_simple_id(p: int) -> SimpleGroupId:
+    """The fingerprint of C_p: the identity and p - 1 elements of order p."""
+    return SimpleGroupId(p, (1,) + (p,) * (p - 1), f"C_{p}")
+
+
+def _least_cyclic_subgroups(g: FiniteGroup, need: set, until_generator: bool = False) -> tuple:
+    """For each prime p in ``need``, the least subgroup of order p of
+    ``g``, as a sorted tuple: by Cauchy there is one when p divides the
+    order, and as two of them meet only in the identity, it is the first
+    one met, walking up from the least element.  Each cyclic subgroup is
+    walked once: the powers x^j with j prime to the order of x generate
+    the same subgroup as x.  Also whether some element generates ``g``;
+    the walk, which uses up ``need``, stops once every p is met and, with
     ``until_generator``, a generator too."""
+    mul, e = g.mul, g.identity
     least: dict = {}
-    done, left, cyclic = set(), set(need), False
-    for x in members:
+    done, left, cyclic = set(), need, False
+    for x in g.elements:
         if not left and (cyclic or not until_generator):
             break
         if x in done:
@@ -522,13 +537,13 @@ def _least_cyclic_subgroups(members, step, e: int, need, until_generator: bool =
         elems, y = [e], x
         while y != e:
             elems.append(y)
-            y = step(y, x)
+            y = mul(y, x)
         n = len(elems)
         done.update(y for j, y in enumerate(elems) if gcd(j, n) == 1)
         if n in left:
             left.discard(n)
             least[n] = tuple(sorted(elems))
-        cyclic = cyclic or n == len(members)
+        cyclic = cyclic or n == g.order
     return least, cyclic
 
 
@@ -540,11 +555,12 @@ def _solvable_residual(g: FiniteGroup) -> list | None:
     ``_surely_solvable`` accepts."""
     if _surely_solvable(g.order):
         return None
-    rows, inv = g.table, g.inverse
-    _, elems, gens = _generate(g, range(g.order))
+    mul = g.mul
+    _, elems, gens = _generate(g, g.elements)
     while not _surely_solvable(len(elems)):
-        commutators = [rows[rows[rows[inv[a]][inv[b]]][a]][b]
-                       for i, a in enumerate(gens) for b in gens[:i]]
+        inv = [_inverse(g, a) for a in gens]
+        commutators = [mul(mul(mul(inv[i], inv[j]), a), b)
+                       for i, a in enumerate(gens) for j, b in enumerate(gens[:i])]
         _, d_elems, d_gens = _generate(g, commutators, normal_in=gens)
         if len(d_elems) == len(elems):
             return elems
@@ -561,9 +577,10 @@ def _nonabelian_witnesses(g: FiniteGroup, residual: list) -> dict:
     subgroup of R is R-conjugate to a <x, y> with x the first member of
     an R-class, and <x, y> = <x, cy> = <x, yc> for c in <x>.  K is the
     least R-conjugate of the least of these subgroups giving K/N."""
-    rows, cols, e = g.table, g.cols, g.identity
+    mul, e = g.mul, g.identity
     r = sorted(residual)
-    conjugate = _conjugation(g, _generate(g, r)[2])
+    r_mask, _, r_gens = _generate(g, r)
+    conjugate = _conjugation(g, r_gens)
     pairs: dict = {}  # mask -> elements, for orders that allow a perfect group
     for x in (cls[0] for cls in _orbits(r, conjugate) if cls[0] != e):
         c_mask, c_elems, _ = _generate(g, (x,))
@@ -571,10 +588,9 @@ def _nonabelian_witnesses(g: FiniteGroup, residual: list) -> dict:
         for y in r:
             if done >> y & 1:
                 continue
-            row, col = rows[y], cols[y]
             for c in c_elems:
-                done |= 1 << row[c] | 1 << col[c]
-            mask, elems = _join(rows, cols, e, c_mask, c_elems, (x, y))
+                done |= 1 << mul(y, c) | 1 << mul(c, y)
+            mask, elems = _join(mul, e, c_mask, c_elems, (x, y), (r_mask, r))
             if not _surely_solvable(len(elems)):
                 pairs.setdefault(mask, elems)
     given: dict = {}  # nonabelian simple divisor -> the subgroups giving it, least first
@@ -594,39 +610,45 @@ def _nonabelian_witnesses(g: FiniteGroup, residual: list) -> dict:
     return out
 
 
-def _group_divisors_with_witnesses(g: FiniteGroup, cap: int) -> dict:
+def _group_divisors_with_witnesses(g: FiniteGroup, cap: int, skip=(),
+                                   idempotent: int | None = None) -> dict:
     """Simple divisors of a group, which are the simple quotients of its
     subgroups, each with the least subgroup K in (size, element set) order
     that has it as a quotient and the least maximal normal subgroup N of K
-    giving it, in the order a scan of the subgroup lattice in that order
-    finds them.  The least K for C_p has order p, with N trivial.  The
-    least K for a nonabelian S lies in the solvable residual R of the
-    group: with R trivial there is no such S, with R of order 60 (perfect,
-    so A_5) K is R itself and S is A_5, and otherwise the 2-generated
-    subgroups of R are searched.  Groups above ``cap`` are refused,
-    whichever route they would take."""
+    giving it (by label), in the order a scan of the subgroup lattice in
+    that order finds them, less the C_p for the primes p in ``skip``; the
+    witnesses name ``idempotent``.  The least K for C_p has order p, with
+    N trivial, and one walk over the cyclic subgroups finds them all: all
+    the divisors when the order of the group forces it to be solvable, or
+    when the walk meets a generator.  Otherwise the least K for a
+    nonabelian S lies in the solvable residual R of the group: with R
+    trivial there is no such S, with R of order 60 (perfect, so A_5) K is
+    R itself and S is A_5, and otherwise the 2-generated subgroups of R
+    are searched.  Groups above ``cap`` are refused before the walk."""
     _check_cap(g.order, cap)
-    rows, e = g.table, g.identity
-    least, _ = _least_cyclic_subgroups(range(g.order), lambda y, x: rows[y][x], e,
-                                       _prime_factors(g.order))
-    found = {_section_id(g, k, (e,)): (k, (e,)) for k in least.values()}
-    residual = _solvable_residual(g)
-    if residual is not None and len(residual) == 60:
-        k = tuple(sorted(residual))
-        found[_section_id(g, k, (e,))] = (k, (e,))
-    elif residual is not None:
-        found.update(_nonabelian_witnesses(g, residual))
+    e, solvable = g.identity, _surely_solvable(g.order)
+    least, cyclic = _least_cyclic_subgroups(
+        g, set(_prime_factors(g.order)).difference(skip), not solvable)
+    if not least and (solvable or cyclic):
+        return {}  # nothing new, as for most leaders of an idempotent walk
+    found = {_cyclic_simple_id(p): (least[p], (e,)) for p in sorted(least)}
+    if not (solvable or cyclic):
+        residual = _solvable_residual(g)
+        if residual is not None and len(residual) == 60:
+            k = tuple(sorted(residual))
+            found[_section_id(g, k, (e,))] = (k, (e,))
+        elif residual is not None:
+            found.update(_nonabelian_witnesses(g, residual))
 
-    def scan_order(item):
-        k, n = item[1]
-        return len(k), k, len(n), n
+        def scan_order(item):
+            k, n = item[1]
+            return len(k), k, len(n), n
 
-    labels = g.labels
-    return {
-        fp: DivisorWitness(subgroup=tuple(labels[x] for x in k),
-                           normal=tuple(labels[x] for x in n))
-        for fp, (k, n) in sorted(found.items(), key=scan_order)
-    }
+        found = dict(sorted(found.items(), key=scan_order))
+    if g.labels is not g.elements:  # the elements are 0, ..., order - 1, named by labels
+        name = g.labels.__getitem__
+        found = {fp: (tuple(map(name, k)), tuple(map(name, n))) for fp, (k, n) in found.items()}
+    return {fp: DivisorWitness(k, n, idempotent) for fp, (k, n) in found.items()}
 
 
 def simple_divisors_group(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> set:
@@ -642,9 +664,12 @@ class _IdempotentWalk(NamedTuple):
 _walk_cache: dict = {}
 
 
-def _kernel_key(t) -> tuple:
+def _kernel_key(t):
     """The kernel of a map as the first state in each state's kernel
-    class."""
+    class; for a bytes map, by a table sending each value to its first
+    state, which is written last when the map is read backwards."""
+    if isinstance(t, bytes):
+        return t.translate(bytes.maketrans(t[::-1], bytes(range(len(t) - 1, -1, -1))))
     first: dict = {}
     return tuple(first.setdefault(v, x) for x, v in enumerate(t))
 
@@ -682,14 +707,11 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     ``_class_leaders``) is looked at: the groups of a class are
     isomorphic, so a later member would add no divisor, and the first
     idempotent giving each divisor is still a class leader.  The rest of
-    the class reuses the leader's order.  A leader above ``cap`` is
-    refused as soon as its units give |H|, before its group is built.
-    When every group of order |H| is solvable, or H is cyclic, the
-    divisors of H are the C_p for the primes p dividing |H| (Cauchy): the
-    C_p not found yet are read off the powers of the units, and no table
-    is built.  Only the other H are built and searched.  Cached per set of
-    maps, which automata with different letters can share, so the
-    witnesses name their idempotent by index only."""
+    the class reuses the leader's order.  Each leader's search skips the
+    C_p found already, and a leader above ``cap`` is refused as soon as
+    |H| is known.  Cached per set of maps, which automata with different
+    letters can share, so the witnesses name their idempotent by index
+    only."""
     key = (m.element_key(), cap)
     cached = _walk_cache.get(key)
     if cached is not None:
@@ -698,22 +720,14 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     leaders = _class_leaders(m, idems)
     order_of: dict = {}
     out: dict = {}
+    found_orders: set = set()
     for e in sorted(set(leaders)):
-        units = _units_at(m, e)
-        n = order_of[e] = len(units)
-        _check_cap(n, cap)
-        # the simple divisors of prime order p in ``out`` are the C_p
-        need = set(_prime_factors(n)) - {fp.order for fp in out}
-        solvable = _surely_solvable(n)
-        least, cyclic = _least_cyclic_subgroups(units, m.product, e, need, not solvable)
-        if solvable or cyclic:
-            for p, k in least.items():
-                out[SimpleGroupId(p, (1,) + (p,) * (p - 1), f"C_{p}")] = DivisorWitness(k, (e,), e)
-            continue
-        h = maximal_subgroup_at(m, e, units)
-        for fp, w in _group_divisors_with_witnesses(h, cap).items():
+        h = maximal_subgroup_at(m, e)
+        order_of[e] = h.order
+        for fp, w in _group_divisors_with_witnesses(h, cap, found_orders, e).items():
             if fp not in out:
-                out[fp] = replace(w, idempotent=e)
+                out[fp] = w
+                found_orders.add(fp.order)
     orders = tuple(order_of[leader] for leader in leaders)
     walk = _IdempotentWalk(orders, tuple(sorted(out.items())))
     return _remember(_walk_cache, key, walk, MONOID_CACHE_SIZE)
@@ -727,7 +741,7 @@ def divisor_witnesses_monoid(
     monoid's own letters."""
     words = m.witnesses
     return MappingProxyType({
-        fp: replace(w, idempotent_word=words[w.idempotent])
+        fp: DivisorWitness(w.subgroup, w.normal, w.idempotent, words[w.idempotent])
         for fp, w in _walk_idempotents(m, cap).witnesses
     })
 

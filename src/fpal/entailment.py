@@ -10,7 +10,6 @@ reports witnesses for each covered divisor and the divisors left over.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -19,10 +18,11 @@ from .algebra import (
     DEFAULT_SUBGROUP_CAP,
     DivisorWitness,
     SimpleGroupId,
+    _cyclic_simple_id,
     _is_prime,
-    _permutation_closure,
     _simple_name,
     divisor_witnesses_monoid,
+    group_from_permutations,
     transition_monoid,
 )
 from .automaton import (
@@ -254,10 +254,6 @@ class FamilyReport:
         }
 
 
-def _cyclic_simple_id(p: int) -> SimpleGroupId:
-    return SimpleGroupId(p, (1,) + (p,) * (p - 1), f"C_{p}")
-
-
 # Generators, as permutations, of the nonabelian simple groups of order
 # below 1092, the order of PSL(2,13), for which none are kept; so the scan
 # for a missing group stops at 1091.
@@ -275,23 +271,9 @@ _MISSING_SCAN_LIMIT = 1091
 
 @functools.lru_cache(maxsize=len(_NONABELIAN_GENERATORS))
 def _nonabelian_simple_id(order: int) -> SimpleGroupId:
-    elements = _permutation_closure(_NONABELIAN_GENERATORS[order])
-    element_orders = tuple(sorted(_permutation_order(p) for p in elements))
-    return SimpleGroupId(len(elements), element_orders,
-                         _simple_name(len(elements), element_orders))
-
-
-def _permutation_order(p) -> int:
-    """Order of a permutation (a 0-based map, bytes or tuple): the least
-    common multiple of its cycle lengths."""
-    order = 1
-    for start in range(len(p)):
-        length, v = 1, p[start]
-        while v != start:
-            v = p[v]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+    g = group_from_permutations(_NONABELIAN_GENERATORS[order])
+    element_orders = g.element_orders()
+    return SimpleGroupId(g.order, element_orders, _simple_name(g.order, element_orders))
 
 
 def _smallest_missing(covered: set) -> SimpleGroupId:

@@ -335,12 +335,12 @@ def gamma_monoid(monoid, p: int = 1) -> Equation:
 
 
 def gamma_group(g, p: int = 1) -> Equation:
-    """The identity of a group acting on itself by right multiplication."""
-    k = g.order
+    """The identity of a group acting on itself by right multiplication:
+    state i + 1 is the i-th element of ``g.elements``."""
+    k, xs, mul = g.order, g.elements, g.mul
+    state = {x: i + 1 for i, x in enumerate(xs)}
     letters = tuple(f"m{j}" for j in range(1, k + 1))
-    delta = tuple(
-        tuple(g.table[i][j] + 1 for j in range(k)) for i in range(k)
-    )
+    delta = tuple(tuple(state[mul(x, y)] for y in xs) for x in xs)
     return gamma(Automaton(k, letters, delta), p)
 
 

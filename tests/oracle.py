@@ -1,24 +1,23 @@
 """Brute-force references for the divisor pipeline, kept out of the
-library.  They build the full product table of a monoid where
-``fpal.algebra`` composes maps on demand, they enumerate directly what
-``fpal.algebra`` derives from the maximal subgroups, and they build
-explicit subgroup and quotient tables where ``fpal.algebra`` reads
-sections off index sets, they list the whole subgroup lattice and filter
-it for normal subgroups where ``fpal.algebra`` joins conjugacy classes,
-and they scan that lattice for divisor witnesses where ``fpal.algebra``
-uses Cauchy's theorem, the solvable residual and its 2-generated
-subgroups, and they search the maximal subgroup
-at every image/kernel class leader where ``fpal.algebra`` skips those
-that can add no divisor; the tests replay the fast routes against
-them.  For the model checker they check an equation one
-interpretation at a time, walking each side node by node, where
-``fpal.cpo_model`` evaluates compiled sides on blocks of
-interpretations."""
+library.  They build the full product table of a monoid, and of each
+group, where ``fpal.algebra`` composes maps on demand, they enumerate
+directly what ``fpal.algebra`` derives from the maximal subgroups, and
+they build explicit subgroup and quotient tables where ``fpal.algebra``
+reads sections off index sets, they list the whole subgroup lattice and
+filter it for normal subgroups where ``fpal.algebra`` joins conjugacy
+classes, and they scan that lattice for divisor witnesses where
+``fpal.algebra`` uses Cauchy's theorem, the solvable residual and its
+2-generated subgroups, and they search the maximal subgroup at every
+image/kernel class leader where ``fpal.algebra`` skips those that can
+add no divisor; the tests replay the fast routes against them.  For the
+model checker they check an equation one interpretation at a time,
+walking each side node by node, where ``fpal.cpo_model`` evaluates
+compiled sides on blocks of interpretations."""
 
 import itertools
 import random
 from collections import deque
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,10 +71,37 @@ def product_table(m: TransformationMonoid) -> np.ndarray:
     return table
 
 
+class GroupTable(NamedTuple):
+    """A group's multiplication table over the positions 0, ..., order - 1
+    of its elements in ``g.elements``: ``rows[i][j]`` is the position of
+    element i times element j."""
+
+    rows: tuple
+    inverse: tuple
+    identity: int
+
+
+_tables: dict = {}
+
+
+def group_table(g: FiniteGroup) -> GroupTable:
+    """The table of ``g``, built from ``g.mul`` once per group and kept.
+    For a group on 0, ..., order - 1 a position is the element itself;
+    either way ``g.labels[i]`` names the element at position i."""
+    table = _tables.get(g)
+    if table is None:
+        pos = {x: i for i, x in enumerate(g.elements)}
+        mul = g.mul
+        rows = tuple(tuple(pos[mul(y, x)] for x in g.elements) for y in g.elements)
+        e = pos[g.identity]
+        table = _tables[g] = GroupTable(rows, tuple(row.index(e) for row in rows), e)
+    return table
+
+
 def is_associative(g: FiniteGroup) -> bool:
     """Whether the table of ``g`` is associative, by checking every triple;
     cubic, so only sensible for small orders."""
-    t = g.table
+    t = group_table(g).rows
     return all(t[ab] == tuple(row[bc] for bc in t[b])
                for row in t for b, ab in enumerate(row))
 
@@ -99,17 +125,18 @@ _lattices: dict = {}
 
 
 def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
-    """Every subgroup, as a sorted tuple of element indices, in (size,
+    """Every subgroup, as a sorted tuple of element positions, in (size,
     element set) order, remembered per group table.  Subgroups are
     generated by repeatedly joining with cyclic subgroups, which reaches
     everything because each subgroup is reachable from a maximal chain.
     During the search a subgroup is an integer bitmask over the elements,
     kept with its element list and the generators it was built from."""
     _check_cap(g.order, cap)
-    cached = _lattices.get(g.table)
+    rows, _, e = group_table(g)
+    cached = _lattices.get(rows)
     if cached is not None:
         return cached
-    rows, cols, e = g.table, g.cols, g.identity
+    cols = tuple(zip(*rows))
     found = {}  # mask -> (elements, generators)
     for x in range(g.order):
         elems, mask, y = [e], 1 << e, x
@@ -132,14 +159,14 @@ def all_subgroup_sets(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
             for y in h_elems:
                 done |= 1 << row[y] | 1 << col[y]
             gens = h_gens + (x,)
-            k, k_elems = _join(rows, cols, e, h, h_elems, gens)
+            k, k_elems = _join(lambda y, x: rows[y][x], e, h, h_elems, gens)
             if k not in found:
                 found[k] = (k_elems, gens)
                 queue.append(k)
     out = sorted((tuple(sorted(elems)) for elems, _ in found.values()),
                  key=lambda t: (len(t), t))
-    _lattices[g.table] = tuple(out)
-    return _lattices[g.table]
+    _lattices[rows] = tuple(out)
+    return _lattices[rows]
 
 
 def maximal_normals_in_lattice(g: FiniteGroup, subs, k) -> list:
@@ -149,7 +176,7 @@ def maximal_normals_in_lattice(g: FiniteGroup, subs, k) -> list:
     normalizes, less those inside a larger one.  The reference for
     ``fpal.algebra._maximal_normals``."""
     k_set = set(k)
-    table, inv = g.table, g.inverse
+    table, inv, _ = group_table(g)
     normals = []
     for n in subs:
         if len(n) >= len(k) or not k_set.issuperset(n):
@@ -167,15 +194,16 @@ def subgroup_sets(g: FiniteGroup) -> list:
     set) order: the cyclic subgroups, then joins with them, each join
     closed by repeated squaring of the whole set under the table.  The
     reference for ``all_subgroup_sets``."""
+    rows, _, e = group_table(g)
     cyclics = set()
     for x in range(g.order):
-        orbit, y = [g.identity], x
-        while y != g.identity:
+        orbit, y = [e], x
+        while y != e:
             orbit.append(y)
-            y = g.table[y][x]
+            y = rows[y][x]
         cyclics.add(tuple(sorted(orbit)))
     cyclic_list = sorted(cyclics)
-    table = np.asarray(g.table)
+    table = np.asarray(rows)
     found = set(cyclic_list)
     queue = deque(cyclic_list)
     while queue:
@@ -252,7 +280,8 @@ def group_from_monoid_indices(m: TransformationMonoid, indices, mt=None) -> Fini
 def conjugacy_classes(g: FiniteGroup, subgroup_sets) -> list:
     """Partition subgroup index-sets into conjugacy classes, each class
     sorted, the classes ordered by their least member."""
-    table, inv = np.asarray(g.table), np.asarray(g.inverse)
+    rows, inv, _ = group_table(g)
+    table, inv = np.asarray(rows), np.asarray(inv)
     by_key = {}
     for sub in subgroup_sets:
         arr = np.array(sub, dtype=np.int64)
@@ -269,8 +298,9 @@ def subgroup_from_indices(g: FiniteGroup, indices) -> FiniteGroup:
     group, with the parent's labels carried over."""
     indices = sorted(indices)
     pos = {x: i for i, x in enumerate(indices)}
+    rows = group_table(g).rows
     try:
-        table = [[pos[g.table[x][y]] for y in indices] for x in indices]
+        table = [[pos[rows[x][y]] for y in indices] for x in indices]
     except KeyError:
         raise ValueError("index set is not closed under multiplication") from None
     return FiniteGroup(table, labels=[g.labels[x] for x in indices])
@@ -309,7 +339,8 @@ def quotient_by_indices(g: FiniteGroup, n_idx) -> FiniteGroup:
     """The quotient table of ``g`` by the normal subgroup with index-set
     ``n_idx``, labelled by cosets."""
     arr = np.array(sorted(n_idx), dtype=np.int64)
-    table, inv = np.asarray(g.table), np.asarray(g.inverse)
+    rows, inv, _ = group_table(g)
+    table, inv = np.asarray(rows), np.asarray(inv)
     for x in range(g.order):
         if not np.array_equal(np.sort(table[table[x, arr], inv[x]]), arr):
             raise ValueError("subgroup is not normal in the parent")
@@ -366,10 +397,11 @@ def group_divisors_with_witnesses(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CA
     subgroups taken in (size, element set) order, in the order found.  The
     reference for ``_group_divisors_with_witnesses``."""
     subs = all_subgroup_sets(g, cap)
+    at = g.elements.__getitem__
     witnesses: dict = {}
     for k in subs:
         for n in maximal_normals_in_lattice(g, subs, k):
-            fp = _section_id(g, k, n)
+            fp = _section_id(g, tuple(map(at, k)), tuple(map(at, n)))
             if fp not in witnesses:
                 witnesses[fp] = DivisorWitness(
                     subgroup=tuple(g.labels[x] for x in k),
@@ -389,9 +421,9 @@ def walk_every_leader(m: TransformationMonoid, cap: int = DEFAULT_SUBGROUP_CAP) 
     for e in sorted(set(leaders)):
         h = maximal_subgroup_at(m, e)
         order_of[e] = h.order
-        for fp, w in _group_divisors_with_witnesses(h, cap).items():
+        for fp, w in _group_divisors_with_witnesses(h, cap, idempotent=e).items():
             if fp not in out:
-                out[fp] = replace(w, idempotent=e)
+                out[fp] = w
     return _IdempotentWalk(tuple(order_of[leader] for leader in leaders),
                            tuple(sorted(out.items())))
 
@@ -418,7 +450,7 @@ def composition_factor_orders_sympy(g: FiniteGroup) -> list:
     element has the whole group as its normal closure."""
     from sympy.combinatorics import Permutation, PermutationGroup
 
-    group = PermutationGroup([Permutation(list(row)) for row in g.table])
+    group = PermutationGroup([Permutation(list(row)) for row in group_table(g).rows])
     if not group.is_solvable:
         if any(group.normal_closure(x).order() < group.order()
                for x in group.elements if not x.is_identity):

@@ -2,12 +2,14 @@ import dataclasses
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import (
     STREAM_GROUPS,
     alternating5_automaton,
+    asl24_automaton,
     c2_times_c30_automaton,
     entails_sized_automaton,
     full_transformations,
@@ -52,8 +54,10 @@ def dihedral(n: int) -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """The table of g x h, for groups on 0, ..., order - 1: (i, j) is
+    element i * |h| + j."""
     n, m = g.order, h.order
-    return FiniteGroup([[g.table[i][k] * m + h.table[j][l] for k in range(n) for l in range(m)]
+    return FiniteGroup([[g.mul(i, k) * m + h.mul(j, l) for k in range(n) for l in range(m)]
                         for i in range(n) for j in range(m)])
 
 
@@ -161,46 +165,15 @@ def test_group_validation_rejects_non_group():
 
 
 def test_group_tables_are_immutable():
-    # a group built through FiniteGroup is checked once, when built, and
-    # its table keys the oracle's lattice cache, so neither may change
-    # under the caller
-    g = cyclic_group(2)
-    for target, index in ((g.table, (0, 0)), (g.table, 0), (g.table[0], 0), (g.inverse, 0)):
-        with pytest.raises(TypeError):
-            target[index] = 1
+    # a group built through FiniteGroup is checked once, when built, so
+    # the caller's table may not change it afterwards
+    table = [[0, 1], [1, 0]]
+    g = FiniteGroup(table, labels=["e", "s"])
+    table[0][0] = table[1][1] = 1
+    assert [[g.mul(y, x) for x in g.elements] for y in g.elements] == [[0, 1], [1, 0]]
+    with pytest.raises(TypeError):
+        g.labels[0] = "x"
     assert all_subgroup_sets(g) == ((0,), (0, 1))
-
-
-def test_groups_built_without_checks_pass_them(monkeypatch, corpus_monoids):
-    # maximal subgroups are groups by construction and skip FiniteGroup's
-    # checks; each must pass them all the same
-    known = FiniteGroup._known.__func__
-    built = []
-
-    def checked(cls, rows, identity, labels=None):
-        g = known(cls, rows, identity, labels)
-        ref = FiniteGroup(rows, labels)
-        assert (g.table, g.cols, g.identity, g.inverse, g.labels) == (
-            ref.table, ref.cols, ref.identity, ref.inverse, ref.labels)
-        assert g.order > 60 or oracle.is_associative(g)
-        built.append(g.order)
-        return g
-
-    monkeypatch.setattr(FiniteGroup, "_known", classmethod(checked))
-    # the corpus has maximal subgroups whose identity is not their least
-    # element
-    count = 0
-    for m in corpus_monoids:
-        for e in idempotents(m):
-            maximal_subgroup_at(m, e)
-            count += 1
-    assert len(built) == count
-    # the divisor search reads subgroups as index sets of the group it is
-    # given, and builds no table of its own, not even for a residual
-    # larger than A_5
-    built.clear()
-    assert len(simple_divisors_group(direct_product(psl27(), cyclic_group(2)))) == 4
-    assert built == []
 
 
 # The subgroup and quotient tables live in the oracle, the reference for
@@ -401,6 +374,28 @@ def test_normal_subgroups_come_from_one_routine(monkeypatch):
         assert all(n <= 168 for n in calls)
 
 
+def test_class_sizes_rule_out_joins_in_simple_groups(monkeypatch):
+    # a normal subgroup is a union of classes whose order divides the
+    # group order; in these simple groups no union with the identity but
+    # the whole group has such an order, so no class is joined at all
+    joins = []
+    generate = algebra._generate
+
+    def counted(g, seeds, h=None, normal_in=()):
+        joins.append(h is not None)
+        return generate(g, seeds, h, normal_in)
+
+    monkeypatch.setattr(algebra, "_generate", counted)
+    for g in (alternating5(), psl27(), alternating6()):
+        joins.clear()
+        assert is_simple(g)
+        assert not any(joins)
+    # S5 has A_5 = 1 + 15 + 20 + 24 elements of its classes, so it joins
+    joins.clear()
+    assert not is_simple(symmetric_group(5))
+    assert any(joins)
+
+
 # -- divisors -------------------------------------------------------------------
 
 
@@ -510,31 +505,41 @@ def test_divisors_above_the_cap_are_refused_on_every_route():
         assert algebra._group_divisors_with_witnesses(g, g.order)
 
 
-def count_builds(monkeypatch) -> list:
-    """Record the order of every maximal subgroup the walk builds, with the
-    walk cache emptied."""
-    built = []
+def count_searches(monkeypatch) -> tuple:
+    """Record the order of every maximal subgroup the walk takes, and of
+    every group whose divisor search goes on past the walk over its cyclic
+    subgroups, with the walk cache emptied."""
+    taken, searched = [], []
 
-    def counted(m, e, units=None):
-        h = maximal_subgroup_at(m, e, units)
-        built.append(h.order)
+    def taken_at(m, e):
+        h = maximal_subgroup_at(m, e)
+        taken.append(h.order)
         return h
 
-    monkeypatch.setattr(algebra, "maximal_subgroup_at", counted)
+    def residual(g):
+        searched.append(g.order)
+        return solvable_residual(g)
+
+    solvable_residual = algebra._solvable_residual
+    monkeypatch.setattr(algebra, "maximal_subgroup_at", taken_at)
+    monkeypatch.setattr(algebra, "_solvable_residual", residual)
     monkeypatch.setattr(algebra, "_walk_cache", {})
-    return built
+    return taken, searched
 
 
 def test_one_maximal_subgroup_per_image_kernel_class(monkeypatch):
-    # T_n has one class per rank, with groups S_n, ..., S_2, 1; S_2, S_3
-    # and S_4 are solvable by their order, so their C_2 and C_3 are read
-    # off their units; the walk builds only S_5 in T5 (C_5 and A_5)
-    built = count_builds(monkeypatch)
+    # T_n has one class per rank, with groups S_n, ..., S_2, 1, and the
+    # walk takes one group per class; S_2, S_3 and S_4 are solvable by
+    # their order, so their search ends with the walk over their cyclic
+    # subgroups, and only T5's S_5 is searched further (C_5 and A_5)
+    taken, searched = count_searches(monkeypatch)
     for n, groups in ((4, []), (5, [120])):
         m = transition_monoid(full_transformations(n))
-        built.clear()
+        taken.clear()
+        searched.clear()
         report = algebra.algebra_report(m)
-        assert built == groups
+        assert sorted(taken) == [1, 2, 6, 24, 120][:n]
+        assert searched == groups
         # the order at every idempotent, each group built on its own
         assert report["maximal_subgroup_orders"] == [
             maximal_subgroup_at(m, e).order for e in idempotents(m)]
@@ -554,26 +559,30 @@ def a5_after_c30() -> Automaton:
     return permutation_automaton(gens)
 
 
+# ``built_orders``: the orders of the groups whose search goes on past
+# the walk over their cyclic subgroups
 @pytest.mark.parametrize("q, orders, built_orders, divisors", [
     # S3 beside an extensive automaton: 7 idempotents, each its own class,
     # with groups 1, 1, C2, C3, S3, C3, S3, all solvable by their order:
-    # none is built
+    # no search goes past the cyclic subgroups
     (entails_sized_automaton(), [1, 1, 2, 3, 6, 3, 6], [], ["C_2", "C_3"]),
-    # C_30 is cyclic, so its primes need no table; A_5 is not solvable,
-    # so it is built though C_30 gave its primes
+    # C_30 is cyclic, so its search ends at a generator; A_5 is not
+    # solvable, so it is searched further though C_30 gave its primes
     (a5_after_c30(), [30, 60], [60], ["C_2", "C_3", "C_5", "A_5"]),
     # cyclic groups of orders with three and four primes, and C_2 x C_30,
-    # of order 60 with three primes and not cyclic, which is built
+    # of order 60 with three primes and not cyclic, which is searched
     (counter(300), [300], [], ["C_2", "C_3", "C_5"]),
     (counter(210), [210], [], ["C_2", "C_3", "C_5", "C_7"]),
     (c2_times_c30_automaton(), [60], [60], ["C_2", "C_3", "C_5"]),
 ])
 def test_walk_builds_only_groups_that_can_add_a_divisor(monkeypatch, q, orders, built_orders,
                                                         divisors):
-    built = count_builds(monkeypatch)
+    # every idempotent of these automata is its own class, so the walk
+    # takes each maximal subgroup once
+    taken, searched = count_searches(monkeypatch)
     report = algebra.algebra_report(transition_monoid(q))
-    assert report["maximal_subgroup_orders"] == orders
-    assert built == built_orders
+    assert report["maximal_subgroup_orders"] == orders == taken
+    assert searched == built_orders
     assert [d["name"] for d in report["simple_divisors"]] == divisors
 
 
@@ -606,20 +615,18 @@ def test_unit_walk_matches_the_table_walk(corpus_monoids):
     walks = cyclic = 0
     for m in corpus_monoids + [transition_monoid(q) for q in qs]:
         for e in sorted(set(algebra._class_leaders(m, idempotents(m)))):
-            units = algebra._units_at(m, e)
-            h = maximal_subgroup_at(m, e, units)
-            rows, labels = h.table, h.labels
+            h = maximal_subgroup_at(m, e)
+            table = FiniteGroup(oracle.group_table(h).rows)
             generated = h.order in h.element_orders()
             primes = algebra._prime_factors(h.order)
             for k in range(len(primes) + 1):
                 for need in itertools.combinations(primes, k):
                     for until_generator in (False, True):
                         least, gen = algebra._least_cyclic_subgroups(
-                            units, m.product, e, need, until_generator)
+                            h, set(need), until_generator)
                         table_least, table_gen = algebra._least_cyclic_subgroups(
-                            range(h.order), lambda y, x: rows[y][x], h.identity, need,
-                            until_generator)
-                        assert least == {p: tuple(labels[x] for x in sub)
+                            table, set(need), until_generator)
+                        assert least == {p: tuple(h.elements[x] for x in sub)
                                          for p, sub in table_least.items()}
                         assert sorted(least) == sorted(need)
                         assert gen == table_gen
@@ -658,9 +665,13 @@ def test_a_leader_above_the_cap_is_refused_though_its_primes_are_found(
 def test_a_leader_above_the_cap_is_refused_before_its_group_is_built(
         tmp_path, capsys, monkeypatch):
     # PSL(2,13) on 14 points has order 1092, above the default cap 1024;
-    # its order is known from its units, so its 1092 x 1092 table is
-    # never built
-    built = count_builds(monkeypatch)
+    # its order is known from its units, so it is refused before any of
+    # its cyclic subgroups is walked
+    walked = []
+    least_cyclic_subgroups = algebra._least_cyclic_subgroups
+    monkeypatch.setattr(algebra, "_least_cyclic_subgroups",
+                        lambda g, *args: walked.append(g.order) or least_cyclic_subgroups(g, *args))
+    monkeypatch.setattr(algebra, "_walk_cache", {})
     monkeypatch.setattr(entailment, "_divisor_tables", {})
     monkeypatch.delenv("FPAL_CONFIG", raising=False)
     q = psl213_automaton()
@@ -673,7 +684,7 @@ def test_a_leader_above_the_cap_is_refused_before_its_group_is_built(
     assert cli.main(["divisors", str(path)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error[cap-exceeded]: {message}\n")
-    assert built == []
+    assert walked == []
 
 
 def test_prime_factors_match_sympy():
@@ -714,10 +725,49 @@ def test_units_by_rank_match_inverse_search(corpus_monoids):
         for e in idempotents(m):
             units = units_by_inverse_search(table, e)
             h = maximal_subgroup_at(m, e)
-            assert list(h.labels) == units
-            assert h.table == group_from_monoid_indices(m, units, table).table
+            assert list(h.labels) == list(h.elements) == units
+            assert oracle.group_table(h).rows == oracle.group_table(
+                group_from_monoid_indices(m, units, table)).rows
             checked += 1
     assert (len(monoids), checked) == (222, 745)
+
+
+def test_map_groups_match_their_tables(corpus_monoids):
+    # a group given as maps and the same group given as FiniteGroup(its
+    # table) agree; FiniteGroup checks the table, and the small ones are
+    # checked for associativity as well.  The corpus has maximal subgroups
+    # whose identity is not their least element.
+    a5_c2 = group_from_permutations([(2, 3, 4, 5, 1, 6, 7), (2, 3, 1, 4, 5, 6, 7),
+                                     (1, 2, 3, 4, 5, 7, 6)])
+    groups = [psl27(), a5_c2, symmetric_group(5)]
+    for m in corpus_monoids:
+        groups += [maximal_subgroup_at(m, e)
+                   for e in sorted(set(algebra._class_leaders(m, idempotents(m))))]
+    cap = algebra.DEFAULT_SUBGROUP_CAP
+    for g in groups:
+        table = FiniteGroup(oracle.group_table(g).rows, labels=g.labels)
+        assert table.order > 60 or oracle.is_associative(table)
+        assert composition_factors(g) == composition_factors(table)
+        assert list(algebra._group_divisors_with_witnesses(g, cap).items()) \
+            == list(algebra._group_divisors_with_witnesses(table, cap).items())
+        assert g.element_orders() == table.element_orders()
+        assert g.is_abelian() == table.is_abelian()
+    assert (a5_c2.order, len(groups)) == (120, 3 + 487)
+
+
+@pytest.mark.parametrize("q", [symmetric_automaton(6), asl24_automaton()], ids=["S6", "ASL(2,4)"])
+def test_divisor_search_holds_no_table(monkeypatch, q):
+    # the groups of orders 720 and 960 are multiplied on demand, so the
+    # whole report allocates under 1 MiB at its peak
+    m = transition_monoid(q)
+    monkeypatch.setattr(algebra, "_walk_cache", {})
+    tracemalloc.start()
+    try:
+        assert algebra.algebra_report(m)["simple_divisors"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def padded_with_fixed_states(q: Automaton, n: int) -> Automaton:

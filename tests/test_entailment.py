@@ -21,7 +21,7 @@ from fpal.entailment import (
     family_completeness,
     initial_shift_check,
 )
-from fpal import entailment
+from fpal import algebra, entailment
 from fpal.errors import CapExceededError, NotInitiallyConnectedError
 from fpal.identities import gamma
 
@@ -264,18 +264,18 @@ def test_missing_scan_candidates_are_the_named_simple_groups():
 
 def test_cyclic_simple_id_closed_form():
     for p in (2, 3, 5, 7, 11, 13):
-        closed = entailment._cyclic_simple_id(p)
+        closed = algebra._cyclic_simple_id(p)
         assert closed == fingerprint(cyclic_group(p))
         assert str(closed) == f"C_{p}"
 
 
 def test_missing_scan_refuses_past_order_1091():
     primes = [p for p in range(2, 1092) if all(p % d for d in range(2, p))]
-    covered = {entailment._cyclic_simple_id(p) for p in primes}
+    covered = {algebra._cyclic_simple_id(p) for p in primes}
     covered |= {entailment._nonabelian_simple_id(o) for o in entailment._NONABELIAN_GENERATORS}
     with pytest.raises(CapExceededError):
         entailment._smallest_missing(covered)
-    covered.remove(entailment._cyclic_simple_id(1091))
+    covered.remove(algebra._cyclic_simple_id(1091))
     assert str(entailment._smallest_missing(covered)) == "C_1091"
 
 
