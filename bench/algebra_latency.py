@@ -7,7 +7,8 @@ primes, ``fpal monoid`` on counter(6) and on T5 (3125 elements, the
 largest JSON document the bench writes), ``algebra_report``
 on the PSL(2,13) automaton with the subgroup cap raised to its order
 1092 and at the default cap (1024), where it is refused,
-``composition_factors`` on PSL(2,7), ``symmetric_group(6)``, and
+``composition_factors`` on PSL(2,7) and on C_2^6 (64 elements, every
+subgroup normal), ``symmetric_group(6)``, and
 ``transition_monoid`` alone on T5 and on a
 13-state, 3-letter automaton of monoid order 77, the size of those in
 perfbench's entails-stream workload.  ``entails`` with that automaton as
@@ -40,6 +41,12 @@ odd ones, so drift of the machine over the run reaches both trees alike::
     python3 bench/algebra_latency.py --tree parent=../parent/src \\
         --tree change=src --out BENCH_15.json
 
+With ``--tier1 N`` each tree's Tier-1 suite (``python -m pytest -q``
+in the checkout holding the tree, with ``PYTHONPATH`` set to the tree)
+is also run N times, alternating between the trees as the items are,
+after the items; the best wall seconds and pytest's last summary line
+are kept.
+
 The output holds ``nproc``, the Python version, and per tree the best
 seconds of every item and the line count of its ``fpal`` package.
 """
@@ -68,6 +75,9 @@ ENTAILS_SIZED_DELTA = (
     (2, 2, 1), (3, 1, 2), (1, 3, 3), (4, 4, 4), (7, 7, 5), (7, 8, 6), (9, 7, 8),
     (9, 9, 8), (9, 9, 10), (10, 10, 10), (13, 13, 11), (12, 13, 12), (13, 13, 13),
 )
+# C_2^6, by six disjoint transpositions of 12 points.
+ELEMENTARY_ABELIAN_2_6 = tuple(
+    tuple((s ^ 1 if s // 2 == i else s) + 1 for s in range(12)) for i in range(6))
 SMALL_CALLS = 200
 CLI_RUNS = 10
 
@@ -244,6 +254,8 @@ def items(tmp: str) -> dict:
     out["cli fpal divisors S4"] = lambda: cli_run(["divisors", s4])
     psl = algebra.group_from_permutations(PSL27_GENERATORS)
     out["composition_factors PSL(2,7)"] = lambda: sample(lambda: algebra.composition_factors(psl))
+    c2_6 = algebra.group_from_permutations(ELEMENTARY_ABELIAN_2_6)
+    out["composition_factors C_2^6"] = lambda: sample(lambda: algebra.composition_factors(c2_6))
     psl213 = algebra.transition_monoid(from_generators(PSL213_GENERATORS))
     if psl213.order != 1092:
         raise RuntimeError("the PSL(2,13) automaton should have monoid order 1092")
@@ -292,6 +304,18 @@ def worker() -> int:
     return 0
 
 
+def tier1_run(src: pathlib.Path) -> tuple:
+    """Wall seconds and pytest's last summary line of one Tier-1 run of the
+    checkout holding ``src``."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=src.parent, env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    return round(time.perf_counter() - start, 2), done.stdout.strip().splitlines()[-1]
+
+
 def line_count(src: pathlib.Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (src / "fpal").glob("*.py"))
 
@@ -302,11 +326,15 @@ def main() -> int:
                         help="a source tree (the directory holding fpal) to time; "
                         "repeatable (default: change=src)")
     parser.add_argument("--repeat", type=int, default=3, help="samples per item (default 3)")
+    parser.add_argument("--tier1", type=int, default=0, metavar="N",
+                        help="also run each tree's Tier-1 suite N times (default 0)")
     parser.add_argument("--out", help="write the JSON here as well as to stdout")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.tier1 < 0:
+        parser.error("--tier1 must not be negative")
     if args.worker:
         return worker()
     trees = {}
@@ -344,16 +372,23 @@ def main() -> int:
         for w in workers.values():
             w.stdin.close()
             w.wait()
+    tier1 = {label: [] for label in trees}
+    for k in range(args.tier1):
+        for label in list(trees) if k % 2 == 0 else list(reversed(trees)):
+            tier1[label].append(tier1_run(trees[label]))
     result = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "repeat": args.repeat,
         "cli_runs": CLI_RUNS,
+        "tier1_runs": args.tier1,
         "samples": "alternating between the trees",
         "trees": {
             label: {
                 "src_lines": line_count(src),
                 "best_s": {item: round(v, 6) for item, v in best[label].items()},
+                **({"tier1": dict(zip(("best_s", "summary"), min(tier1[label])))}
+                   if args.tier1 else {}),
             }
             for label, src in trees.items()
         },

@@ -28,9 +28,9 @@ read off those index sets.  The searches are guarded by size caps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import compress, count, repeat
 from math import gcd
-from operator import eq
+from operator import eq, itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -66,6 +66,9 @@ class TransformationMonoid:
     Elements are the maps of ``map_form``, sorted; each carries a shortest
     witness word (ties broken toward earlier letters).  There is no
     product table: a product is one composition and an index lookup.
+    ``index`` is a read-only map -> element index dict, and ``image_keys``
+    a tuple with one key per element, equal for two elements exactly when
+    their maps have the same image.
     """
 
     def __init__(self, maps, witnesses, letters):
@@ -75,13 +78,13 @@ class TransformationMonoid:
         self.n_states = len(self.maps[0])
         encode, pad, self.then = map_form(self.n_states)
         self.padded = tuple(map(pad, self.maps))
-        self.index = MappingProxyType({t: i for i, t in enumerate(self.maps)})
+        self.index = MappingProxyType(dict(zip(self.maps, count())))
         ident = self.index.get(encode(range(self.n_states)))
         if ident is None:
             raise ValueError("transformation monoid must contain the identity")
         self.identity_index = ident
         self._elements = None
-        self._by_image = None
+        self._image_keys = None
 
     @property
     def order(self) -> int:
@@ -96,15 +99,19 @@ class TransformationMonoid:
         return self._elements
 
     @property
-    def by_image(self) -> MappingProxyType:
-        """Element indices, ascending, bucketed by the image of their map."""
-        if self._by_image is None:
-            buckets: dict = {}
-            for i, t in enumerate(self.maps):
-                buckets.setdefault(frozenset(t), []).append(i)
-            self._by_image = MappingProxyType(
-                {im: tuple(xs) for im, xs in buckets.items()})
-        return self._by_image
+    def image_keys(self) -> tuple:
+        """One key per element, built on first use, naming the image of its
+        map: for a bytes map the states outside the image, deleted from
+        the string of all states in one ``bytes.translate``; for a tuple
+        map the image as a frozenset."""
+        if self._image_keys is None:
+            if isinstance(self.maps[0], bytes):
+                keys = map(bytes.translate, repeat(bytes(range(self.n_states))),
+                           repeat(None), self.maps)
+            else:
+                keys = map(frozenset, self.maps)
+            self._image_keys = tuple(keys)
+        return self._image_keys
 
     def product(self, i: int, j: int) -> int:
         """Index of element i followed by element j."""
@@ -118,7 +125,7 @@ def transition_monoid(q: Automaton, cap: int = DEFAULT_MONOID_CAP) -> Transforma
     """Breadth-first closure of the letter actions under composition."""
     witness = _map_closure(q, cap)
     maps = sorted(witness)
-    return TransformationMonoid(maps, [witness[t] for t in maps], q.letters)
+    return TransformationMonoid(maps, map(witness.__getitem__, maps), q.letters)
 
 
 def idempotents(m: TransformationMonoid) -> list:
@@ -237,11 +244,14 @@ def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
     """The group of invertible elements of e M e, the largest group inside
     the monoid whose unit is the idempotent e: the monoid elements x with
     the image and the kernel of e, ascending, multiplied as in the monoid.
-    Among maps with the image of e, "e then x" equals x exactly when x
-    has the kernel of e too, so one composition per bucket member finds
-    them."""
+    The elements with the image of e are those whose image key equals
+    e's, picked out in one pass; among them "e then x" equals x exactly
+    when x has the kernel of e too, so one composition per such element
+    finds the units."""
     then, padded, maps, index, t_e = m.then, m.padded, m.maps, m.index, m.maps[e]
-    units = tuple([x for x in m.by_image[frozenset(t_e)] if then(t_e, padded[x]) == maps[x]])
+    keys = m.image_keys
+    same_image = compress(count(), map(eq, keys, repeat(keys[e])))
+    units = tuple([x for x in same_image if then(t_e, padded[x]) == maps[x]])
     if e not in units:  # "e then e" is not e
         raise ValueError(f"element {e} is not idempotent")
     return _group(units, e, lambda y, x: index[then(maps[y], padded[x])])
@@ -455,10 +465,16 @@ def _section_id(g: FiniteGroup, k, n) -> SimpleGroupId:
 
 
 def is_simple(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> bool:
-    """Nontrivial with no proper nontrivial normal subgroup.  The trivial
-    group is not simple."""
+    """Nontrivial with no proper nontrivial normal subgroup: of prime
+    order when solvable, and otherwise perfect (its own solvable
+    residual) with no normal subgroup between.  The trivial group is not
+    simple."""
     _check_cap(g.order, cap)
-    return _maximal_normals(g, g.elements) == [(g.identity,)]
+    if _is_prime(g.order):
+        return True
+    residual = _solvable_residual(g)
+    return (residual is not None and len(residual) == g.order
+            and _maximal_normals(g, g.elements) == [(g.identity,)])
 
 
 def fingerprint(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> SimpleGroupId:
@@ -470,16 +486,28 @@ def fingerprint(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> SimpleGroupI
 
 def composition_factors(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP, rng=None) -> tuple:
     """Multiset (sorted tuple) of simple factor fingerprints of any maximal
-    normal series of ``g``.  The default tie-break takes the largest
-    maximal normal subgroup, then the least element set; pass ``rng`` to
-    randomize the choice (the result is the same multiset either way)."""
+    normal series of ``g``.  Each step strips the solvable top of the
+    current term K: K/R, for R the solvable residual of K, has the C_p
+    for the primes p of |K|/|R|, with multiplicity, as its factors.  Only
+    inside the perfect R are maximal normal subgroups looked for; the
+    default tie-break takes the largest one, then the least element set,
+    and ``rng`` randomizes the choice (the result is the same multiset
+    either way, by Jordan-Hoelder)."""
     _check_cap(g.order, cap)
     factors = []
     k = tuple(g.elements)
     while len(k) > 1:
-        candidates = sorted(_maximal_normals(g, k), key=lambda s: (-len(s), s))
+        r = _solvable_residual(g, k) or (g.identity,)
+        top = len(k) // len(r)
+        for p in _prime_factors(top):
+            while top % p == 0:
+                factors.append(_cyclic_simple_id(p))
+                top //= p
+        if len(r) == 1:
+            break
+        candidates = sorted(_maximal_normals(g, r), key=lambda s: (-len(s), s))
         n = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
-        factors.append(_section_id(g, k, n))
+        factors.append(_section_id(g, r, n))
         k = n
     return tuple(sorted(factors))
 
@@ -547,16 +575,18 @@ def _least_cyclic_subgroups(g: FiniteGroup, need: set, until_generator: bool = F
     return least, cyclic
 
 
-def _solvable_residual(g: FiniteGroup) -> list | None:
-    """The elements of the last term of the derived series of ``g``, or
-    None when that term is trivial, that is when ``g`` is solvable.  Each
+def _solvable_residual(g: FiniteGroup, k=None) -> list | None:
+    """The elements of the last term of the derived series of the
+    subgroup K of ``g`` with elements ``k`` (all of ``g`` by default), or
+    None when that term is trivial, that is when K is solvable.  Each
     derived subgroup K' is generated by the K-classes of the commutators
     of K's generators; the series stops early at an order that
     ``_surely_solvable`` accepts."""
-    if _surely_solvable(g.order):
+    k = g.elements if k is None else k
+    if _surely_solvable(len(k)):
         return None
     mul = g.mul
-    _, elems, gens = _generate(g, g.elements)
+    _, elems, gens = _generate(g, k)
     while not _surely_solvable(len(elems)):
         inv = [_inverse(g, a) for a in gens]
         commutators = [mul(mul(mul(inv[i], inv[j]), a), b)
@@ -664,14 +694,23 @@ class _IdempotentWalk(NamedTuple):
 _walk_cache: dict = {}
 
 
-def _kernel_key(t):
-    """The kernel of a map as the first state in each state's kernel
-    class; for a bytes map, by a table sending each value to its first
-    state, which is written last when the map is read backwards."""
-    if isinstance(t, bytes):
-        return t.translate(bytes.maketrans(t[::-1], bytes(range(len(t) - 1, -1, -1))))
-    first: dict = {}
-    return tuple(first.setdefault(v, x) for x, v in enumerate(t))
+def _kernel_keys(m: TransformationMonoid, xs) -> list:
+    """The kernels of the maps of the elements ``xs``, each as the first
+    state in each state's kernel class.  A bytes map t is translated by a
+    table sending each value to its first state, which is written last
+    when t is read backwards: the table takes t[::-1] to the states
+    backwards, a string made once for all of ``xs``."""
+    maps = list(map(m.maps.__getitem__, xs))
+    if isinstance(m.maps[0], bytes):
+        backwards = bytes(range(m.n_states - 1, -1, -1))
+        reversed_maps = map(itemgetter(slice(None, None, -1)), maps)
+        return list(map(bytes.translate, maps,
+                        map(bytes.maketrans, reversed_maps, repeat(backwards))))
+    out = []
+    for t in maps:
+        first: dict = {}
+        out.append(tuple(first.setdefault(v, x) for x, v in enumerate(t)))
+    return out
 
 
 def _class_leaders(m: TransformationMonoid, idems: list) -> list:
@@ -688,11 +727,13 @@ def _class_leaders(m: TransformationMonoid, idems: list) -> list:
             leader[e] = e = leader[leader[e]]
         return e
 
+    # no image key equals a kernel key: for bytes maps it is shorter (the
+    # image is never empty), and a frozenset never equals a tuple
     first: dict = {}
-    for e in idems:
+    images = map(m.image_keys.__getitem__, idems)
+    for e, image, kernel in zip(idems, images, _kernel_keys(m, idems)):
         leader[e] = e
-        t = m.maps[e]
-        for key in (frozenset(t), _kernel_key(t)):
+        for key in (image, kernel):
             a, b = find(e), find(first.setdefault(key, e))
             leader[max(a, b)] = min(a, b)
     return [find(e) for e in idems]

@@ -35,7 +35,7 @@ from fpal.identities import (
     power_identity,
 )
 from oracle import simple_divisors_monoid_bruteforce
-from test_algebra import group_corpus, names
+from test_algebra import TieBreaks, alternating5_squared, group_corpus, names
 from test_cpo_model import (
     corrupted_double_dagger,
     corrupted_drop_params,
@@ -99,6 +99,16 @@ def test_criterion_3_composition_series():
             assert product == g.order
             for seed in range(5):
                 assert composition_factors(g, rng=random.Random(seed)) == factors
+        # the tie-break chooses only inside a perfect residual: in A_5 x A_5
+        # between its two maximal normal subgroups
+        a5a5 = alternating5_squared()
+        factors = composition_factors(a5a5, a5a5.order)
+        picks = []
+        for seed in range(3):
+            rng = TieBreaks(seed)
+            assert composition_factors(a5a5, a5a5.order, rng) == factors
+            picks += rng.picks
+        assert {n for n, _ in picks} == {1, 2}
         s4 = symmetric_group(4)
         assert sorted(f.order for f in composition_factors(s4)) == [2, 2, 2, 3]
         assert names(simple_divisors_group(symmetric_group(5))) == [

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -72,6 +73,46 @@ def alternating5() -> FiniteGroup:
 def alternating6() -> FiniteGroup:
     """A_6 = <(1 2 3), (2 3 4 5 6)>, order 360."""
     return group_from_permutations([(2, 3, 1, 4, 5, 6), (1, 3, 4, 5, 6, 2)])
+
+
+def elementary_abelian_2(k: int) -> FiniteGroup:
+    """C_2^k, generated by k disjoint transpositions on 2k points."""
+    return group_from_permutations([
+        tuple((j ^ 1 if j // 2 == i else j) + 1 for j in range(2 * k))
+        for i in range(k)])
+
+
+def sl25() -> FiniteGroup:
+    """SL(2,5) on the 24 nonzero vectors of GF(5)^2, by [[1,1],[0,1]] and
+    [[0,-1],[1,0]]: order 120, perfect, its centre {1, -1} the one
+    proper nontrivial normal subgroup."""
+    vectors = [(a, b) for a in range(5) for b in range(5) if a or b]
+    pos = {v: i + 1 for i, v in enumerate(vectors)}
+    return group_from_permutations([
+        tuple(pos[f(a, b)] for a, b in vectors)
+        for f in (lambda a, b: ((a + b) % 5, b), lambda a, b: (-b % 5, a))])
+
+
+def alternating5_squared() -> FiniteGroup:
+    """A_5 x A_5 on 10 points, order 3600: the least perfect group with two
+    maximal normal subgroups, A_5 x 1 and 1 x A_5."""
+    a5 = [(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)]
+    return group_from_permutations([g + tuple(range(6, 11)) for g in a5]
+                                   + [tuple(range(1, 6)) + tuple(v + 5 for v in g) for g in a5])
+
+
+class TieBreaks(random.Random):
+    """A seeded ``random.Random`` that records each ``randrange(n)`` it
+    answers as (n, choice)."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.picks = []
+
+    def randrange(self, n):
+        k = super().randrange(n)
+        self.picks.append((n, k))
+        return k
 
 
 def names(ids) -> list:
@@ -215,6 +256,7 @@ def test_is_simple_cases():
     assert not is_simple(cyclic_group(6))
     assert not is_simple(alternating4())
     assert is_simple(alternating5())
+    assert not is_simple(sl25())
 
 
 def test_fingerprint_names():
@@ -249,12 +291,28 @@ def test_composition_factors_examples():
         "C_2", "C_2", "C_2", "C_3",
     ]
     assert names(composition_factors(alternating5())) == ["A_5"]
+    # SL(2,5) is perfect; below its factor A_5 the centre C_2 is solvable
+    assert names(composition_factors(sl25())) == ["A_5", "C_2"]
 
 
 def test_composition_factor_multiset_s4():
     factors = composition_factors(symmetric_group(4))
     orders = sorted(f.order for f in factors)
     assert orders == [2, 2, 2, 3]
+
+
+def test_composition_factors_of_elementary_abelian_groups_are_fast():
+    # every subgroup of C_2^k is normal, so a breadth-first search over
+    # normal subgroups visits all of them; the solvable top is read off
+    # the order instead
+    g = elementary_abelian_2(8)
+    assert g.order == 256
+    start = time.perf_counter()
+    assert names(composition_factors(g)) == ["C_2"] * 8
+    assert not is_simple(g)
+    with pytest.raises(ValueError):
+        fingerprint(g)
+    assert time.perf_counter() - start < 1.0
 
 
 def group_corpus() -> list:
@@ -291,6 +349,17 @@ def test_jordan_holder_invariance_under_random_tie_breaks():
         for seed in range(8):
             shuffled = composition_factors(g, rng=random.Random(seed))
             assert shuffled == base
+    # the series has a choice only inside a perfect residual; in A_5 x A_5
+    # the rng picks either factor, and both series give A_5 twice
+    g = alternating5_squared()
+    base = composition_factors(g, g.order)
+    assert names(base) == ["A_5", "A_5"]
+    picks = []
+    for seed in range(4):
+        rng = TieBreaks(seed)
+        assert composition_factors(g, g.order, rng) == base
+        picks += rng.picks
+    assert {pick for pick in picks if pick[0] > 1} == {(2, 0), (2, 1)}
 
 
 def test_composition_factors_match_table_route():
@@ -341,8 +410,9 @@ def psl27() -> FiniteGroup:
 
 def test_normal_subgroups_come_from_one_routine(monkeypatch):
     # no subgroup lattice is listed: composition factors, simplicity and
-    # nonabelian witnesses all read _maximal_normals, once per factor of
-    # the series, once per simplicity test, and only on subgroups of a
+    # nonabelian witnesses all read _maximal_normals, and only inside a
+    # perfect group: once per nonabelian factor of the series, once per
+    # simplicity test of a perfect group, and only on subgroups of a
     # residual larger than A_5 in the divisor search
     assert not hasattr(algebra, "all_subgroup_sets")
     calls = []
@@ -361,13 +431,15 @@ def test_normal_subgroups_come_from_one_routine(monkeypatch):
                  (direct_product(alternating5(), cyclic_group(2)), False),
                  (psl27(), True), (direct_product(psl27(), cyclic_group(2)), True)]
     for g, nonabelian_search in searched:
+        residual = algebra._solvable_residual(g)
+        perfect = residual is not None and len(residual) == g.order
         calls.clear()
         factors = composition_factors(g)
-        assert len(calls) == len(factors)
-        assert calls[:1] == ([g.order] if g.order > 1 else [])
+        # each residual here is simple, so it has the order of its factor
+        assert calls == [f.order for f in factors if not algebra._is_prime(f.order)]
         calls.clear()
         is_simple(g)
-        assert calls == [g.order]
+        assert calls == ([g.order] if perfect else [])
         calls.clear()
         algebra._group_divisors_with_witnesses(g, algebra.DEFAULT_SUBGROUP_CAP)
         assert bool(calls) == nonabelian_search
@@ -390,9 +462,13 @@ def test_class_sizes_rule_out_joins_in_simple_groups(monkeypatch):
         joins.clear()
         assert is_simple(g)
         assert not any(joins)
-    # S5 has A_5 = 1 + 15 + 20 + 24 elements of its classes, so it joins
+    # S5 is not perfect, so its residual A_5 settles it with no class
+    # joined; SL(2,5) is perfect, and its centre is the union of two
+    # classes of order 2, which divides 120, so it joins
     joins.clear()
     assert not is_simple(symmetric_group(5))
+    assert not any(joins)
+    assert not is_simple(sl25())
     assert any(joins)
 
 
@@ -817,6 +893,41 @@ def test_tuple_maps_give_the_same_idempotent_classes(monkeypatch):
     assert algebra._class_leaders(tuples, idempotents(tuples)) == leaders
 
 
+def assert_image_keys_match_images(m) -> None:
+    """Two elements share an image key exactly when their maps have one
+    image."""
+    images = [frozenset(t) for t in m.maps]
+    keys = m.image_keys
+    assert len(keys) == m.order
+    for i in range(m.order):
+        assert [keys[i] == k for k in keys] == [images[i] == im for im in images]
+
+
+def test_image_keys_match_frozenset_images(monkeypatch):
+    # byte maps on 256 states, the most a byte map holds, with state 255,
+    # and separately state 0, in the image of some maps and not of others
+    top_to_1 = tuple(1 if s == 256 else s for s in range(1, 257))
+    bottom_to_2 = tuple(2 if s == 1 else s for s in range(1, 257))
+    swap_ends = (256,) + tuple(range(2, 256)) + (1,)
+    to_256 = (256,) * 256
+    seen = set()
+    for gens in ([top_to_1], [bottom_to_2], [top_to_1, bottom_to_2], [swap_ends, top_to_1],
+                 [swap_ends, to_256]):
+        m = transition_monoid(permutation_automaton(gens))
+        assert isinstance(m.maps[0], bytes) and m.n_states == 256
+        seen.update((state, state in t) for t in m.maps for state in (0, 255))
+        assert_image_keys_match_images(m)
+    assert seen == {(0, True), (0, False), (255, True), (255, False)}
+    # tuple maps above 256 states, and on few states with byte maps off
+    wide = transition_monoid(padded_with_fixed_states(full_transformations(3), 300))
+    assert isinstance(wide.maps[0], tuple)
+    assert_image_keys_match_images(wide)
+    monkeypatch.setattr("fpal.automaton.BYTE_MAP_STATES", 0)
+    tuples = transition_monoid(full_transformations(4))
+    assert isinstance(tuples.maps[0], tuple)
+    assert_image_keys_match_images(tuples)
+
+
 def test_tuple_maps_agree_with_byte_maps(monkeypatch, corpus):
     # the same monoids, products and reports when every map is a tuple
     qs = corpus[::11] + [symmetric_automaton(4), full_transformations(3)]
@@ -846,12 +957,11 @@ def test_cached_divisor_table_is_read_only():
         del table[next(iter(original))]
     assert dict(divisor_witnesses_monoid(transition_monoid(counter(6)))) == original
     assert isinstance(all_subgroup_sets(cyclic_group(6)), tuple)
-    # the per-monoid index and image buckets cannot be changed either
+    # the per-monoid index and image keys cannot be changed either
     assert isinstance(m.maps, tuple)
-    for mapping in (m.index, m.by_image):
-        with pytest.raises(TypeError):
-            mapping[next(iter(mapping))] = 0
-    assert all(isinstance(xs, tuple) for xs in m.by_image.values())
+    with pytest.raises(TypeError):
+        m.index[next(iter(m.index))] = 0
+    assert isinstance(m.image_keys, tuple)
     # nor can the per-automaton table that entailment caches, or its witnesses
     caps = (algebra.DEFAULT_MONOID_CAP, algebra.DEFAULT_SUBGROUP_CAP)
     cached = entailment._divisor_table(counter(6), *caps)
