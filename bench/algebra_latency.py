@@ -8,7 +8,10 @@ largest JSON document the bench writes), ``algebra_report``
 on the PSL(2,13) automaton with the subgroup cap raised to its order
 1092 and at the default cap (1024), where it is refused,
 ``composition_factors`` on PSL(2,7) and on C_2^6 (64 elements, every
-subgroup normal), ``symmetric_group(6)``, and
+subgroup normal), ``algebra_report`` on the monoid of 12 commuting
+resets (4096 idempotents, each its own image/kernel class), made anew
+from its maps for every sample so that no per-monoid data is reused,
+``symmetric_group(6)``, and
 ``transition_monoid`` alone on T5 and on a
 13-state, 3-letter automaton of monoid order 77, the size of those in
 perfbench's entails-stream workload.  ``entails`` with that automaton as
@@ -45,7 +48,7 @@ With ``--tier1 N`` each tree's Tier-1 suite (``python -m pytest -q``
 in the checkout holding the tree, with ``PYTHONPATH`` set to the tree)
 is also run N times, alternating between the trees as the items are,
 after the items; the best wall seconds and pytest's last summary line
-are kept.
+are kept.  A run that fails, or cannot collect a test, stops the bench.
 
 The output holds ``nproc``, the Python version, and per tree the best
 seconds of every item and the line count of its ``fpal`` package.
@@ -75,6 +78,11 @@ ENTAILS_SIZED_DELTA = (
     (2, 2, 1), (3, 1, 2), (1, 3, 3), (4, 4, 4), (7, 7, 5), (7, 8, 6), (9, 7, 8),
     (9, 9, 8), (9, 9, 10), (10, 10, 10), (13, 13, 11), (12, 13, 12), (13, 13, 13),
 )
+# 12 commuting letters on 13 states, letter i sending state i + 2 to 1:
+# the monoid is the 2^12 sets of letters, each an idempotent with its own
+# image and kernel.
+COMMUTING_RESETS_DELTA = tuple(
+    tuple(1 if s == i + 2 else s for i in range(12)) for s in range(1, 14))
 # C_2^6, by six disjoint transpositions of 12 points.
 ELEMENTARY_ABELIAN_2_6 = tuple(
     tuple((s ^ 1 if s // 2 == i else s) + 1 for s in range(12)) for i in range(6))
@@ -263,6 +271,13 @@ def items(tmp: str) -> dict:
         lambda: algebra.algebra_report(psl213, cap=1092))
     out["algebra_report PSL(2,13), refused at cap 1024"] = lambda: sample(
         lambda: refused(lambda: algebra.algebra_report(psl213)))
+    resets = algebra.transition_monoid(
+        Automaton(13, tuple(f"r{i}" for i in range(12)), COMMUTING_RESETS_DELTA))
+    if resets.order != 4096:
+        raise RuntimeError("the commuting resets should have monoid order 4096")
+    out["algebra_report 12 commuting resets, cold"] = lambda: sample(
+        lambda: algebra.algebra_report(algebra.TransformationMonoid(
+            resets.maps, resets.witnesses, resets.letters)))
     out["symmetric_group(6)"] = lambda: sample(lambda: algebra.symmetric_group(6))
     t5 = full_transformations(5)
     out["transition_monoid T5"] = lambda: sample(lambda: algebra.transition_monoid(t5))
@@ -306,14 +321,16 @@ def worker() -> int:
 
 def tier1_run(src: pathlib.Path) -> tuple:
     """Wall seconds and pytest's last summary line of one Tier-1 run of the
-    checkout holding ``src``."""
+    checkout holding ``src``, which must pass."""
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
         cwd=src.parent, env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    return round(time.perf_counter() - start, 2), done.stdout.strip().splitlines()[-1]
+    seconds, summary = time.perf_counter() - start, done.stdout.strip().splitlines()[-1]
+    if done.returncode != 0:
+        raise RuntimeError(f"Tier-1 of {src} failed: {summary}")
+    return round(seconds, 2), summary
 
 
 def line_count(src: pathlib.Path) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from math import gcd
-from operator import eq, itemgetter
+from operator import eq
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -66,9 +66,10 @@ class TransformationMonoid:
     Elements are the maps of ``map_form``, sorted; each carries a shortest
     witness word (ties broken toward earlier letters).  There is no
     product table: a product is one composition and an index lookup.
-    ``index`` is a read-only map -> element index dict, and ``image_keys``
-    a tuple with one key per element, equal for two elements exactly when
-    their maps have the same image.
+    ``index`` is a read-only map -> element index dict, ``image_keys`` a
+    tuple with one key per element, equal for two elements exactly when
+    their maps have the same image, and ``image_buckets`` a read-only
+    image key -> element indices dict.
     """
 
     def __init__(self, maps, witnesses, letters):
@@ -85,6 +86,7 @@ class TransformationMonoid:
         self.identity_index = ident
         self._elements = None
         self._image_keys = None
+        self._image_buckets = None
 
     @property
     def order(self) -> int:
@@ -112,6 +114,18 @@ class TransformationMonoid:
                 keys = map(frozenset, self.maps)
             self._image_keys = tuple(keys)
         return self._image_keys
+
+    @property
+    def image_buckets(self) -> MappingProxyType:
+        """Element indices, ascending, grouped by image key; built on first
+        use, in one pass over ``image_keys``."""
+        if self._image_buckets is None:
+            buckets: dict = {}
+            for i, key in enumerate(self.image_keys):
+                buckets.setdefault(key, []).append(i)
+            self._image_buckets = MappingProxyType(
+                {key: tuple(xs) for key, xs in buckets.items()})
+        return self._image_buckets
 
     def product(self, i: int, j: int) -> int:
         """Index of element i followed by element j."""
@@ -244,13 +258,11 @@ def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
     """The group of invertible elements of e M e, the largest group inside
     the monoid whose unit is the idempotent e: the monoid elements x with
     the image and the kernel of e, ascending, multiplied as in the monoid.
-    The elements with the image of e are those whose image key equals
-    e's, picked out in one pass; among them "e then x" equals x exactly
-    when x has the kernel of e too, so one composition per such element
-    finds the units."""
+    Among the maps with the image of e, its bucket in ``image_buckets``,
+    "e then x" equals x exactly when x has the kernel of e too, so one
+    composition per bucket member finds them."""
     then, padded, maps, index, t_e = m.then, m.padded, m.maps, m.index, m.maps[e]
-    keys = m.image_keys
-    same_image = compress(count(), map(eq, keys, repeat(keys[e])))
+    same_image = m.image_buckets[m.image_keys[e]]
     units = tuple([x for x in same_image if then(t_e, padded[x]) == maps[x]])
     if e not in units:  # "e then e" is not e
         raise ValueError(f"element {e} is not idempotent")
@@ -335,9 +347,10 @@ def _conjugation(g: FiniteGroup, gens):
     return lambda y: [mul(mul(t, y), s) for t, s in pairs]
 
 
-def _maximal_normals(g: FiniteGroup, k) -> list:
-    """The maximal proper normal subgroups of the subgroup K of ``g`` with
-    elements ``k``, as sorted index tuples in (size, element set) order;
+def _maximal_normals(g: FiniteGroup, k: tuple) -> list:
+    """The maximal proper normal subgroups of the subgroup K of ``g``,
+    given as (mask, elements, generators) ``k``, as sorted index tuples
+    in (size, element set) order;
     the quotients by them are the simple quotients of K.  Every normal
     subgroup of K is the join of the subgroups its K-classes generate, so
     they are grown from the trivial one by joining classes, breadth first;
@@ -345,9 +358,9 @@ def _maximal_normals(g: FiniteGroup, k) -> list:
     A join is a union of classes whose order divides |K|, so when no
     union of N with classes outside it has an order that is a proper
     divisor of |K| but N's own, every join is K and none is built."""
-    whole, _, gens = _generate(g, k)
-    classes = _orbits(k, _conjugation(g, gens))
-    divisors = sum(1 << d for d in range(1, len(k)) if len(k) % d == 0)
+    whole, elems, gens = k
+    classes = _orbits(elems, _conjugation(g, gens))
+    divisors = sum(1 << d for d in range(1, len(elems)) if len(elems) % d == 0)
     queue = [_generate(g, ())]
     seen, maximal = {queue[0][0]}, []
     for n in queue:
@@ -473,8 +486,8 @@ def is_simple(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> bool:
     if _is_prime(g.order):
         return True
     residual = _solvable_residual(g)
-    return (residual is not None and len(residual) == g.order
-            and _maximal_normals(g, g.elements) == [(g.identity,)])
+    return (residual is not None and len(residual[1]) == g.order
+            and _maximal_normals(g, residual) == [(g.identity,)])
 
 
 def fingerprint(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> SimpleGroupId:
@@ -497,17 +510,17 @@ def composition_factors(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP, rng=Non
     factors = []
     k = tuple(g.elements)
     while len(k) > 1:
-        r = _solvable_residual(g, k) or (g.identity,)
-        top = len(k) // len(r)
+        r = _solvable_residual(g, k)
+        top = len(k) // (1 if r is None else len(r[1]))
         for p in _prime_factors(top):
             while top % p == 0:
                 factors.append(_cyclic_simple_id(p))
                 top //= p
-        if len(r) == 1:
+        if r is None:
             break
         candidates = sorted(_maximal_normals(g, r), key=lambda s: (-len(s), s))
         n = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
-        factors.append(_section_id(g, r, n))
+        factors.append(_section_id(g, r[1], n))
         k = n
     return tuple(sorted(factors))
 
@@ -575,26 +588,27 @@ def _least_cyclic_subgroups(g: FiniteGroup, need: set, until_generator: bool = F
     return least, cyclic
 
 
-def _solvable_residual(g: FiniteGroup, k=None) -> list | None:
-    """The elements of the last term of the derived series of the
-    subgroup K of ``g`` with elements ``k`` (all of ``g`` by default), or
-    None when that term is trivial, that is when K is solvable.  Each
-    derived subgroup K' is generated by the K-classes of the commutators
-    of K's generators; the series stops early at an order that
-    ``_surely_solvable`` accepts."""
+def _solvable_residual(g: FiniteGroup, k=None) -> tuple | None:
+    """The last term of the derived series of the subgroup K of ``g``
+    with elements ``k`` (all of ``g`` by default), as (mask, elements,
+    generators), or None when that term is trivial, that is when K is
+    solvable.  Each derived subgroup K' is generated by the K-classes of
+    the commutators of K's generators; the series stops early at an order
+    that ``_surely_solvable`` accepts."""
     k = g.elements if k is None else k
     if _surely_solvable(len(k)):
         return None
     mul = g.mul
-    _, elems, gens = _generate(g, k)
-    while not _surely_solvable(len(elems)):
+    term = _generate(g, k)
+    while not _surely_solvable(len(term[1])):
+        gens = term[2]
         inv = [_inverse(g, a) for a in gens]
         commutators = [mul(mul(mul(inv[i], inv[j]), a), b)
                        for i, a in enumerate(gens) for j, b in enumerate(gens[:i])]
-        _, d_elems, d_gens = _generate(g, commutators, normal_in=gens)
-        if len(d_elems) == len(elems):
-            return elems
-        elems, gens = d_elems, d_gens
+        derived = _generate(g, commutators, normal_in=gens)
+        if len(derived[1]) == len(term[1]):
+            return term
+        term = derived
     return None
 
 
@@ -626,7 +640,7 @@ def _nonabelian_witnesses(g: FiniteGroup, residual: list) -> dict:
     given: dict = {}  # nonabelian simple divisor -> the subgroups giving it, least first
     for elems in sorted(pairs.values(), key=len):
         k = tuple(sorted(elems))
-        for n in _maximal_normals(g, k):
+        for n in _maximal_normals(g, _generate(g, k)):
             if not _is_prime(len(k) // len(n)):
                 given.setdefault(_section_id(g, k, n), []).append(k)
 
@@ -636,7 +650,8 @@ def _nonabelian_witnesses(g: FiniteGroup, residual: list) -> dict:
     out = {}
     for fp, ks in given.items():
         k = min(map(min, _orbits([k for k in ks if len(k) == len(ks[0])], conjugates)))
-        out[fp] = k, next(n for n in _maximal_normals(g, k) if _section_id(g, k, n) == fp)
+        normals = _maximal_normals(g, _generate(g, k))
+        out[fp] = k, next(n for n in normals if _section_id(g, k, n) == fp)
     return out
 
 
@@ -664,11 +679,11 @@ def _group_divisors_with_witnesses(g: FiniteGroup, cap: int, skip=(),
     found = {_cyclic_simple_id(p): (least[p], (e,)) for p in sorted(least)}
     if not (solvable or cyclic):
         residual = _solvable_residual(g)
-        if residual is not None and len(residual) == 60:
-            k = tuple(sorted(residual))
+        if residual is not None and len(residual[1]) == 60:
+            k = tuple(sorted(residual[1]))
             found[_section_id(g, k, (e,))] = (k, (e,))
         elif residual is not None:
-            found.update(_nonabelian_witnesses(g, residual))
+            found.update(_nonabelian_witnesses(g, residual[1]))
 
         def scan_order(item):
             k, n = item[1]
@@ -700,12 +715,10 @@ def _kernel_keys(m: TransformationMonoid, xs) -> list:
     table sending each value to its first state, which is written last
     when t is read backwards: the table takes t[::-1] to the states
     backwards, a string made once for all of ``xs``."""
-    maps = list(map(m.maps.__getitem__, xs))
+    maps = map(m.maps.__getitem__, xs)
     if isinstance(m.maps[0], bytes):
         backwards = bytes(range(m.n_states - 1, -1, -1))
-        reversed_maps = map(itemgetter(slice(None, None, -1)), maps)
-        return list(map(bytes.translate, maps,
-                        map(bytes.maketrans, reversed_maps, repeat(backwards))))
+        return [t.translate(bytes.maketrans(t[::-1], backwards)) for t in maps]
     out = []
     for t in maps:
         first: dict = {}

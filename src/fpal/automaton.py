@@ -9,7 +9,6 @@ to right.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import methodcaller
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, NotInitiallyConnectedError
@@ -146,7 +145,7 @@ def map_form(n: int) -> tuple:
     ``bytes.translate``; wider maps are tuples.  Either way maps sort like
     the image tuples of their Transformations."""
     if n <= BYTE_MAP_STATES:
-        return bytes, methodcaller("ljust", 256, b"\0"), bytes.translate
+        return bytes, lambda y: y.ljust(256, b"\0"), bytes.translate
     return tuple, lambda y: y.__getitem__, lambda x, p: tuple(map(p, x))
 
 

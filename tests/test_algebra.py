@@ -418,7 +418,7 @@ def test_normal_subgroups_come_from_one_routine(monkeypatch):
     calls = []
 
     def counted(g, k):
-        calls.append(len(k))
+        calls.append(len(k[1]))
         return maximal_normals(g, k)
 
     maximal_normals = algebra._maximal_normals
@@ -432,7 +432,7 @@ def test_normal_subgroups_come_from_one_routine(monkeypatch):
                  (psl27(), True), (direct_product(psl27(), cyclic_group(2)), True)]
     for g, nonabelian_search in searched:
         residual = algebra._solvable_residual(g)
-        perfect = residual is not None and len(residual) == g.order
+        perfect = residual is not None and len(residual[1]) == g.order
         calls.clear()
         factors = composition_factors(g)
         # each residual here is simple, so it has the order of its factor
@@ -557,7 +557,8 @@ def test_maximal_normals_match_the_lattice_filter():
     for g in group_corpus() + [alternating6()]:
         subs = oracle.all_subgroup_sets(g)
         for k in subs:
-            assert algebra._maximal_normals(g, k) == oracle.maximal_normals_in_lattice(g, subs, k)
+            normals = algebra._maximal_normals(g, algebra._generate(g, k))
+            assert normals == oracle.maximal_normals_in_lattice(g, subs, k)
             checked += 1
     assert checked == sum(len(oracle.all_subgroup_sets(g)) for g in group_corpus()) + 501
 
@@ -567,11 +568,11 @@ def test_solvable_residuals():
     assert algebra._solvable_residual(direct_product(cyclic_group(5), cyclic_group(5))) is None
     s5 = symmetric_group(5)
     a5 = sorted(x for x in range(120) if s5.labels[x] in set(alternating5().labels))
-    assert sorted(algebra._solvable_residual(s5)) == a5
-    assert sorted(algebra._solvable_residual(psl27())) == list(range(168))
+    assert sorted(algebra._solvable_residual(s5)[1]) == a5
+    assert sorted(algebra._solvable_residual(psl27())[1]) == list(range(168))
     # the elements (x, 0) of PSL(2,7) x C2 are the indices 2x
     psl_c2 = direct_product(psl27(), cyclic_group(2))
-    assert sorted(algebra._solvable_residual(psl_c2)) == list(range(0, 336, 2))
+    assert sorted(algebra._solvable_residual(psl_c2)[1]) == list(range(0, 336, 2))
 
 
 def test_divisors_above_the_cap_are_refused_on_every_route():
@@ -621,6 +622,27 @@ def test_one_maximal_subgroup_per_image_kernel_class(monkeypatch):
             maximal_subgroup_at(m, e).order for e in idempotents(m)]
         # one class per rank: the orders are n!, (n-1)!, ..., 1
         assert sorted(set(report["maximal_subgroup_orders"])) == [1, 2, 6, 24, 120][:n]
+
+
+def commuting_resets(k: int) -> Automaton:
+    """k commuting letters on states 1 to k + 1, letter i (from 0)
+    sending state i + 2 to 1 and fixing the rest: its monoid is the 2^k
+    sets of letters, each element idempotent, and no two share an image
+    or a kernel."""
+    delta = tuple(tuple(1 if s == i + 2 else s for i in range(k)) for s in range(1, k + 2))
+    return Automaton(k + 1, tuple(f"r{i}" for i in range(k)), delta)
+
+
+def test_a_class_per_idempotent(monkeypatch):
+    # 4096 classes of one idempotent each: the walk takes the trivial group
+    # at every one, each read off a bucket holding only its unit
+    taken, searched = count_searches(monkeypatch)
+    m = transition_monoid(commuting_resets(12))
+    report = algebra.algebra_report(m)
+    assert m.order == report["idempotents"] == len(taken) == 4096
+    assert set(taken) == set(report["maximal_subgroup_orders"]) == {1}
+    assert report["simple_divisors"] == [] and searched == []
+    assert set(map(len, m.image_buckets.values())) == {1}
 
 
 def a5_after_c30() -> Automaton:
@@ -895,12 +917,16 @@ def test_tuple_maps_give_the_same_idempotent_classes(monkeypatch):
 
 def assert_image_keys_match_images(m) -> None:
     """Two elements share an image key exactly when their maps have one
-    image."""
+    image, and each element's image bucket lists, ascending, the elements
+    with its image."""
     images = [frozenset(t) for t in m.maps]
     keys = m.image_keys
     assert len(keys) == m.order
     for i in range(m.order):
         assert [keys[i] == k for k in keys] == [images[i] == im for im in images]
+        assert m.image_buckets[keys[i]] == tuple(
+            j for j in range(m.order) if images[j] == images[i])
+    assert len(m.image_buckets) == len(set(images))
 
 
 def test_image_keys_match_frozenset_images(monkeypatch):
@@ -962,6 +988,8 @@ def test_cached_divisor_table_is_read_only():
     with pytest.raises(TypeError):
         m.index[next(iter(m.index))] = 0
     assert isinstance(m.image_keys, tuple)
+    with pytest.raises(TypeError):
+        m.image_buckets[m.image_keys[0]] = ()
     # nor can the per-automaton table that entailment caches, or its witnesses
     caps = (algebra.DEFAULT_MONOID_CAP, algebra.DEFAULT_SUBGROUP_CAP)
     cached = entailment._divisor_table(counter(6), *caps)
