@@ -9,9 +9,11 @@ on the PSL(2,13) automaton with the subgroup cap raised to its order
 1092 and at the default cap (1024), where it is refused,
 ``composition_factors`` on PSL(2,7) and on C_2^6 (64 elements, every
 subgroup normal), ``algebra_report`` on the monoid of 12 commuting
-resets (4096 idempotents, each its own image/kernel class), made anew
-from its maps for every sample so that no per-monoid data is reused,
-``symmetric_group(6)``, and
+resets (4096 idempotents, each with its own image), on PSL(2,7) acting
+on 25 copies of its 8 points with a collapse letter per copy (4368
+elements, 26 images, the 25 copies one D-class) and on T4 (41
+idempotents, 15 images), each monoid made anew from its maps for every
+sample so that no per-monoid data is reused, ``symmetric_group(6)``, and
 ``transition_monoid`` alone on T5 and on a
 13-state, 3-letter automaton of monoid order 77, the size of those in
 perfbench's entails-stream workload.  ``entails`` with that automaton as
@@ -130,6 +132,19 @@ def full_transformations(n: int):
         (s % n + 1, {1: 2, 2: 1}.get(s, s), 1 if s == 2 else s) for s in range(1, n + 1)
     )
     return Automaton(n, ("a", "b", "c"), delta)
+
+
+def copies(gens, k: int):
+    """The permutations ``gens`` acting on k copies of their points at
+    once, and a letter per copy sending each point of every copy to that
+    point of its own copy."""
+    from fpal.automaton import Automaton
+
+    n = len(gens[0])
+    letters = tuple(f"g{j}" for j in range(len(gens))) + tuple(f"c{i}" for i in range(k))
+    delta = tuple(tuple(j * n + g[p] for g in gens) + tuple(i * n + p + 1 for i in range(k))
+                  for j in range(k) for p in range(n))
+    return Automaton(k * n, letters, delta)
 
 
 def automata() -> dict:
@@ -275,9 +290,15 @@ def items(tmp: str) -> dict:
         Automaton(13, tuple(f"r{i}" for i in range(12)), COMMUTING_RESETS_DELTA))
     if resets.order != 4096:
         raise RuntimeError("the commuting resets should have monoid order 4096")
-    out["algebra_report 12 commuting resets, cold"] = lambda: sample(
-        lambda: algebra.algebra_report(algebra.TransformationMonoid(
-            resets.maps, resets.witnesses, resets.letters)))
+    psl_copies = algebra.transition_monoid(copies(PSL27_GENERATORS, 25))
+    if psl_copies.order != 4368:
+        raise RuntimeError("PSL(2,7) on 25 copies should have monoid order 4368")
+    t4 = algebra.transition_monoid(full_transformations(4))
+    for name, m in (("12 commuting resets", resets), ("PSL(2,7) on 25 copies", psl_copies),
+                    ("T4", t4)):
+        out[f"algebra_report {name}, cold"] = lambda m=m: sample(
+            lambda: algebra.algebra_report(algebra.TransformationMonoid(
+                m.maps, m.witnesses, m.letters)))
     out["symmetric_group(6)"] = lambda: sample(lambda: algebra.symmetric_group(6))
     t5 = full_transformations(5)
     out["transition_monoid T5"] = lambda: sample(lambda: algebra.transition_monoid(t5))

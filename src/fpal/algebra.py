@@ -7,13 +7,14 @@ The monoid of an automaton is the set of word-induced state maps, with
 A simple group S divides a monoid M when S is a quotient of some
 subsemigroup of M that happens to be a group; equivalently, S is a
 quotient K/N of a subgroup K of one of the maximal subgroups H sitting at
-the idempotents of M.  Idempotents with the same image or the same kernel
-have isomorphic maximal subgroups, so one H is looked at per class of
-them.  A group is its elements, its identity and its product, and no
-table of products is built: the elements of H are monoid element
-indices, multiplied by composing their maps, and its subgroups are
-index sets.  The cyclic divisors C_p of H are the primes p dividing |H|
-(Cauchy), read off the powers of its elements.  A group of order under
+the idempotents of M.  Idempotents of one D-class, such as those with
+one image, have isomorphic maximal subgroups, so one H is looked at per
+image, and none where two products put an earlier one in its D-class.
+A group is its elements, its identity and its product, and no table of
+products is built: the elements of H are monoid element indices,
+multiplied by composing their maps, and its subgroups are index sets.
+The cyclic divisors C_p of H are the primes p dividing |H| (Cauchy),
+read off the powers of its elements.  A group of order under
 60, or of an order with at most two primes (Burnside), is solvable, and
 a cyclic group is abelian; neither has another divisor, so for such an
 H the search ends there.  Normal subgroups are joins of the subgroups
@@ -28,7 +29,7 @@ read off those index sets.  The searches are guarded by size caps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import compress, count
 from math import gcd
 from operator import eq
 from types import MappingProxyType
@@ -77,7 +78,7 @@ class TransformationMonoid:
         self.witnesses = tuple(witnesses)
         self.letters = tuple(letters)
         self.n_states = len(self.maps[0])
-        encode, pad, self.then = map_form(self.n_states)
+        encode, pad, self.then, self._images = map_form(self.n_states)
         self.padded = tuple(map(pad, self.maps))
         self.index = MappingProxyType(dict(zip(self.maps, count())))
         ident = self.index.get(encode(range(self.n_states)))
@@ -103,16 +104,9 @@ class TransformationMonoid:
     @property
     def image_keys(self) -> tuple:
         """One key per element, built on first use, naming the image of its
-        map: for a bytes map the states outside the image, deleted from
-        the string of all states in one ``bytes.translate``; for a tuple
-        map the image as a frozenset."""
+        map in the form of ``map_form``."""
         if self._image_keys is None:
-            if isinstance(self.maps[0], bytes):
-                keys = map(bytes.translate, repeat(bytes(range(self.n_states))),
-                           repeat(None), self.maps)
-            else:
-                keys = map(frozenset, self.maps)
-            self._image_keys = tuple(keys)
+            self._image_keys = tuple(self._images(self.maps))
         return self._image_keys
 
     @property
@@ -239,7 +233,7 @@ def group_from_permutations(perms) -> FiniteGroup:
     - 1, element i being the i-th permutation in sorted order, which is
     its label.  A product composes two maps and looks up the result."""
     maps = _permutation_closure(perms)
-    encode, pad, then = map_form(len(maps[0]))
+    encode, pad, then, _ = map_form(len(maps[0]))
     padded, pos = [pad(p) for p in maps], {t: i for i, t in enumerate(maps)}
     return _group(range(len(maps)), pos[encode(range(len(maps[0])))],
                   lambda y, x: pos[then(maps[y], padded[x])],
@@ -709,80 +703,49 @@ class _IdempotentWalk(NamedTuple):
 _walk_cache: dict = {}
 
 
-def _kernel_keys(m: TransformationMonoid, xs) -> list:
-    """The kernels of the maps of the elements ``xs``, each as the first
-    state in each state's kernel class.  A bytes map t is translated by a
-    table sending each value to its first state, which is written last
-    when t is read backwards: the table takes t[::-1] to the states
-    backwards, a string made once for all of ``xs``."""
-    maps = map(m.maps.__getitem__, xs)
-    if isinstance(m.maps[0], bytes):
-        backwards = bytes(range(m.n_states - 1, -1, -1))
-        return [t.translate(bytes.maketrans(t[::-1], backwards)) for t in maps]
-    out = []
-    for t in maps:
-        first: dict = {}
-        out.append(tuple(first.setdefault(v, x) for x, v in enumerate(t)))
-    return out
-
-
-def _class_leaders(m: TransformationMonoid, idems: list) -> list:
-    """For each idempotent, the least idempotent joined to it by a chain of
-    idempotents that share an image or a kernel with the next.  Two
-    idempotents e, f with one image satisfy ef = e and fe = f, so they are
-    L-related; with one kernel, ef = f and fe = e, so they are R-related.
-    Either way they lie in one D-class and have isomorphic maximal
-    subgroups."""
-    leader: dict = {}
-
-    def find(e):
-        while leader[e] != e:
-            leader[e] = e = leader[leader[e]]
-        return e
-
-    # no image key equals a kernel key: for bytes maps it is shorter (the
-    # image is never empty), and a frozenset never equals a tuple
-    first: dict = {}
-    images = map(m.image_keys.__getitem__, idems)
-    for e, image, kernel in zip(idems, images, _kernel_keys(m, idems)):
-        leader[e] = e
-        for key in (image, kernel):
-            a, b = find(e), find(first.setdefault(key, e))
-            leader[max(a, b)] = min(a, b)
-    return [find(e) for e in idems]
-
-
 def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     """Collect the order of the maximal subgroup at each idempotent and the
     monoid's simple divisors.  Every group inside a monoid sits in the
     maximal subgroup at its unit, so the union over idempotents of the
     group divisors is the monoid's divisor set.  Idempotents are walked in
-    index order, and only the least one of each image/kernel class (see
-    ``_class_leaders``) is looked at: the groups of a class are
-    isomorphic, so a later member would add no divisor, and the first
-    idempotent giving each divisor is still a class leader.  The rest of
-    the class reuses the leader's order.  Each leader's search skips the
-    C_p found already, and a leader above ``cap`` is refused as soon as
-    |H| is known.  Cached per set of maps, which automata with different
-    letters can share, so the witnesses name their idempotent by index
-    only."""
+    index order, and only the least one with each image, its leader, is
+    looked at: two idempotents e, f with one image satisfy "e, then f" =
+    e and "f, then e" = f, so they are L-related and their groups are
+    isomorphic; the others reuse their leader's order.  A leader e whose group order does
+    not force solvability is skipped when an earlier leader f of that
+    order has f(im e) = im f and e(im f) = im e: then e is D-related to f,
+    whose group is isomorphic.  The first idempotent giving each divisor
+    is the least of its D-class, so it is never skipped.  Each leader's
+    search skips the C_p found already, and a leader above ``cap`` is
+    refused as soon as |H| is known.  Cached per set of maps, which
+    automata with different letters can share, so the witnesses name their
+    idempotent by index only."""
     key = (m.element_key(), cap)
     cached = _walk_cache.get(key)
     if cached is not None:
         return cached
-    idems = idempotents(m)
-    leaders = _class_leaders(m, idems)
+    keys, product = m.image_keys, m.product
+    first: dict = {}
+    leaders = [first.setdefault(keys[e], e) for e in idempotents(m)]
     order_of: dict = {}
+    peers: dict = {}  # order allowing a nonsolvable group -> the leaders of that order
     out: dict = {}
     found_orders: set = set()
-    for e in sorted(set(leaders)):
+    for e in first.values():
         h = maximal_subgroup_at(m, e)
         order_of[e] = h.order
+        if not _surely_solvable(h.order):
+            earlier = peers.setdefault(h.order, [])
+            d_related = any(keys[product(e, f)] == keys[f] and keys[product(f, e)] == keys[e]
+                            for f in earlier)
+            earlier.append(e)
+            if d_related:
+                continue
         for fp, w in _group_divisors_with_witnesses(h, cap, found_orders, e).items():
             if fp not in out:
                 out[fp] = w
                 found_orders.add(fp.order)
-    orders = tuple(order_of[leader] for leader in leaders)
+    orders = tuple(map(order_of.__getitem__, leaders))
     walk = _IdempotentWalk(orders, tuple(sorted(out.items())))
     return _remember(_walk_cache, key, walk, MONOID_CACHE_SIZE)
 

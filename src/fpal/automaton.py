@@ -9,6 +9,7 @@ to right.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, NotInitiallyConnectedError
@@ -138,22 +139,29 @@ BYTE_MAP_STATES = 256
 
 def map_form(n: int) -> tuple:
     """How the algebra engine stores a map on states 0..n-1, as
-    ``(encode, pad, then)``.  ``encode`` turns a sequence of 0-based images
-    into a map, ``pad(y)`` prepares y once for being applied after other
-    maps, and ``then(x, pad(y))`` is the map "x, then y".  Up to
-    BYTE_MAP_STATES states a map is a bytes string and composing is one
-    ``bytes.translate``; wider maps are tuples.  Either way maps sort like
-    the image tuples of their Transformations."""
+    ``(encode, pad, then, images)``.  ``encode`` turns a sequence of
+    0-based images into a map, ``pad(y)`` prepares y once for being applied
+    after other maps, ``then(x, pad(y))`` is the map "x, then y", and
+    ``images(maps)`` iterates over one key per map, two keys being equal
+    exactly when their maps have the same image.  Up to BYTE_MAP_STATES
+    states a map is a bytes string, composing is one ``bytes.translate``
+    and a key is the states outside the image, deleted from the string of
+    all states by one more; wider maps are tuples, keyed by their images
+    as frozensets.  Either way maps sort like the image tuples of their
+    Transformations."""
     if n <= BYTE_MAP_STATES:
-        return bytes, lambda y: y.ljust(256, b"\0"), bytes.translate
-    return tuple, lambda y: y.__getitem__, lambda x, p: tuple(map(p, x))
+        states = bytes(range(n))
+        return (bytes, lambda y: y.ljust(256, b"\0"), bytes.translate,
+                lambda maps: map(bytes.translate, repeat(states), repeat(None), maps))
+    return (tuple, lambda y: y.__getitem__, lambda x, p: tuple(map(p, x)),
+            lambda maps: map(frozenset, maps))
 
 
 def _map_closure(q: Automaton, cap: int | None = None) -> dict:
     """Every word-induced map, in the form of ``map_form``, mapped to a
     shortest word inducing it (ties broken toward earlier letters), in
     breadth-first discovery order."""
-    encode, pad, then = map_form(q.n_states)
+    encode, pad, then, _ = map_form(q.n_states)
     start = encode(range(q.n_states))
     gens = [(letter, pad(encode(row[j] - 1 for row in q.delta)))
             for j, letter in enumerate(q.letters)]

@@ -87,6 +87,20 @@ def asl24_automaton() -> Automaton:
     return permutation_automaton(gens)
 
 
+def copies_automaton(gens, k: int) -> Automaton:
+    """The group of the permutations ``gens`` of n points acting on k
+    copies of them at once, copy j holding states j * n + 1 to j * n + n,
+    and one collapse letter per copy, which sends each point of every copy
+    to that point of its own copy.  The images are all the states and each
+    copy; the idempotents with a copy as image all have the same kernel,
+    so they lie in one D-class, with the group as maximal subgroup."""
+    n = len(gens[0])
+    letters = tuple(f"g{j}" for j in range(len(gens))) + tuple(f"c{i}" for i in range(k))
+    delta = tuple(tuple(j * n + g[p] for g in gens) + tuple(i * n + p + 1 for i in range(k))
+                  for j in range(k) for p in range(n))
+    return Automaton(k * n, letters, delta)
+
+
 def psl213_automaton() -> Automaton:
     """PSL(2,13), order 1092, on the 14 points of the projective line over
     GF(13): x is state x + 1 and infinity is state 14.  The letters are

@@ -8,11 +8,11 @@ filter it for normal subgroups where ``fpal.algebra`` joins conjugacy
 classes, and they scan that lattice for divisor witnesses where
 ``fpal.algebra`` uses Cauchy's theorem, the solvable residual and its
 2-generated subgroups, and they search the maximal subgroup at every
-image/kernel class leader where ``fpal.algebra`` skips those that can
-add no divisor; the tests replay the fast routes against them.  For the
-model checker they check an equation one interpretation at a time,
-walking each side node by node, where ``fpal.cpo_model`` evaluates
-compiled sides on blocks of interpretations."""
+idempotent where ``fpal.algebra`` takes one per image and skips those
+that can add no divisor; the tests replay the fast routes against them.
+For the model checker they check an equation one interpretation at a
+time, walking each side node by node, where ``fpal.cpo_model``
+evaluates compiled sides on blocks of interpretations."""
 
 import itertools
 import random
@@ -27,7 +27,6 @@ from fpal.algebra import (
     FiniteGroup,
     SimpleGroupId,
     TransformationMonoid,
-    _class_leaders,
     _group_divisors_with_witnesses,
     _IdempotentWalk,
     _check_cap,
@@ -410,22 +409,20 @@ def group_divisors_with_witnesses(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CA
     return witnesses
 
 
-def walk_every_leader(m: TransformationMonoid, cap: int = DEFAULT_SUBGROUP_CAP) -> _IdempotentWalk:
-    """The idempotent walk with the maximal subgroup of every image/kernel
-    class leader built and searched, uncached.  The reference for
-    ``fpal.algebra._walk_idempotents``, which skips the leaders that can
-    add no divisor."""
-    leaders = _class_leaders(m, idempotents(m))
-    order_of: dict = {}
+def walk_every_idempotent(m: TransformationMonoid,
+                          cap: int = DEFAULT_SUBGROUP_CAP) -> _IdempotentWalk:
+    """The idempotent walk with the maximal subgroup at every idempotent
+    built and searched, uncached.  The reference for
+    ``fpal.algebra._walk_idempotents``, which takes one idempotent per
+    image and skips those that can add no divisor."""
+    orders = []
     out: dict = {}
-    for e in sorted(set(leaders)):
+    for e in idempotents(m):
         h = maximal_subgroup_at(m, e)
-        order_of[e] = h.order
+        orders.append(h.order)
         for fp, w in _group_divisors_with_witnesses(h, cap, idempotent=e).items():
-            if fp not in out:
-                out[fp] = w
-    return _IdempotentWalk(tuple(order_of[leader] for leader in leaders),
-                           tuple(sorted(out.items())))
+            out.setdefault(fp, w)
+    return _IdempotentWalk(tuple(orders), tuple(sorted(out.items())))
 
 
 def units_by_inverse_search(table: np.ndarray, e: int) -> list:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -12,6 +13,7 @@ from conftest import (
     alternating5_automaton,
     asl24_automaton,
     c2_times_c30_automaton,
+    copies_automaton,
     entails_sized_automaton,
     full_transformations,
     group_plus_extensive,
@@ -604,18 +606,29 @@ def count_searches(monkeypatch) -> tuple:
     return taken, searched
 
 
+def image_leaders(m) -> list:
+    """The least idempotent with each image, ascending."""
+    first: dict = {}
+    for e in idempotents(m):
+        first.setdefault(frozenset(m.maps[e]), e)
+    return list(first.values())
+
+
 def test_one_maximal_subgroup_per_image_kernel_class(monkeypatch):
-    # T_n has one class per rank, with groups S_n, ..., S_2, 1, and the
-    # walk takes one group per class; S_2, S_3 and S_4 are solvable by
-    # their order, so their search ends with the walk over their cyclic
-    # subgroups, and only T5's S_5 is searched further (C_5 and A_5)
+    # T_n has an image per nonempty set of states, and the walk takes one
+    # group per image: S_r for each of the C(n, r) images of r states.
+    # S_2, S_3 and S_4 are solvable by their order, so their search ends
+    # with the walk over their cyclic subgroups, and only T5's S_5 is
+    # searched further (C_5 and A_5)
     taken, searched = count_searches(monkeypatch)
-    for n, groups in ((4, []), (5, [120])):
+    for n, count, groups in ((4, 15, []), (5, 31, [120])):
         m = transition_monoid(full_transformations(n))
         taken.clear()
         searched.clear()
         report = algebra.algebra_report(m)
-        assert sorted(taken) == [1, 2, 6, 24, 120][:n]
+        assert len(taken) == len(image_leaders(m)) == count
+        assert sorted(taken) == sorted(math.factorial(r) for r in range(1, n + 1)
+                                       for _ in range(math.comb(n, r)))
         assert searched == groups
         # the order at every idempotent, each group built on its own
         assert report["maximal_subgroup_orders"] == [
@@ -643,6 +656,23 @@ def test_a_class_per_idempotent(monkeypatch):
     assert set(taken) == set(report["maximal_subgroup_orders"]) == {1}
     assert report["simple_divisors"] == [] and searched == []
     assert set(map(len, m.image_buckets.values())) == {1}
+
+
+@pytest.mark.parametrize("gens, order", [([(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)], 60),
+                                          (PSL27_GENERATORS, 168)], ids=["A5", "PSL(2,7)"])
+def test_one_search_per_d_class_of_copies(monkeypatch, gens, order):
+    # the group on 25 copies of its points, with a collapse letter per
+    # copy: 26 images, and the idempotents with a copy as image share one
+    # kernel, so they form one D-class.  The walk takes a group per image,
+    # but searches past the cyclic subgroups only the units' and the first
+    # copy's, not one group per copy
+    m = transition_monoid(copies_automaton(gens, 25))
+    taken, searched = count_searches(monkeypatch)
+    report = algebra.algebra_report(m)
+    assert m.order == 26 * order and len(idempotents(m)) == 26
+    assert taken == [order] * 26 and searched == [order] * 2
+    monkeypatch.setattr(algebra, "_walk_idempotents", oracle.walk_every_idempotent)
+    assert report == algebra.algebra_report(m)
 
 
 def a5_after_c30() -> Automaton:
@@ -697,7 +727,7 @@ def test_walk_matches_the_every_leader_reference(monkeypatch, corpus_monoids):
     monoids = walk_inputs(corpus_monoids)
     monkeypatch.setattr(algebra, "_walk_cache", {})
     fast = [(algebra.algebra_report(m), dict(divisor_witnesses_monoid(m))) for m in monoids]
-    monkeypatch.setattr(algebra, "_walk_idempotents", oracle.walk_every_leader)
+    monkeypatch.setattr(algebra, "_walk_idempotents", oracle.walk_every_idempotent)
     for m, (report, witnesses) in zip(monoids, fast):
         assert report == algebra.algebra_report(m)
         assert witnesses == dict(divisor_witnesses_monoid(m))
@@ -712,7 +742,7 @@ def test_unit_walk_matches_the_table_walk(corpus_monoids):
           permutation_automaton(PSL27_GENERATORS), entails_sized_automaton()]
     walks = cyclic = 0
     for m in corpus_monoids + [transition_monoid(q) for q in qs]:
-        for e in sorted(set(algebra._class_leaders(m, idempotents(m)))):
+        for e in image_leaders(m):
             h = maximal_subgroup_at(m, e)
             table = FiniteGroup(oracle.group_table(h).rows)
             generated = h.order in h.element_orders()
@@ -732,7 +762,7 @@ def test_unit_walk_matches_the_table_walk(corpus_monoids):
                             assert gen == generated
                         walks += 1
             cyclic += generated
-    assert (walks, cyclic) == (1382, 492)
+    assert (walks, cyclic) == (1954, 671)
 
 
 def test_a_leader_above_the_cap_is_refused_though_its_primes_are_found(
@@ -839,8 +869,7 @@ def test_map_groups_match_their_tables(corpus_monoids):
                                      (1, 2, 3, 4, 5, 7, 6)])
     groups = [psl27(), a5_c2, symmetric_group(5)]
     for m in corpus_monoids:
-        groups += [maximal_subgroup_at(m, e)
-                   for e in sorted(set(algebra._class_leaders(m, idempotents(m))))]
+        groups += [maximal_subgroup_at(m, e) for e in image_leaders(m)]
     cap = algebra.DEFAULT_SUBGROUP_CAP
     for g in groups:
         table = FiniteGroup(oracle.group_table(g).rows, labels=g.labels)
@@ -850,7 +879,7 @@ def test_map_groups_match_their_tables(corpus_monoids):
             == list(algebra._group_divisors_with_witnesses(table, cap).items())
         assert g.element_orders() == table.element_orders()
         assert g.is_abelian() == table.is_abelian()
-    assert (a5_c2.order, len(groups)) == (120, 3 + 487)
+    assert (a5_c2.order, len(groups)) == (120, 3 + 645)
 
 
 @pytest.mark.parametrize("q", [symmetric_automaton(6), asl24_automaton()], ids=["S6", "ASL(2,4)"])
@@ -900,19 +929,28 @@ def test_wide_automaton_with_nonabelian_maximal_subgroup():
 
 
 def test_tuple_maps_give_the_same_idempotent_classes(monkeypatch):
-    # T4 on 300 states (296 of them fixed), and on 4 states kept as tuples
+    # T4 on 300 states (296 of them fixed), and on 4 states kept as tuples:
+    # the same image leaders, taken by the walk, and the same report
+    taken = []
+    monkeypatch.setattr(algebra, "maximal_subgroup_at",
+                        lambda m, e: taken.append(e) or maximal_subgroup_at(m, e))
+    monkeypatch.setattr(algebra, "_walk_cache", {})
+
+    def walk(m):
+        taken.clear()
+        return algebra.algebra_report(m), list(taken)
+
     small = transition_monoid(full_transformations(4))
-    leaders = algebra._class_leaders(small, idempotents(small))
-    assert len(set(leaders)) == 4
+    walked = walk(small)
+    assert walked[1] == image_leaders(small) and len(walked[1]) == 15
     wide = transition_monoid(padded_with_fixed_states(full_transformations(4), 300))
     assert isinstance(wide.maps[0], tuple)
     assert idempotents(wide) == idempotents(small)
-    assert algebra._class_leaders(wide, idempotents(wide)) == leaders
-    assert algebra.algebra_report(wide) == algebra.algebra_report(small)
+    assert walk(wide) == walked
     monkeypatch.setattr("fpal.automaton.BYTE_MAP_STATES", 0)
     tuples = transition_monoid(full_transformations(4))
     assert isinstance(tuples.maps[0], tuple)
-    assert algebra._class_leaders(tuples, idempotents(tuples)) == leaders
+    assert walk(tuples) == walked
 
 
 def assert_image_keys_match_images(m) -> None:
