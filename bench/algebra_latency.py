@@ -22,7 +22,9 @@ untimed call, and cold, with the caches emptied before every call (the
 emptying is timed too).  The auto-mode check of ``sym(f) = sym(f)`` with
 f of arity 10 on chain(2) is timed until it is refused, and ``fpal check
 --builtin conway --samples 200`` (``fpal.cli.main``, stdout discarded) is
-timed whole: the model checker on every library identity.  The last item
+timed whole: the model checker on every library identity, on chain(2),
+whose samples are drawn a block at a time, and with ``--poset chain:3``,
+whose samples are drawn entry by entry.  The last item
 is ``fpal divisors`` on the S7 automaton (order 5040, the monoid cap) with
 the subgroup cap raised to 5040 through ``FPAL_CONFIG``; it comes last
 because a tree that holds S7's maximal subgroup as a table keeps that
@@ -229,10 +231,11 @@ def fpal_quietly(*argv: str) -> None:
             raise RuntimeError(f"fpal {' '.join(argv)} failed")
 
 
-def check_conway() -> None:
+def check_conway(*poset: str) -> None:
     """``fpal check --builtin conway --samples 200``: every library
-    identity on chain(2), with the default seed."""
-    fpal_quietly("check", "--builtin", "conway", "--samples", "200")
+    identity, with the default seed, on chain(2) unless ``poset`` gives
+    ``--poset`` and its value."""
+    fpal_quietly("check", "--builtin", "conway", *poset, "--samples", "200")
 
 
 def cli_run(argv: list) -> float:
@@ -317,6 +320,8 @@ def items(tmp: str) -> dict:
     out["entails 13 states, cold"] = lambda: sample(cold_entails, SMALL_CALLS)
     out["check sym f 10 refused"] = lambda: sample(refuse_wide_symbol)
     out["check conway, 200 samples"] = lambda: sample(check_conway)
+    out["check conway chain(3), 200 samples"] = lambda: sample(
+        lambda: check_conway("--poset", "chain:3"))
     s7 = write("S7", symmetric_automaton(7))
     cap_file = os.path.join(tmp, "cap5040.json")
     pathlib.Path(cap_file).write_text(json.dumps({"subgroup_cap": 5040}))

@@ -25,7 +25,13 @@ makes, is a block of one.
 
 Sampled tables draw each entry as ``Random.randrange`` does, with its
 rejection loop inlined, so a seed gives the same interpretations as
-before the loop was inlined.
+before the loop was inlined.  That costs about 0.6 µs per entry, and
+posets of one or of three or more elements still pay it.  On a
+two-element poset every entry has one or two candidates, so the draw
+keeps exactly the random words whose top bit is clear and reads the
+entry off their next bit: a block of samples is drawn from bulk words,
+and each table is the up-closure of its draws, with the same tables as
+entry by entry.
 """
 
 from __future__ import annotations
@@ -44,8 +50,10 @@ DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 1729
 
 # A sampled check draws samples x (sum over symbols of |P|^arity) table
-# entries, at about a microsecond each; it is refused above this many.
-# The largest sampled check of the test suite draws 2,560,000.
+# entries, at about 0.6 µs each entry by entry; it is refused above this
+# many.  On a two-element poset a block's entries are drawn in bulk, for
+# far less per entry, but the cap is the same for every poset.  The
+# largest sampled check of the test suite draws 2,560,000.
 MAX_SAMPLED_ENTRIES = 4_000_000
 
 # Interpretations evaluated together by check_equation: at most BLOCK, and
@@ -356,6 +364,82 @@ def _random_table(plan: tuple, bounds: _UpperBounds, getrandbits) -> list:
             return table
 
 
+# An accepted word's top byte (its top bit clear) to 1 when bit 30 draws
+# the top of a two-element poset with the given bottom; rejected words'
+# top bytes are deleted.
+_TOP_BYTE_DRAWS = tuple(bytes((v >> 6 & 1) ^ bottom for v in range(256)) for bottom in (0, 1))
+_REJECTED = bytes(range(128, 256))
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _two_element_closure(poset: PosetModel, arity: int, n: int) -> tuple:
+    """How ``_two_element_blocks`` reads n samples of a symbol of this
+    arity: for each index of its table, the place of its draw in the fill
+    plan; and the closure steps ``(up, down, mask)``, one per coordinate,
+    on the n tables laid out index by index, entry idx of sample b in byte
+    lane ``idx * n + b``.  Along the coordinate of stride s the top is bit
+    s equal to ``1 - bottom``, and a top index's predecessor lies s indices
+    down (bottom 0) or up (bottom 1)."""
+    top = 1 - poset.bottom
+    length = 2 ** arity
+    positions = [0] * length
+    for k, (idx, _) in enumerate(_fill_plan(poset, arity)):
+        positions[idx] = k
+    steps = []
+    for s in (1 << c for c in range(arity)):
+        low, high = b"\0" * (s * n), b"\1" * (s * n)
+        lanes = (low + high if top else high + low) * (length // (2 * s))
+        shift = 8 * s * n
+        steps.append((shift * top, shift * poset.bottom, int.from_bytes(lanes, "little")))
+    return tuple(positions), tuple(steps)
+
+
+def _two_element_blocks(poset: PosetModel, arities: tuple, samples: int, getrandbits,
+                        block_size: int):
+    """The blocks ``_blocks`` makes of ``_random_table``'s samples on a
+    two-element poset, as ``(n, tables)``, drawn from the same stream
+    without a Python step per entry.
+
+    Every point has one or two candidates, so ``randrange``'s loop keeps
+    exactly the 32-bit words whose top bit is clear, whatever the table
+    holds: the k-th such word draws the k-th entry in (sample, symbol,
+    fill plan) order, by its bit 30 when the entry is free.  An entry is
+    top when it drew top or one of its predecessors is top, so a table is
+    the up-closure of its draws.  Words are drawn in bulk, the first one
+    least significant, and the accepted ones are carried from block to
+    block.  A symbol's draws in a block are gathered index by index, one
+    strided slice per index, closed by one shift and mask per coordinate
+    on an integer with one byte per entry, and read back sample by sample,
+    one strided slice per sample.  The generator may be left past the
+    last word used."""
+    draws = _TOP_BYTE_DRAWS[poset.bottom]
+    values = bytes((poset.bottom, 1 - poset.bottom)) + bytes(254)
+    lengths = [2 ** a for a in arities]
+    entries = sum(lengths)
+    offsets = [sum(lengths[:j]) for j in range(len(arities))]
+    closures = {}
+    pending = b""
+    for start in range(0, samples, block_size):
+        n = min(block_size, samples - start)
+        need = n * entries
+        while len(pending) < need:
+            words = 2 * (need - len(pending)) + 32
+            tops = getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+            pending += tops.translate(draws, _REJECTED)
+        if n not in closures:
+            closures[n] = [_two_element_closure(poset, a, n) for a in arities]
+        tables = []
+        for offset, (positions, steps) in zip(offsets, closures[n]):
+            own = pending[offset:need]
+            x = int.from_bytes(b"".join([own[k::entries] for k in positions]), "little")
+            for up, down, mask in steps:
+                x |= (x << up >> down) & mask
+            by_index = x.to_bytes(n * len(positions), "little")
+            tables.append(list(b"".join([by_index[b::n] for b in range(n)]).translate(values)))
+        pending = pending[need:]
+        yield n, tables
+
+
 def random_monotone(poset: PosetModel, in_arity: int, rng: random.Random) -> TableFn:
     """A random monotone function, filled greedily along a linear
     extension.  Every monotone function has positive probability."""
@@ -571,13 +655,18 @@ class CheckResult:
         return out
 
 
-def _counterexample(eq: Equation, poset: PosetModel, tables, lhs: list, rhs: list) -> dict:
+def _counterexample(eq: Equation, poset: PosetModel, tables: list, b: int,
+                    lhs: list, rhs: list) -> dict:
+    """The counterexample of interpretation b of a block: ``tables`` are the
+    block's symbol tables, ``lhs`` and ``rhs`` b's tables of the sides."""
     size = poset.size
-    idx = next((i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+    idx = next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
     if idx is None:
         raise AssertionError("tables differ but no differing entry found")
+    lengths = [size ** s.in_arity for s in eq.symbols]
     return {
-        "symbols": {s.name: list(table) for s, table in zip(eq.symbols, tables)},
+        "symbols": {s.name: table[b * k:(b + 1) * k]
+                    for s, table, k in zip(eq.symbols, tables, lengths)},
         "input": list(_decode(idx, size, eq.lhs.source)),
         "lhs": list(_decode(lhs[idx], size, eq.lhs.target)),
         "rhs": list(_decode(rhs[idx], size, eq.rhs.target)),
@@ -632,6 +721,7 @@ def check_equation(
             mode = "exhaustive"
     # table entries of one interpretation
     entries = sum(poset.size ** s.in_arity for s in eq.symbols)
+    block_size = max(1, min(BLOCK, BLOCK_ENTRIES // max(entries, 1)))
     if mode == "sampled":
         seed = DEFAULT_SEED if seed is None else seed
         samples = DEFAULT_SAMPLES if samples is None else samples
@@ -643,15 +733,20 @@ def check_equation(
                 f"exceed the sampling cap of {MAX_SAMPLED_ENTRIES} entries"
             )
         getrandbits = random.Random(seed).getrandbits
-        bounds = _upper_bounds(poset)
-        plans = [_fill_plan(poset, s.in_arity) for s in eq.symbols]
-        interpretations = (
-            [_random_table(plan, bounds, getrandbits) for plan in plans]
-            for _ in range(samples)
-        )
+        if poset.size == 2:
+            arities = tuple(s.in_arity for s in eq.symbols)
+            blocks = _two_element_blocks(poset, arities, samples, getrandbits, block_size)
+        else:
+            bounds = _upper_bounds(poset)
+            plans = [_fill_plan(poset, s.in_arity) for s in eq.symbols]
+            blocks = _blocks((
+                [_random_table(plan, bounds, getrandbits) for plan in plans]
+                for _ in range(samples)
+            ), block_size)
     else:
         seed = None
-        interpretations = iproduct(*(_monotone_pool(poset, s.in_arity) for s in eq.symbols))
+        blocks = _blocks(
+            iproduct(*(_monotone_pool(poset, s.in_arity) for s in eq.symbols)), block_size)
 
     slots = {s.name: k for k, s in enumerate(eq.symbols)}
     height = _height(poset)
@@ -659,10 +754,8 @@ def check_equation(
     lhs = _as_run(*_compile(eq.lhs, poset, height, slots, offsets))
     rhs = _as_run(*_compile(eq.rhs, poset, height, slots, offsets))
     width = poset.size ** eq.lhs.source
-    block_size = max(1, min(BLOCK, BLOCK_ENTRIES // max(entries, 1)))
     checked = 0
-    for block, tables in _blocks(interpretations, block_size):
-        n = len(block)
+    for n, tables in blocks:
         lhs_block = lhs(tables, n)
         rhs_block = rhs(tables, n)
         if lhs_block != rhs_block:
@@ -672,7 +765,7 @@ def check_equation(
             own = slice(b * width, (b + 1) * width)
             return CheckResult(
                 eq.name, poset.name, mode, seed, checked + b + 1, False,
-                _counterexample(eq, poset, block[b], lhs_block[own], rhs_block[own]),
+                _counterexample(eq, poset, tables, b, lhs_block[own], rhs_block[own]),
             )
         checked += n
     return CheckResult(eq.name, poset.name, mode, seed, checked, True, None)
@@ -680,7 +773,8 @@ def check_equation(
 
 def _blocks(interpretations, block_size: int):
     """Consecutive runs of ``block_size`` interpretations (fewer at the
-    end), each with its symbol tables: every symbol's tables of the run,
-    one after another, as ``_compile``'s runs read them."""
+    end), each as ``(n, tables)``: the run's length, and every symbol's
+    tables of the run, one after another, as ``_compile``'s runs read
+    them."""
     while block := list(islice(interpretations, block_size)):
-        yield block, [list(concat.from_iterable(column)) for column in zip(*block)]
+        yield len(block), [list(concat.from_iterable(column)) for column in zip(*block)]

@@ -46,10 +46,12 @@ from fpal.term import (
     power,
     tup,
 )
-from oracle import check_one_at_a_time, reference_eval
+from oracle import check_one_at_a_time, random_table_by_randrange, reference_eval
 
 C2 = chain(2)
 C3 = chain(3)
+# the two-element poset with bottom 1: its forced entries are element 0
+B1 = PosetModel(2, ((1, 0), (1, 1)), 1, "bottom 1")
 # bottom 0 below two incomparable elements: not a lattice
 V = PosetModel(3, ((1, 1, 1), (0, 1, 0), (0, 0, 1)), 0, "V")
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -170,7 +172,7 @@ def test_enumeration_order_is_fixed():
 
 def test_model_caches_are_bounded():
     for cache in (_cover_preds, _fill_plan, _upper_bounds, count_monotone, _height,
-                  _monotone_pool):
+                  _monotone_pool, cpo_model._two_element_closure):
         assert cache.cache_info().maxsize is not None
 
 
@@ -474,7 +476,7 @@ def assert_matches_oracle(eq, poset, mode, seed, samples=DIFFERENTIAL_SAMPLES):
     return r
 
 
-@pytest.mark.parametrize("poset", [C2, C3], ids=["chain2", "chain3"])
+@pytest.mark.parametrize("poset", [C2, C3, B1], ids=["chain2", "chain3", "bottom1"])
 def test_block_checks_match_the_one_at_a_time_oracle(poset):
     assert cpo_model.BLOCK == 32
     refuted_at = []
@@ -507,14 +509,15 @@ def test_refutations_in_later_blocks(monkeypatch):
 
 
 def test_block_size_shrinks_for_wide_symbols(monkeypatch):
+    # both block sources take the block size last: sampled checks on a
+    # two-element poset use _two_element_blocks, every other check _blocks
     sizes = []
-    blocks = cpo_model._blocks
+    for name in ("_blocks", "_two_element_blocks"):
+        def recorded(*args, source=getattr(cpo_model, name)):
+            sizes.append(args[-1])
+            return source(*args)
 
-    def recorded(interpretations, size):
-        sizes.append(size)
-        return blocks(interpretations, size)
-
-    monkeypatch.setattr(cpo_model, "_blocks", recorded)
+        monkeypatch.setattr(cpo_model, name, recorded)
     # one interpretation of f and g on chain(2) holds 2 * 2**9 entries
     f, g = Sym(Symbol("f", 9)), Sym(Symbol("g", 9))
     eq = Equation.of("wide pair", Comp(g, Tup((f,) * 9, 9)), Comp(g, Tup((f,) * 9, 9)))
@@ -523,6 +526,43 @@ def test_block_size_shrinks_for_wide_symbols(monkeypatch):
     assert_matches_oracle(corrupted_double_dagger(), chain(5), "sampled", 4, samples=5)
     # BLOCK_ENTRIES is 1024: blocks of 1 and of 1024 // 125 = 8
     assert sizes == [1, 8]
+
+
+# single symbols of every arity 0-9, and pairs and triples of mixed arities
+TWO_ELEMENT_ARITIES = [(a,) for a in range(10)] + [
+    (0, 3), (2, 2), (5, 1), (9, 0), (1, 4, 2), (3, 0, 3), (6, 2, 7), (0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("poset", [C2, B1], ids=["chain2", "bottom1"])
+def test_two_element_blocks_match_randrange(poset):
+    # the bulk sampler yields the blocks of the tables randrange draws from
+    # the same seed; 2 * size + 1 samples end in a block of one, and blocks
+    # of one draw so few words that later blocks start on carried ones
+    bounds = _upper_bounds(poset)
+    carried = 0
+    for seed, arities in enumerate(TWO_ELEMENT_ARITIES):
+        plans = [_fill_plan(poset, a) for a in arities]
+        entries = sum(2 ** a for a in arities)
+        wide = max(1, min(cpo_model.BLOCK, cpo_model.BLOCK_ENTRIES // entries))
+        for samples, size in ((1, wide), (wide + 1, wide), (2 * wide + 1, wide), (9, 1), (7, 3)):
+            ref = random.Random(seed)
+            drawn = [[random_table_by_randrange(plan, bounds, ref.randrange) for plan in plans]
+                     for _ in range(samples)]
+            expect = [
+                (len(run), [list(itertools.chain.from_iterable(col)) for col in zip(*run)])
+                for run in (drawn[i:i + size] for i in range(0, samples, size))
+            ]
+            rng, calls = random.Random(seed), []
+
+            def getrandbits(k):
+                calls.append(k)
+                return rng.getrandbits(k)
+
+            got = list(cpo_model._two_element_blocks(poset, arities, samples, getrandbits, size))
+            assert got == expect, (arities, samples, size)
+            carried += len(calls) < len(expect)
+    assert carried
 
 
 @pytest.mark.parametrize("poset", [C2, C3], ids=["chain2", "chain3"])
