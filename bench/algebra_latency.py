@@ -167,15 +167,20 @@ def automata() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty fpal's process-wide caches."""
+    """Empty fpal's process-wide caches: every ``lru_cache`` of the
+    algebra, model-checker and entailment modules, the idempotent walks and
+    the divisor tables, as a new process starts."""
     from fpal import algebra, cpo_model, entailment
 
+    for module in (algebra, cpo_model, entailment):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
     algebra._walk_cache.clear()
     # a tree from before the per-automaton divisor table has none, and
     # one without a subgroup lattice no lattice cache
     getattr(entailment, "_divisor_tables", {}).clear()
     getattr(algebra, "_subgroup_cache", {}).clear()
-    cpo_model.count_monotone.cache_clear()
 
 
 def clear_parsers() -> None:

@@ -29,6 +29,7 @@ read off those index sets.  The searches are guarded by size caps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, count
 from math import gcd
 from operator import eq
@@ -85,41 +86,30 @@ class TransformationMonoid:
         if ident is None:
             raise ValueError("transformation monoid must contain the identity")
         self.identity_index = ident
-        self._elements = None
-        self._image_keys = None
-        self._image_buckets = None
 
     @property
     def order(self) -> int:
         return len(self.maps)
 
-    @property
+    @cached_property
     def elements(self) -> tuple:
         """The elements as Transformations (1-based), built on first use."""
-        if self._elements is None:
-            self._elements = tuple(Transformation(tuple(v + 1 for v in t))
-                                   for t in self.maps)
-        return self._elements
+        return tuple(Transformation(tuple(v + 1 for v in t)) for t in self.maps)
 
-    @property
+    @cached_property
     def image_keys(self) -> tuple:
         """One key per element, built on first use, naming the image of its
         map in the form of ``map_form``."""
-        if self._image_keys is None:
-            self._image_keys = tuple(self._images(self.maps))
-        return self._image_keys
+        return tuple(self._images(self.maps))
 
-    @property
+    @cached_property
     def image_buckets(self) -> MappingProxyType:
         """Element indices, ascending, grouped by image key; built on first
         use, in one pass over ``image_keys``."""
-        if self._image_buckets is None:
-            buckets: dict = {}
-            for i, key in enumerate(self.image_keys):
-                buckets.setdefault(key, []).append(i)
-            self._image_buckets = MappingProxyType(
-                {key: tuple(xs) for key, xs in buckets.items()})
-        return self._image_buckets
+        buckets: dict = {}
+        for i, key in enumerate(self.image_keys):
+            buckets.setdefault(key, []).append(i)
+        return MappingProxyType({key: tuple(xs) for key, xs in buckets.items()})
 
     def product(self, i: int, j: int) -> int:
         """Index of element i followed by element j."""

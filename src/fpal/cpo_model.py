@@ -16,7 +16,8 @@ tables at compile time, so an interpretation only pays for the nodes that
 read a symbol.  The compiled side evaluates a block of interpretations at
 once, each table of the block being the tables of its interpretations one
 after another: composition is one gather, with each interpretation's
-offset into the block added to its indices; tupling packs the
+offset into the block added to its indices (those index vectors depend
+on shapes alone and are kept per process); tupling packs the
 concatenated tables; a constant is repeated once per interpretation; and
 dagger iterates every interpretation of the block together.  On tables of
 2 to 64 entries most of a node's cost is the Python call around it, which
@@ -37,7 +38,7 @@ entry by entry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain as concat, islice, product as iproduct
 from operator import add, itemgetter
@@ -70,16 +71,21 @@ BLOCK_ENTRIES = 1024
 _POSET_CACHE_SIZE = 16
 _PLAN_CACHE_SIZE = 64
 _COUNT_CACHE_SIZE = 256
+# A check-library pass asks for about 220 shapes of index vectors.
+_OFFSETS_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
 class PosetModel:
-    """A finite poset with a least element.  ``leq[x][y]`` says x <= y."""
+    """A finite poset with a least element.  ``leq[x][y]`` says x <= y.
+    Each element's rank, the length of a longest chain below it, is
+    computed once, when the poset is made."""
 
     size: int
     leq: tuple
     bottom: int
     name: str = "poset"
+    _ranks: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "leq", tuple(tuple(bool(v) for v in row) for row in self.leq))
@@ -97,6 +103,16 @@ class PosetModel:
                         raise ValueError("order must be transitive")
         if not all(leq[self.bottom][x] for x in range(n)):
             raise ValueError("bottom element must be below everything")
+        rank = [0] * n
+        changed = True
+        while changed:
+            changed = False
+            for x in range(n):
+                for y in self.covers_below(x):
+                    if rank[x] < rank[y] + 1:
+                        rank[x] = rank[y] + 1
+                        changed = True
+        object.__setattr__(self, "_ranks", tuple(rank))
 
     def covers_below(self, x: int) -> list:
         """Immediate predecessors of x."""
@@ -108,20 +124,11 @@ class PosetModel:
 
     def height(self) -> int:
         """Length of a longest chain (number of elements)."""
-        rank = self.ranks()
-        return max(rank) + 1
+        return max(self._ranks) + 1
 
     def ranks(self) -> tuple:
-        rank = [0] * self.size
-        changed = True
-        while changed:
-            changed = False
-            for x in range(self.size):
-                for y in self.covers_below(x):
-                    if rank[x] < rank[y] + 1:
-                        rank[x] = rank[y] + 1
-                        changed = True
-        return tuple(rank)
+        """Each element's rank, as computed when the poset was made."""
+        return self._ranks
 
 
 def chain(k: int) -> PosetModel:
@@ -160,10 +167,7 @@ class TableFn:
         return f"TableFn(in={self.in_arity}, out={self.out_arity}, table={self.table})"
 
     def encode(self, tup) -> int:
-        code = 0
-        for v in tup:
-            code = code * self.poset.size + v
-        return code
+        return _encode(tup, self.poset.size)
 
     def decode_out(self, code: int) -> tuple:
         return _decode(code, self.poset.size, self.out_arity)
@@ -184,6 +188,15 @@ class TableFn:
                 if not all(leq[a][b] for a, b in zip(out_p, out_x)):
                     return False
         return True
+
+
+def _encode(digits, size: int) -> int:
+    """The mixed-radix code of a tuple of elements, first one most
+    significant; ``_decode`` inverts it."""
+    code = 0
+    for v in digits:
+        code = code * size + v
+    return code
 
 
 def _decode(code: int, size: int, width: int) -> tuple:
@@ -260,11 +273,6 @@ class _UpperBounds(dict):
 @lru_cache(maxsize=_POSET_CACHE_SIZE)
 def _upper_bounds(poset: PosetModel) -> _UpperBounds:
     return _UpperBounds(poset)
-
-
-@lru_cache(maxsize=_POSET_CACHE_SIZE)
-def _height(poset: PosetModel) -> int:
-    return poset.height()
 
 
 @lru_cache(maxsize=_POSET_CACHE_SIZE)
@@ -464,27 +472,17 @@ class Interpretation:
                 raise ValueError(f"symbol {name!r} must have one output")
 
 
-def _bottom_code(poset: PosetModel, width: int) -> int:
-    code = 0
-    for _ in range(width):
-        code = code * poset.size + poset.bottom
-    return code
-
-
-class _Offsets(dict):
-    """Index vectors of one check, shared by the nodes of both sides:
-    ``offsets[n, width, stride, step]`` lists ``b * stride + c * step``
-    for b < n and c < width, where each of n interpretations owns
-    ``width`` entries of one block and ``stride`` of another.  A check
-    asks for a few shapes at two counts, the block size and its last
-    block's, and the vectors go with the check."""
-
-    def __missing__(self, key) -> list:
-        n, width, stride, step = key
-        vec = self[key] = []
-        for b in range(0, n * stride, stride):
-            vec += range(b, b + width * step, step) if step else [b] * width
-        return vec
+@lru_cache(maxsize=_OFFSETS_CACHE_SIZE)
+def _offsets(n: int, width: int, stride: int, step: int) -> tuple:
+    """The index vector ``b * stride + c * step`` for b < n and c < width,
+    where each of n interpretations owns ``width`` entries of one block
+    and ``stride`` of another.  It depends on the shapes of a term's nodes
+    and the block's count alone, so every check of the process shares
+    it."""
+    vec = []
+    for b in range(0, n * stride, stride):
+        vec += range(b, b + width * step, step) if step else [b] * width
+    return tuple(vec)
 
 
 def lfp(fn: TableFn, params=()) -> int:
@@ -493,19 +491,15 @@ def lfp(fn: TableFn, params=()) -> int:
     if fn.out_arity != 1 or fn.in_arity < 1:
         raise ValueError("least fixed point needs a function P x P^p -> P")
     poset = fn.poset
-    c = 0
     params = tuple(params)
     if len(params) != fn.in_arity - 1:
         raise ValueError(f"expected {fn.in_arity - 1} parameters, got {len(params)}")
-    for v in params:
-        c = c * poset.size + v
     # the body at these parameters alone, x -> fn(x, params), as a block of one
-    at_params = fn.table[c::poset.size ** len(params)]
-    return _fixed_points(poset, 1, 0, _height(poset), _Offsets())(at_params, 1)[0]
+    at_params = fn.table[_encode(params, poset.size)::poset.size ** len(params)]
+    return _fixed_points(poset, 1, 0)(at_params, 1)[0]
 
 
-def _compile(m: Morphism, poset: PosetModel, height: int, slots: dict,
-             offsets: _Offsets) -> tuple:
+def _compile(m: Morphism, poset: PosetModel, slots: dict) -> tuple:
     """Compile a term in one walk.  A term without symbols becomes its
     constant table, returned as ``(table, None)``; any other term becomes
     ``(None, run)``.  ``run(tables, n)`` evaluates the term on a block of n
@@ -522,7 +516,7 @@ def _compile(m: Morphism, poset: PosetModel, height: int, slots: dict,
     if isinstance(m, Tup):
         if not m.parts:
             return [0] * size ** m.source, None
-        parts = [_compile(part, poset, height, slots, offsets) for part in m.parts]
+        parts = [_compile(part, poset, slots) for part in m.parts]
         scales = [size ** part.target for part in m.parts[1:]]
         if all(run is None for _, run in parts):
             return _pack([table for table, _ in parts], scales), None
@@ -530,8 +524,8 @@ def _compile(m: Morphism, poset: PosetModel, height: int, slots: dict,
             [table * n if run is None else run(tables, n) for table, run in parts], scales
         )
     if isinstance(m, Comp):
-        inner, inner_run = _compile(m.f, poset, height, slots, offsets)
-        outer, outer_run = _compile(m.g, poset, height, slots, offsets)
+        inner, inner_run = _compile(m.f, poset, slots)
+        outer, outer_run = _compile(m.g, poset, slots)
         if outer_run is None:
             if inner_run is None:
                 return [outer[v] for v in inner], None
@@ -543,11 +537,11 @@ def _compile(m: Morphism, poset: PosetModel, height: int, slots: dict,
         shape = size ** m.f.source, size ** m.g.source, 0
         return None, lambda tables, n: list(map(
             outer_run(tables, n).__getitem__,
-            map(add, inner_run(tables, n), offsets[(n, *shape)]),
+            map(add, inner_run(tables, n), _offsets(n, *shape)),
         ))
     if isinstance(m, Dagger):
-        body, body_run = _compile(m.body, poset, height, slots, offsets)
-        solve = _fixed_points(poset, m.m, m.source, height, offsets)
+        body, body_run = _compile(m.body, poset, slots)
+        solve = _fixed_points(poset, m.m, m.source)
         if body_run is None:
             return solve(body, 1), None
         return None, lambda tables, n: solve(body_run(tables, n), n)
@@ -559,7 +553,7 @@ def _as_run(table: list | None, run):
     return run if run is not None else lambda tables, n: table * n
 
 
-def _fixed_points(poset: PosetModel, m: int, p: int, height: int, offsets: _Offsets):
+def _fixed_points(poset: PosetModel, m: int, p: int):
     """``(body, n) -> table``: for n tables of ``body: P^m x P^p -> P^m``
     one after another, the least fixed points at every parameter of every
     table, iterating them all together from bottom.  From bottom a
@@ -569,11 +563,11 @@ def _fixed_points(poset: PosetModel, m: int, p: int, height: int, offsets: _Offs
     span = poset.size ** p
     # entry b * span + c of the result reads body b at x * span + c
     shape = span, poset.size ** m * span, 1
-    bottom = _bottom_code(poset, m)
-    steps = range(m * (height - 1) + 2)
+    bottom = _encode((poset.bottom,) * m, poset.size)
+    steps = range(m * (poset.height() - 1) + 2)
 
     def solve(body: list, n: int) -> list:
-        columns = offsets[(n, *shape)]
+        columns = _offsets(n, *shape)
         xs = [bottom] * (n * span)
         for _ in steps:
             rows = xs if span == 1 else map(span.__mul__, xs)
@@ -616,7 +610,7 @@ def eval_morphism(m: Morphism, interp: Interpretation) -> TableFn:
         slots[name] = len(tables)
         tables.append(fn.table)
     poset = interp.poset
-    table = _as_run(*_compile(m, poset, _height(poset), slots, _Offsets()))(tables, 1)
+    table = _as_run(*_compile(m, poset, slots))(tables, 1)
     return TableFn(poset, m.source, m.target, table)
 
 
@@ -749,10 +743,8 @@ def check_equation(
             iproduct(*(_monotone_pool(poset, s.in_arity) for s in eq.symbols)), block_size)
 
     slots = {s.name: k for k, s in enumerate(eq.symbols)}
-    height = _height(poset)
-    offsets = _Offsets()
-    lhs = _as_run(*_compile(eq.lhs, poset, height, slots, offsets))
-    rhs = _as_run(*_compile(eq.rhs, poset, height, slots, offsets))
+    lhs = _as_run(*_compile(eq.lhs, poset, slots))
+    rhs = _as_run(*_compile(eq.rhs, poset, slots))
     width = poset.size ** eq.lhs.source
     checked = 0
     for n, tables in blocks:

@@ -13,8 +13,8 @@ from fpal.cpo_model import (
     TableFn,
     _cover_preds,
     _fill_plan,
-    _height,
     _monotone_pool,
+    _offsets,
     _upper_bounds,
     chain,
     check_equation,
@@ -171,22 +171,54 @@ def test_enumeration_order_is_fixed():
 
 
 def test_model_caches_are_bounded():
-    for cache in (_cover_preds, _fill_plan, _upper_bounds, count_monotone, _height,
-                  _monotone_pool, cpo_model._two_element_closure):
-        assert cache.cache_info().maxsize is not None
+    caches = {name: value for name, value in vars(cpo_model).items()
+              if hasattr(value, "cache_info")}
+    assert {"_offsets", "_monotone_pool", "count_monotone"} <= set(caches)
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, name
 
 
-def test_exhaustive_pools_are_enumerated_once_per_poset_and_arity():
+def test_index_vectors_are_shared_by_the_checks_of_a_process():
+    # read-only tuples, since every check of the process reads them
+    assert type(_offsets(2, 3, 4, 1)) is tuple
+    assert _offsets(2, 3, 4, 1) == (0, 1, 2, 4, 5, 6)
+    assert _offsets(2, 3, 4, 0) == (0, 0, 0, 4, 4, 4)
+    # a composition of two symbols and a dagger read index vectors
+    f, g = Sym(Symbol("f", 1)), Sym(Symbol("g", 2))
+    eq = Equation.of("fg dagger", Dagger(Comp(f, g), 1), Dagger(Comp(f, g), 1))
+    _offsets.cache_clear()
+    assert check_equation(eq, C3, mode="exhaustive").holds
+    first = _offsets.cache_info()
+    assert first.misses > 0
+    assert check_equation(eq, C3, mode="exhaustive").holds
+    second = _offsets.cache_info()
+    assert second.misses == first.misses
+    assert second.hits > first.hits
+
+
+def test_exhaustive_pools_are_enumerated_once_per_poset_and_arity(monkeypatch):
     # two exhaustive checks over C2 and V, with symbols of arity 1 and 2,
     # enumerate four pools; the second check of each poset reads them back
     f, g = Sym(Symbol("f", 1)), Sym(Symbol("g", 2))
     eq = Equation.of("fg", Comp(f, g), Comp(f, g))
     _monotone_pool.cache_clear()
-    _height.cache_clear()
-    for poset in (C2, V, C2, V):
+    # a poset computes its ranks from its covers when it is made; the
+    # checks read them back and ask for covers only through _cover_preds
+    covers = []
+    covers_below = PosetModel.covers_below
+    monkeypatch.setattr(PosetModel, "covers_below",
+                        lambda self, x: covers.append(x) or covers_below(self, x))
+    posets = [chain(2), PosetModel(V.size, V.leq, V.bottom, V.name)]
+    assert covers
+    ranks = [poset.ranks() for poset in posets]
+    for poset in posets:
+        _cover_preds(poset, 1), _cover_preds(poset, 2)
+    covers.clear()
+    for poset in posets + posets:
         assert check_equation(eq, poset, mode="exhaustive").holds
+    assert not covers
+    assert all(poset.ranks() is r for poset, r in zip(posets, ranks))
     assert _monotone_pool.cache_info()[:2] == (4, 4)
-    assert _height.cache_info()[:2] == (2, 2)
     for poset, arity in ((C2, 1), (C2, 2), (V, 1), (V, 2)):
         assert _monotone_pool(poset, arity) == tuple(
             tuple(fn.table) for fn in enumerate_monotone(poset, arity))
