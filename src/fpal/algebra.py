@@ -3,16 +3,19 @@ simple divisors.
 
 The monoid of an automaton is the set of word-induced state maps, with
 ``x * y`` meaning "apply x, then y"; the maps are kept in the form of
-``automaton.map_form`` and composed on demand, with no product table.
+``automaton.map_form`` and composed on demand, with no product table,
+and the monoid is built whole when it is made: its maps, their index
+and their image keys, bucketed by image.
 A simple group S divides a monoid M when S is a quotient of some
 subsemigroup of M that happens to be a group; equivalently, S is a
 quotient K/N of a subgroup K of one of the maximal subgroups H sitting at
 the idempotents of M.  Idempotents of one D-class, such as those with
 one image, have isomorphic maximal subgroups, so one H is looked at per
 image, and none where two products put an earlier one in its D-class.
-A group is its elements, its identity and its product, and no table of
-products is built: the elements of H are monoid element indices,
-multiplied by composing their maps, and its subgroups are index sets.
+A group is its elements, its identity and its product, all given to its
+one constructor, and no table of products is built: the elements of H
+are monoid element indices, multiplied by composing their maps, and its
+subgroups are index sets.
 The cyclic divisors C_p of H are the primes p dividing |H| (Cauchy),
 read off the powers of its elements.  A group of order under
 60, or of an order with at most two primes (Burnside), is solvable, and
@@ -29,7 +32,6 @@ read off those index sets.  The searches are guarded by size caps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress, count
 from math import gcd
 from operator import eq
@@ -63,7 +65,8 @@ def _remember(cache: dict, key, value, maxsize: int):
 
 
 class TransformationMonoid:
-    """All transformations induced by words of an automaton.
+    """All transformations induced by words of an automaton, built whole
+    when it is made.
 
     Elements are the maps of ``map_form``, sorted; each carries a shortest
     witness word (ties broken toward earlier letters).  There is no
@@ -71,52 +74,42 @@ class TransformationMonoid:
     ``index`` is a read-only map -> element index dict, ``image_keys`` a
     tuple with one key per element, equal for two elements exactly when
     their maps have the same image, and ``image_buckets`` a read-only
-    image key -> element indices dict.
+    image key -> element indices (ascending) dict.
     """
+
+    __slots__ = ("maps", "witnesses", "letters", "n_states", "then", "padded", "index",
+                 "identity_index", "image_keys", "image_buckets")
 
     def __init__(self, maps, witnesses, letters):
         self.maps = tuple(maps)
         self.witnesses = tuple(witnesses)
         self.letters = tuple(letters)
         self.n_states = len(self.maps[0])
-        encode, pad, self.then, self._images = map_form(self.n_states)
+        encode, pad, self.then, images = map_form(self.n_states)
         self.padded = tuple(map(pad, self.maps))
         self.index = MappingProxyType(dict(zip(self.maps, count())))
         ident = self.index.get(encode(range(self.n_states)))
         if ident is None:
             raise ValueError("transformation monoid must contain the identity")
         self.identity_index = ident
+        self.image_keys = tuple(images(self.maps))
+        buckets: dict = {}
+        for i, key in enumerate(self.image_keys):
+            buckets.setdefault(key, []).append(i)
+        self.image_buckets = MappingProxyType({key: tuple(xs) for key, xs in buckets.items()})
 
     @property
     def order(self) -> int:
         return len(self.maps)
 
-    @cached_property
+    @property
     def elements(self) -> tuple:
-        """The elements as Transformations (1-based), built on first use."""
+        """The elements as Transformations (1-based), built on each read."""
         return tuple(Transformation(tuple(v + 1 for v in t)) for t in self.maps)
-
-    @cached_property
-    def image_keys(self) -> tuple:
-        """One key per element, built on first use, naming the image of its
-        map in the form of ``map_form``."""
-        return tuple(self._images(self.maps))
-
-    @cached_property
-    def image_buckets(self) -> MappingProxyType:
-        """Element indices, ascending, grouped by image key; built on first
-        use, in one pass over ``image_keys``."""
-        buckets: dict = {}
-        for i, key in enumerate(self.image_keys):
-            buckets.setdefault(key, []).append(i)
-        return MappingProxyType({key: tuple(xs) for key, xs in buckets.items()})
 
     def product(self, i: int, j: int) -> int:
         """Index of element i followed by element j."""
         return self.index[self.then(self.maps[i], self.padded[j])]
-
-    def element_key(self) -> tuple:
-        return self.maps
 
 
 def transition_monoid(q: Automaton, cap: int = DEFAULT_MONOID_CAP) -> TransformationMonoid:
@@ -142,13 +135,20 @@ class FiniteGroup:
     permutations).  A maximal subgroup of a monoid has the monoid element
     indices of its members, which are their own labels (``labels`` is
     ``elements``), and its product composes two maps and looks the
-    result up in the monoid.  ``FiniteGroup(table)`` takes a
-    multiplication table, a sequence of rows, checks that it is a group
-    and reads its products off the rows."""
+    result up in the monoid.  The constructor takes these parts as they
+    are, a group by construction, and checks nothing;
+    ``FiniteGroup.from_table`` takes a multiplication table, a sequence
+    of rows, checks that it is a group and reads its products off the
+    rows."""
 
     __slots__ = ("elements", "order", "identity", "mul", "labels")
 
-    def __init__(self, table, labels=None):
+    def __init__(self, elements, identity: int, mul, labels=None):
+        self.elements, self.order, self.identity, self.mul = elements, len(elements), identity, mul
+        self.labels = elements if labels is None else labels
+
+    @classmethod
+    def from_table(cls, table, labels=None) -> FiniteGroup:
         rows = tuple(map(tuple, table))
         n = len(rows)
         if n < 1:
@@ -169,9 +169,7 @@ class FiniteGroup:
         ident = [e for e in idx if rows[e] == idx and columns[e] == idx]
         if len(ident) != 1:
             raise ValueError("table has no two-sided identity")
-        self.elements, self.order, self.identity = range(n), n, ident[0]
-        self.mul = lambda y, x: rows[y][x]
-        self.labels = self.elements if labels is None else labels
+        return cls(range(n), ident[0], lambda y, x: rows[y][x], labels)
 
     def element_order(self, i: int) -> int:
         mul, k, x = self.mul, 1, i
@@ -188,18 +186,10 @@ class FiniteGroup:
         return all(mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[:i])
 
 
-def _group(elements, identity: int, mul, labels=None) -> FiniteGroup:
-    """The group on ``elements`` with product ``mul``, a group by
-    construction, so unchecked.  The elements are their own labels unless
-    ``labels`` names them, and then they must be 0, ..., order - 1."""
-    g = FiniteGroup.__new__(FiniteGroup)
-    g.elements, g.order, g.identity, g.mul = elements, len(elements), identity, mul
-    g.labels = elements if labels is None else labels
-    return g
-
-
 def cyclic_group(n: int) -> FiniteGroup:
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    if n < 1:
+        raise ValueError("group must have at least one element")
+    return FiniteGroup(range(n), 0, lambda y, x: (y + x) % n)
 
 
 def _permutation_closure(perms) -> list:
@@ -225,9 +215,9 @@ def group_from_permutations(perms) -> FiniteGroup:
     maps = _permutation_closure(perms)
     encode, pad, then, _ = map_form(len(maps[0]))
     padded, pos = [pad(p) for p in maps], {t: i for i, t in enumerate(maps)}
-    return _group(range(len(maps)), pos[encode(range(len(maps[0])))],
-                  lambda y, x: pos[then(maps[y], padded[x])],
-                  tuple(tuple(v + 1 for v in p) for p in maps))
+    return FiniteGroup(range(len(maps)), pos[encode(range(len(maps[0])))],
+                       lambda y, x: pos[then(maps[y], padded[x])],
+                       tuple(tuple(v + 1 for v in p) for p in maps))
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -250,7 +240,7 @@ def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
     units = tuple([x for x in same_image if then(t_e, padded[x]) == maps[x]])
     if e not in units:  # "e then e" is not e
         raise ValueError(f"element {e} is not idempotent")
-    return _group(units, e, lambda y, x: index[then(maps[y], padded[x])])
+    return FiniteGroup(units, e, lambda y, x: index[then(maps[y], padded[x])])
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +700,7 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     refused as soon as |H| is known.  Cached per set of maps, which
     automata with different letters can share, so the witnesses name their
     idempotent by index only."""
-    key = (m.element_key(), cap)
+    key = (m.maps, cap)
     cached = _walk_cache.get(key)
     if cached is not None:
         return cached

@@ -161,6 +161,8 @@ def _map_closure(q: Automaton, cap: int | None = None) -> dict:
     """Every word-induced map, in the form of ``map_form``, mapped to a
     shortest word inducing it (ties broken toward earlier letters), in
     breadth-first discovery order."""
+    if cap is not None and cap < 1:  # the identity alone is over the cap
+        raise CapExceededError(f"transition monoid exceeds cap {cap}")
     encode, pad, then, _ = map_form(q.n_states)
     start = encode(range(q.n_states))
     gens = [(letter, pad(encode(row[j] - 1 for row in q.delta)))

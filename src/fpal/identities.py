@@ -319,6 +319,8 @@ def gamma(q: Automaton, p: int = 1) -> Equation:
 def gamma_init(q: Automaton, initial: int, p: int = 1) -> Equation:
     """One component of the automaton identity: the solution at a chosen
     state equals the diagonal solution."""
+    if p < 0:
+        raise ValueError(f"parameter arity {p} must be nonnegative")
     if not 1 <= initial <= q.n_states:
         raise ValueError(f"initial state {initial} out of range [1..{q.n_states}]")
     n, m = q.n_states, q.n_letters

@@ -269,7 +269,7 @@ def group_from_monoid_indices(m: TransformationMonoid, indices, mt=None) -> Fini
         table = [[pos[int(mt[x, y])] for y in indices] for x in indices]
     except KeyError:
         raise ValueError("index set is not closed under the monoid product") from None
-    return FiniteGroup(table, labels=indices)
+    return FiniteGroup.from_table(table, labels=indices)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def subgroup_from_indices(g: FiniteGroup, indices) -> FiniteGroup:
         table = [[pos[rows[x][y]] for y in indices] for x in indices]
     except KeyError:
         raise ValueError("index set is not closed under multiplication") from None
-    return FiniteGroup(table, labels=[g.labels[x] for x in indices])
+    return FiniteGroup.from_table(table, labels=[g.labels[x] for x in indices])
 
 
 def subgroups(g: FiniteGroup) -> list:
@@ -355,7 +355,7 @@ def quotient_by_indices(g: FiniteGroup, n_idx) -> FiniteGroup:
     qtable = [[coset_of[int(table[mem_a[0], mem_b[0]])] for mem_b in cosets]
               for mem_a in cosets]
     labels = [tuple(g.labels[v] for v in mem) for mem in cosets]
-    return FiniteGroup(qtable, labels=labels)
+    return FiniteGroup.from_table(qtable, labels=labels)
 
 
 def simple_id(q: FiniteGroup) -> SimpleGroupId:

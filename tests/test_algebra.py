@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import itertools
 import json
 import math
 import random
 import time
 import tracemalloc
+import types
 
 import pytest
 
@@ -60,8 +62,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """The table of g x h, for groups on 0, ..., order - 1: (i, j) is
     element i * |h| + j."""
     n, m = g.order, h.order
-    return FiniteGroup([[g.mul(i, k) * m + h.mul(j, l) for k in range(n) for l in range(m)]
-                        for i in range(n) for j in range(m)])
+    return FiniteGroup.from_table([[g.mul(i, k) * m + h.mul(j, l)
+                                    for k in range(n) for l in range(m)]
+                                   for i in range(n) for j in range(m)])
 
 
 def alternating4() -> FiniteGroup:
@@ -185,6 +188,8 @@ def test_cyclic_group_structure():
     assert c6.is_abelian()
     assert sorted(c6.element_orders()) == [1, 2, 3, 3, 6, 6]
     assert oracle.is_associative(c6)
+    with pytest.raises(ValueError, match="at least one element"):
+        cyclic_group(0)
 
 
 def test_group_from_permutations_closure():
@@ -204,19 +209,45 @@ def test_group_validation_rejects_non_group():
         ([[0, 1], [1, 0]], ["e"], "label count"),
     ):
         with pytest.raises(ValueError, match=message):
-            FiniteGroup(table, labels=labels)
+            FiniteGroup.from_table(table, labels=labels)
 
 
 def test_group_tables_are_immutable():
-    # a group built through FiniteGroup is checked once, when built, so
+    # a group built through from_table is checked once, when built, so
     # the caller's table may not change it afterwards
     table = [[0, 1], [1, 0]]
-    g = FiniteGroup(table, labels=["e", "s"])
+    g = FiniteGroup.from_table(table, labels=["e", "s"])
     table[0][0] = table[1][1] = 1
     assert [[g.mul(y, x) for x in g.elements] for y in g.elements] == [[0, 1], [1, 0]]
     with pytest.raises(TypeError):
         g.labels[0] = "x"
     assert all_subgroup_sets(g) == ((0,), (0, 1))
+
+
+def test_algebra_values_have_no_instance_dict():
+    # every attribute is a slot, set when the value is made
+    m = transition_monoid(symmetric_automaton(3))
+    groups = [
+        FiniteGroup(range(2), 0, lambda y, x: y ^ x),
+        FiniteGroup.from_table([[0, 1], [1, 0]], labels=["e", "s"]),
+        cyclic_group(6),
+        group_from_permutations([(2, 3, 1), (2, 1, 3)]),
+        maximal_subgroup_at(m, m.identity_index),
+    ]
+    for value in [m] + groups:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def test_image_keys_and_buckets_are_built_with_the_monoid():
+    # both are slots, filled by the constructor (reading an unfilled slot
+    # raises AttributeError), not computed on first read
+    m = transition_monoid(full_transformations(3))
+    for name in ("image_keys", "image_buckets"):
+        assert isinstance(inspect.getattr_static(m, name), types.MemberDescriptorType)
+    assert len(m.image_keys) == m.order
+    members = [i for xs in m.image_buckets.values() for i in xs]
+    assert sorted(members) == list(range(m.order))
+    assert all(list(xs) == sorted(xs) for xs in m.image_buckets.values())
 
 
 # The subgroup and quotient tables live in the oracle, the reference for
@@ -744,7 +775,7 @@ def test_unit_walk_matches_the_table_walk(corpus_monoids):
     for m in corpus_monoids + [transition_monoid(q) for q in qs]:
         for e in image_leaders(m):
             h = maximal_subgroup_at(m, e)
-            table = FiniteGroup(oracle.group_table(h).rows)
+            table = FiniteGroup.from_table(oracle.group_table(h).rows)
             generated = h.order in h.element_orders()
             primes = algebra._prime_factors(h.order)
             for k in range(len(primes) + 1):
@@ -861,10 +892,11 @@ def test_units_by_rank_match_inverse_search(corpus_monoids):
 
 
 def test_map_groups_match_their_tables(corpus_monoids):
-    # a group given as maps and the same group given as FiniteGroup(its
-    # table) agree; FiniteGroup checks the table, and the small ones are
-    # checked for associativity as well.  The corpus has maximal subgroups
-    # whose identity is not their least element.
+    # a group given as maps and the same group given as
+    # FiniteGroup.from_table(its table) agree; from_table checks the
+    # table, and the small ones are checked for associativity as well.
+    # The corpus has maximal subgroups whose identity is not their least
+    # element.
     a5_c2 = group_from_permutations([(2, 3, 4, 5, 1, 6, 7), (2, 3, 1, 4, 5, 6, 7),
                                      (1, 2, 3, 4, 5, 7, 6)])
     groups = [psl27(), a5_c2, symmetric_group(5)]
@@ -872,7 +904,7 @@ def test_map_groups_match_their_tables(corpus_monoids):
         groups += [maximal_subgroup_at(m, e) for e in image_leaders(m)]
     cap = algebra.DEFAULT_SUBGROUP_CAP
     for g in groups:
-        table = FiniteGroup(oracle.group_table(g).rows, labels=g.labels)
+        table = FiniteGroup.from_table(oracle.group_table(g).rows, labels=g.labels)
         assert table.order > 60 or oracle.is_associative(table)
         assert composition_factors(g) == composition_factors(table)
         assert list(algebra._group_divisors_with_witnesses(g, cap).items()) \
@@ -1045,7 +1077,7 @@ def test_cached_walk_keeps_each_automatons_witness_words():
     # the same maps reached by differently named letters
     m_a = transition_monoid(Automaton(3, ("a",), ((2,), (1,), (1,))))
     m_b = transition_monoid(Automaton(3, ("b",), ((2,), (1,), (1,))))
-    assert m_a.element_key() == m_b.element_key()
+    assert m_a.maps == m_b.maps
     for m, word in ((m_a, ("a", "a")), (m_b, ("b", "b"))):
         assert [w.idempotent_word for w in divisor_witnesses_monoid(m).values()] == [word]
         assert algebra.algebra_report(m)["simple_divisors"][0]["witness"]["idempotent_word"] \

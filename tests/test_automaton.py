@@ -181,6 +181,14 @@ def test_transition_monoid_cap():
         transition_monoid(symmetric_automaton(4), cap=10)
 
 
+def test_transition_monoid_cap_zero_refuses_the_identity():
+    # the identity alone is one element, over a cap of 0; a cap of 1 admits
+    # the trivial monoid
+    with pytest.raises(CapExceededError, match="exceeds cap 0"):
+        transition_monoid(counter(1), cap=0)
+    assert transition_monoid(counter(1), cap=1).order == 1
+
+
 def test_json_round_trip():
     for q in [counter(3), full_T2(), InitializedAutomaton(counter(2), 2)]:
         blob = json.dumps(to_dict(q))

@@ -102,6 +102,15 @@ def test_gamma_bad_initial_state(write_aut, capsys):
     assert err.startswith("error[bad-input]:")
 
 
+def test_gamma_refuses_negative_parameter_arity(write_aut, capsys):
+    # with or without an initial state, the arity is checked first
+    path = write_aut(counter(2))
+    for extra in ([], ["--initial", "1"]):
+        code, out, err = run_cli(["gamma", path, "-p", "-1", *extra], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error[bad-input]: parameter arity -1 must be nonnegative\n"
+
+
 def test_entails_exit_codes(write_aut, capsys):
     c6 = write_aut(counter(6), "c6.json")
     c2 = write_aut(counter(2), "c2.json")
@@ -347,6 +356,17 @@ def test_config_cap_enforced(tmp_path, write_aut, capsys, monkeypatch):
     code, out, err = run_cli(["monoid", write_aut(counter(3))], capsys)
     assert code == 2
     assert err.startswith("error[cap-exceeded]:")
+
+
+def test_config_monoid_cap_zero_refuses_the_trivial_monoid(tmp_path, write_aut, capsys,
+                                                           monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"monoid_cap": 0}))
+    monkeypatch.setenv("FPAL_CONFIG", str(cfg))
+    for command in ("monoid", "divisors"):
+        code, out, err = run_cli([command, write_aut(counter(1))], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error[cap-exceeded]: transition monoid exceeds cap 0\n"
 
 
 def test_subgroup_cap_refuses_a_group_that_needs_no_lattice(tmp_path, write_aut, capsys,
