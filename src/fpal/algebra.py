@@ -401,25 +401,30 @@ def _is_prime(n: int) -> bool:
     return _prime_factors(n) == [n]
 
 
-_NONABELIAN_SIMPLE_NAMES = {
-    60: "A_5",
-    168: "PSL(2,7)",
-    360: "A_6",
-    504: "PSL(2,8)",
-    660: "PSL(2,11)",
-    1092: "PSL(2,13)",
-    2448: "PSL(2,17)",
-    2520: "A_7",
-    3420: "PSL(2,19)",
-    4080: "PSL(2,16)",
-    5616: "PSL(3,3)",
-    6048: "PSU(3,3)",
-    6072: "PSL(2,23)",
-    7800: "PSL(2,25)",
-    7920: "M_11",
-    9828: "PSL(2,27)",
-    12180: "PSL(2,29)",
-    14880: "PSL(2,31)",
+# The nonabelian simple groups below order 20160, where the order names
+# the group, by order: name and, where fpal has them, generators as
+# 1-based permutations.  The cyclic ones are the C_p, p prime.
+_SIMPLE_GROUPS = {
+    60: ("A_5", ((2, 3, 4, 5, 1), (2, 3, 1, 4, 5))),
+    168: ("PSL(2,7)", ((2, 3, 4, 5, 6, 7, 1, 8), (8, 7, 4, 3, 6, 5, 2, 1))),
+    360: ("A_6", ((2, 3, 1, 4, 5, 6), (1, 3, 4, 5, 6, 2))),
+    504: ("PSL(2,8)", ((2, 1, 4, 3, 6, 5, 8, 7, 9), (9, 2, 6, 7, 8, 3, 4, 5, 1),
+                       (1, 3, 5, 7, 4, 2, 8, 6, 9))),
+    660: ("PSL(2,11)", ((2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1, 12),
+                        (12, 11, 6, 8, 9, 3, 10, 4, 5, 7, 2, 1))),
+    1092: ("PSL(2,13)", None),
+    2448: ("PSL(2,17)", None),
+    2520: ("A_7", None),
+    3420: ("PSL(2,19)", None),
+    4080: ("PSL(2,16)", None),
+    5616: ("PSL(3,3)", None),
+    6048: ("PSU(3,3)", None),
+    6072: ("PSL(2,23)", None),
+    7800: ("PSL(2,25)", None),
+    7920: ("M_11", None),
+    9828: ("PSL(2,27)", None),
+    12180: ("PSL(2,29)", None),
+    14880: ("PSL(2,31)", None),
 }
 
 
@@ -430,7 +435,7 @@ def _simple_name(order: int, element_orders: tuple) -> str | None:
         # The one order below 20161 shared by two simple groups; the
         # alternating one has elements of order 15, the linear one does not.
         return "A_8" if 15 in element_orders else "PSL(3,4)"
-    return _NONABELIAN_SIMPLE_NAMES.get(order)
+    return _SIMPLE_GROUPS[order][0] if order in _SIMPLE_GROUPS else None
 
 
 def _section_id(g: FiniteGroup, k, n) -> SimpleGroupId:
@@ -449,6 +454,36 @@ def _section_id(g: FiniteGroup, k, n) -> SimpleGroupId:
     coset_orders = tuple(sorted(orders)[::len(n)])
     order = len(k) // len(n)
     return SimpleGroupId(order, coset_orders, _simple_name(order, coset_orders))
+
+
+def simple_group_id(order: int) -> SimpleGroupId | None:
+    """The fingerprint of the simple group of an order below 20160, or
+    None when fpal cannot build it: C_p in closed form, another built from
+    its generators and fingerprinted as the section G/1."""
+    if _is_prime(order):
+        return _cyclic_simple_id(order)
+    gens = _SIMPLE_GROUPS[order][1]
+    if gens is None:
+        return None
+    g = group_from_permutations(gens)
+    return _section_id(g, g.elements, (g.identity,))
+
+
+def smallest_missing_simple_group(covered) -> SimpleGroupId:
+    """The least-order simple group outside ``covered``, a collection of
+    fingerprints.  Orders name the groups below 20160, so the scan
+    compares orders and builds only the group it returns; it is refused
+    when fpal cannot build that one, or when it would pass order 20159."""
+    orders = {s.order for s in covered}
+    for order in range(2, 20160):
+        if order not in orders and (order in _SIMPLE_GROUPS or _is_prime(order)):
+            found = simple_group_id(order)
+            if found is None:
+                raise CapExceededError(f"every simple group of order up to {order - 1} is covered; "
+                                       f"fpal cannot build {_SIMPLE_GROUPS[order][0]}, the next one")
+            return found
+    raise CapExceededError("every simple group of order below 20160 is covered; "
+                           "A_8 and PSL(3,4) share that order")
 
 
 def is_simple(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> bool:

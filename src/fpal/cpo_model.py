@@ -41,6 +41,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain as concat, islice, product as iproduct
+from math import comb
 from operator import add, itemgetter
 
 from .errors import CapExceededError, ThresholdExceededError
@@ -51,26 +52,30 @@ DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 1729
 
 # A sampled check draws samples x (sum over symbols of |P|^arity) table
-# entries, at about 0.6 µs each entry by entry; it is refused above this
-# many.  On a two-element poset a block's entries are drawn in bulk, for
-# far less per entry, but the cap is the same for every poset.  The
-# largest sampled check of the test suite draws 2,560,000.
+# entries, at about 0.6 µs each entry by entry, and evaluates samples x
+# |P|^s entries for its widest table, s the largest source of a subterm;
+# it is refused when either passes this many.  Any check is refused when
+# its widest table alone passes it, and so is a chain whose order, of
+# k * k entries, would.  On a two-element poset a block's entries are
+# drawn in bulk, for far less per entry, but the cap is the same for
+# every poset.  The largest sampled check of the test suite draws
+# 2,560,000.
 MAX_SAMPLED_ENTRIES = 4_000_000
 
 # Interpretations evaluated together by check_equation: at most BLOCK, and
-# no more than fit in BLOCK_ENTRIES symbol table entries, which bounds the
-# memory of a block's tables and index vectors.  Blocks of 16 or more give
+# no more than fit in BLOCK_ENTRIES entries of their symbol tables or of
+# their widest table, which bounds the memory of a block's tables and
+# index vectors.  Blocks of 16 or more give
 # a check-library pass the same time; blocks of 1 are slower than one
 # interpretation at a time was.
 BLOCK = 32
 BLOCK_ENTRIES = 1024
 
-# Cache bounds.  A run checks over a few posets at a few arities each, and
-# count_monotone is keyed by the cap as well.  The pools of exhaustive
-# checks share the poset bound.
+# Cache bounds.  A run checks over a few posets at a few arities each,
+# with one threshold; the pools, which the counts read, share the poset
+# bound.
 _POSET_CACHE_SIZE = 16
 _PLAN_CACHE_SIZE = 64
-_COUNT_CACHE_SIZE = 256
 # A check-library pass asks for about 220 shapes of index vectors.
 _OFFSETS_CACHE_SIZE = 256
 
@@ -78,49 +83,60 @@ _OFFSETS_CACHE_SIZE = 256
 @dataclass(frozen=True)
 class PosetModel:
     """A finite poset with a least element.  ``leq[x][y]`` says x <= y.
-    Each element's rank, the length of a longest chain below it, is
-    computed once, when the poset is made."""
+    When the poset is made, its order is checked and each element's
+    covers (immediate predecessors) and rank (the length of a longest
+    chain below it) are found, on bitset rows of down-sets, one int per
+    element.  A row lists the elements by how many lie below each, which
+    for an order is a linear extension, so its last element is maximal
+    in it: the covers of x are taken off x's row one at a time, each with
+    its own down-set, and the order is transitive exactly when x's
+    down-set holds theirs."""
 
     size: int
     leq: tuple
     bottom: int
     name: str = "poset"
+    _covers: tuple = field(default=(), init=False, repr=False, compare=False)
     _ranks: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "leq", tuple(tuple(bool(v) for v in row) for row in self.leq))
-        n, leq = self.size, self.leq
+        leq = tuple(tuple(map(bool, row)) for row in self.leq)
+        object.__setattr__(self, "leq", leq)
+        n = self.size
         if n < 1 or len(leq) != n or any(len(row) != n for row in leq):
             raise ValueError("order relation shape does not match carrier size")
-        for x in range(n):
-            if not leq[x][x]:
-                raise ValueError("order must be reflexive")
-            for y in range(n):
-                if leq[x][y] and leq[y][x] and x != y:
-                    raise ValueError("order must be antisymmetric")
-                for z in range(n):
-                    if leq[x][y] and leq[y][z] and not leq[x][z]:
-                        raise ValueError("order must be transitive")
-        if not all(leq[self.bottom][x] for x in range(n)):
+        if not all(leq[x][x] for x in range(n)):
+            raise ValueError("order must be reflexive")
+        columns = tuple(zip(*leq))
+        order = sorted(range(n), key=lambda x: sum(columns[x]))
+
+        def bits(flags):  # bit i set when flags marks order[i]
+            marks = bytes(map(flags.__getitem__, order))[::-1]
+            return int(marks.translate(b"01" + bytes(254)), 2)
+
+        down = [bits(columns[x]) for x in order]
+        if any(d & bits(leq[x]) != 1 << i for i, (x, d) in enumerate(zip(order, down))):
+            raise ValueError("order must be antisymmetric")
+        covers, ranks = [()] * n, [0] * n
+        for i, x in enumerate(order):
+            rest, held, found = down[i] ^ 1 << i, 0, []
+            while rest:
+                j = rest.bit_length() - 1
+                found.append(order[j])
+                held |= down[j]
+                rest &= ~down[j]
+            if held & ~down[i]:
+                raise ValueError("order must be transitive")
+            covers[x] = tuple(sorted(found))
+            ranks[x] = max((ranks[y] + 1 for y in found), default=0)
+        if not (0 <= self.bottom < n and all(leq[self.bottom])):
             raise ValueError("bottom element must be below everything")
-        rank = [0] * n
-        changed = True
-        while changed:
-            changed = False
-            for x in range(n):
-                for y in self.covers_below(x):
-                    if rank[x] < rank[y] + 1:
-                        rank[x] = rank[y] + 1
-                        changed = True
-        object.__setattr__(self, "_ranks", tuple(rank))
+        object.__setattr__(self, "_covers", tuple(covers))
+        object.__setattr__(self, "_ranks", tuple(ranks))
 
     def covers_below(self, x: int) -> list:
-        """Immediate predecessors of x."""
-        below = [y for y in range(self.size) if y != x and self.leq[y][x]]
-        return [
-            y for y in below
-            if not any(z != y and z != x and self.leq[y][z] and self.leq[z][x] for z in below)
-        ]
+        """Immediate predecessors of x, ascending."""
+        return list(self._covers[x])
 
     def height(self) -> int:
         """Length of a longest chain (number of elements)."""
@@ -132,10 +148,17 @@ class PosetModel:
 
 
 def chain(k: int) -> PosetModel:
-    """The k-element chain 0 < 1 < ... < k-1."""
+    """The k-element chain 0 < 1 < ... < k-1.  Its order has k * k
+    entries, and a chain with more than MAX_SAMPLED_ENTRIES is refused
+    before any is built."""
     if k < 1:
         raise ValueError(f"chain needs at least one element, got {k}")
-    leq = tuple(tuple(x <= y for y in range(k)) for x in range(k))
+    if k * k > MAX_SAMPLED_ENTRIES:
+        raise CapExceededError(
+            f"chain({k}) has {k * k} order entries, past the cap of "
+            f"{MAX_SAMPLED_ENTRIES} entries"
+        )
+    leq = tuple((False,) * x + (True,) * (k - x) for x in range(k))
     return PosetModel(k, leq, 0, name=f"chain({k})")
 
 
@@ -276,10 +299,29 @@ def _upper_bounds(poset: PosetModel) -> _UpperBounds:
 
 
 @lru_cache(maxsize=_POSET_CACHE_SIZE)
-def _monotone_pool(poset: PosetModel, arity: int) -> tuple:
+def _monotone_pool(poset: PosetModel, arity: int, cap: int) -> tuple | None:
     """Every monotone table P^arity -> P as a tuple, in the order of
-    ``_monotone_tables``."""
-    return tuple(map(tuple, _monotone_tables(poset, arity)))
+    ``_monotone_tables``, or None when there are more than ``cap``, which
+    two lower bounds often tell without enumerating.
+
+    Total rank strictly increases along < in P^arity, so each level of
+    equal total rank is an antichain.  The up-set of each subset of a
+    level gives its own monotone map (up-set to a value above bottom, the
+    rest to bottom), so when |P| >= 2 there are at least 2^(largest
+    level) of them.  And the m = arity * (h - 1) + 1 total ranks all
+    occur, h being the height of P, whose longest chain has one element
+    of each rank: each monotone map of the total ranks into that chain
+    gives its own monotone map, C(m + h - 1, m) of them.  On chain(12) at
+    arity 1 that is 1,352,078, where a count to a threshold of 100,000
+    would hold that many tables of 12 entries."""
+    height = poset.height()
+    ranks = arity * (height - 1) + 1
+    if comb(ranks + height - 1, ranks) > cap or (
+            cap >= 0 and poset.size >= 2
+            and _largest_level(poset.ranks(), arity) >= cap.bit_length()):
+        return None
+    pool = tuple(map(tuple, islice(_monotone_tables(poset, arity), cap + 1)))
+    return pool if len(pool) <= cap else None
 
 
 def _monotone_tables(poset: PosetModel, arity: int):
@@ -330,25 +372,11 @@ def _largest_level(ranks: tuple, arity: int) -> int:
     return max(levels)
 
 
-@lru_cache(maxsize=_COUNT_CACHE_SIZE)
 def count_monotone(poset: PosetModel, in_arity: int, cap: int) -> int:
-    """Number of monotone functions, counting no further than cap + 1.
-
-    Total rank strictly increases along < in P^in_arity, so each level of
-    equal total rank is an antichain.  The up-set of each subset of a
-    level gives its own monotone map (up-set to a value above bottom,
-    the rest to bottom), so when |P| >= 2 there are at least
-    2^(largest level) monotone maps; past the cap that answers without
-    enumerating."""
-    if (cap >= 0 and poset.size >= 2
-            and _largest_level(poset.ranks(), in_arity) >= cap.bit_length()):
-        return cap + 1
-    count = 0
-    for _ in _monotone_tables(poset, in_arity):
-        count += 1
-        if count > cap:
-            break
-    return count
+    """Number of monotone functions, counting no further than cap + 1:
+    the length of their pool."""
+    pool = _monotone_pool(poset, in_arity, cap)
+    return cap + 1 if pool is None else len(pool)
 
 
 def _random_table(plan: tuple, bounds: _UpperBounds, getrandbits) -> list:
@@ -499,24 +527,31 @@ def lfp(fn: TableFn, params=()) -> int:
     return _fixed_points(poset, 1, 0)(at_params, 1)[0]
 
 
-def _compile(m: Morphism, poset: PosetModel, slots: dict) -> tuple:
+def _compile(m: Morphism, poset: PosetModel, slots: dict, samples: int | None,
+             widths: list) -> tuple:
     """Compile a term in one walk.  A term without symbols becomes its
     constant table, returned as ``(table, None)``; any other term becomes
     ``(None, run)``.  ``run(tables, n)`` evaluates the term on a block of n
     interpretations at once: ``tables`` holds, indexed by ``slots``, each
     symbol's n tables one after another, and the result is the term's n
-    tables one after another."""
+    tables one after another.
+
+    A term's tables have |P|^source entries per interpretation for the
+    source of one of its subterms, and the widest is a leaf's: a
+    composite has the source of a part, or less.  So each leaf notes its
+    width in ``widths`` (a symbol's is counted with the symbol tables), and
+    ``_width`` refuses a wide leaf before any table is built."""
     size = poset.size
     if isinstance(m, Proj):
         span = size ** (m.n - m.i)
-        return [(idx // span) % size for idx in range(size ** m.n)], None
+        return [(idx // span) % size for idx in range(_width(size, m.n, samples, widths))], None
     if isinstance(m, Sym):
         slot = slots[m.symbol.name]
         return None, lambda tables, n: tables[slot]
     if isinstance(m, Tup):
         if not m.parts:
-            return [0] * size ** m.source, None
-        parts = [_compile(part, poset, slots) for part in m.parts]
+            return [0] * _width(size, m.source, samples, widths), None
+        parts = [_compile(part, poset, slots, samples, widths) for part in m.parts]
         scales = [size ** part.target for part in m.parts[1:]]
         if all(run is None for _, run in parts):
             return _pack([table for table, _ in parts], scales), None
@@ -524,8 +559,8 @@ def _compile(m: Morphism, poset: PosetModel, slots: dict) -> tuple:
             [table * n if run is None else run(tables, n) for table, run in parts], scales
         )
     if isinstance(m, Comp):
-        inner, inner_run = _compile(m.f, poset, slots)
-        outer, outer_run = _compile(m.g, poset, slots)
+        inner, inner_run = _compile(m.f, poset, slots, samples, widths)
+        outer, outer_run = _compile(m.g, poset, slots, samples, widths)
         if outer_run is None:
             if inner_run is None:
                 return [outer[v] for v in inner], None
@@ -540,12 +575,25 @@ def _compile(m: Morphism, poset: PosetModel, slots: dict) -> tuple:
             map(add, inner_run(tables, n), _offsets(n, *shape)),
         ))
     if isinstance(m, Dagger):
-        body, body_run = _compile(m.body, poset, slots)
+        body, body_run = _compile(m.body, poset, slots, samples, widths)
         solve = _fixed_points(poset, m.m, m.source)
         if body_run is None:
             return solve(body, 1), None
         return None, lambda tables, n: solve(body_run(tables, n), n)
     raise ValueError(f"cannot evaluate {m!r}")
+
+
+def _width(size: int, source: int, samples: int | None, widths: list) -> int:
+    """|P|^source, the entries of a table per interpretation, noted in
+    ``widths``.  Refused with CapExceededError past MAX_SAMPLED_ENTRIES,
+    or past it over ``samples`` in a sampled check."""
+    width = size ** source
+    if width * (samples or 1) > MAX_SAMPLED_ENTRIES:
+        held = (f"{samples} samples of a table of {width} entries exceed" if samples
+                else f"a table of {width} entries exceeds")
+        raise CapExceededError(f"{held} the cap of {MAX_SAMPLED_ENTRIES} entries")
+    widths.append(width)
+    return width
 
 
 def _as_run(table: list | None, run):
@@ -610,7 +658,7 @@ def eval_morphism(m: Morphism, interp: Interpretation) -> TableFn:
         slots[name] = len(tables)
         tables.append(fn.table)
     poset = interp.poset
-    table = _as_run(*_compile(m, poset, slots))(tables, 1)
+    table = _as_run(*_compile(m, poset, slots, None, []))(tables, 1)
     return TableFn(poset, m.source, m.target, table)
 
 
@@ -650,20 +698,18 @@ class CheckResult:
 
 
 def _counterexample(eq: Equation, poset: PosetModel, tables: list, b: int,
-                    lhs: list, rhs: list) -> dict:
-    """The counterexample of interpretation b of a block: ``tables`` are the
-    block's symbol tables, ``lhs`` and ``rhs`` b's tables of the sides."""
+                    idx: int, lhs: int, rhs: int) -> dict:
+    """The counterexample of interpretation b of a block at input ``idx``,
+    where its sides first differ: ``tables`` are the block's symbol
+    tables, ``lhs`` and ``rhs`` the sides' entries there."""
     size = poset.size
-    idx = next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
-    if idx is None:
-        raise AssertionError("tables differ but no differing entry found")
     lengths = [size ** s.in_arity for s in eq.symbols]
     return {
         "symbols": {s.name: table[b * k:(b + 1) * k]
                     for s, table, k in zip(eq.symbols, tables, lengths)},
         "input": list(_decode(idx, size, eq.lhs.source)),
-        "lhs": list(_decode(lhs[idx], size, eq.lhs.target)),
-        "rhs": list(_decode(rhs[idx], size, eq.rhs.target)),
+        "lhs": list(_decode(lhs, size, eq.lhs.target)),
+        "rhs": list(_decode(rhs, size, eq.rhs.target)),
     }
 
 
@@ -690,12 +736,15 @@ def check_equation(
 
     ``mode`` is "exhaustive", "sampled", or "auto" (exhaustive when the
     interpretation count fits under ``threshold``).  Sampling uses ``seed``
-    (default fixed) and ``samples`` draws, at least one, and is refused
-    with CapExceededError past MAX_SAMPLED_ENTRIES table entries.  Both
-    sides are compiled once; each interpretation is then a sequence of
-    symbol tables in ``eq.symbols`` order, and the sides are evaluated on
-    blocks of up to BLOCK consecutive interpretations, of at most
-    BLOCK_ENTRIES symbol table entries unless one interpretation has more.
+    (default fixed) and ``samples`` draws, at least one.  A check is
+    refused with CapExceededError, before any table is drawn or built,
+    when its widest table passes MAX_SAMPLED_ENTRIES entries, and a
+    sampled one when its samples' symbol tables or widest tables would.
+    Both sides are compiled once; each interpretation is then a sequence
+    of symbol tables in ``eq.symbols`` order, and the sides are evaluated
+    on blocks of up to BLOCK consecutive interpretations, of at most
+    BLOCK_ENTRIES entries of symbol tables or of widest tables unless one
+    interpretation has more.
     The first block whose sides differ gives the first interpretation that
     refutes the equation, so the result is the one a check of one
     interpretation at a time would give.
@@ -715,7 +764,6 @@ def check_equation(
             mode = "exhaustive"
     # table entries of one interpretation
     entries = sum(poset.size ** s.in_arity for s in eq.symbols)
-    block_size = max(1, min(BLOCK, BLOCK_ENTRIES // max(entries, 1)))
     if mode == "sampled":
         seed = DEFAULT_SEED if seed is None else seed
         samples = DEFAULT_SAMPLES if samples is None else samples
@@ -726,6 +774,14 @@ def check_equation(
                 f"{samples} samples of {entries} table entries each "
                 f"exceed the sampling cap of {MAX_SAMPLED_ENTRIES} entries"
             )
+    else:
+        seed = samples = None
+    slots = {s.name: k for k, s in enumerate(eq.symbols)}
+    widths = [entries]
+    lhs = _as_run(*_compile(eq.lhs, poset, slots, samples, widths))
+    rhs = _as_run(*_compile(eq.rhs, poset, slots, samples, widths))
+    block_size = max(1, min(BLOCK, BLOCK_ENTRIES // max(widths)))
+    if mode == "sampled":
         getrandbits = random.Random(seed).getrandbits
         if poset.size == 2:
             arities = tuple(s.in_arity for s in eq.symbols)
@@ -738,13 +794,9 @@ def check_equation(
                 for _ in range(samples)
             ), block_size)
     else:
-        seed = None
         blocks = _blocks(
-            iproduct(*(_monotone_pool(poset, s.in_arity) for s in eq.symbols)), block_size)
-
-    slots = {s.name: k for k, s in enumerate(eq.symbols)}
-    lhs = _as_run(*_compile(eq.lhs, poset, slots))
-    rhs = _as_run(*_compile(eq.rhs, poset, slots))
+            iproduct(*(_monotone_pool(poset, s.in_arity, threshold) for s in eq.symbols)),
+            block_size)
     width = poset.size ** eq.lhs.source
     checked = 0
     for n, tables in blocks:
@@ -754,10 +806,9 @@ def check_equation(
             # the interpretation holding the first entry where the sides differ
             j = next(j for j, (a, b) in enumerate(zip(lhs_block, rhs_block)) if a != b)
             b = j // width
-            own = slice(b * width, (b + 1) * width)
             return CheckResult(
                 eq.name, poset.name, mode, seed, checked + b + 1, False,
-                _counterexample(eq, poset, tables, b, lhs_block[own], rhs_block[own]),
+                _counterexample(eq, poset, tables, b, j - b * width, lhs_block[j], rhs_block[j]),
             )
         checked += n
     return CheckResult(eq.name, poset.name, mode, seed, checked, True, None)

@@ -1,4 +1,7 @@
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,26 @@ from fpal.errors import CapExceededError
 CORPUS_SEED = 20260818
 CORPUS_SIZE = 220
 CORPUS_MONOID_CAP = 24
+
+# Equations whose terms hold wide tables although their symbol tables are
+# narrow, with the chain they are checked on: pi(1,6) on chain(12) has
+# 12^6 = 2,985,984 entries per interpretation, and the symbol-free
+# pi(1,5) on chain(30) one constant table of 24,300,000.
+WIDE_TERMS = [
+    ("name wide composite\nsym f 1\ncomp(sym(f),pi(1,6)) = comp(sym(f),pi(1,6))\n", 12),
+    ("name wide constant\npi(1,5) = pi(1,5)\n", 30),
+]
+
+
+def run_limited(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a child process whose address space is held
+    to 1.5 GB, so a check that tries to hold a table of billions of
+    entries fails there instead of taking the memory of the machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, timeout=300, preexec_fn=limit)
 
 
 def random_automaton(rng: random.Random, max_states: int = 4,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import WIDE_TERMS, run_limited
 from fpal import cli
 from fpal.automaton import (
     Automaton,
@@ -253,6 +254,26 @@ def test_check_wide_symbol_past_the_sampling_cap(tmp_path, capsys):
     assert err.startswith("error[cap-exceeded]:")
 
 
+@pytest.mark.parametrize("text, k", WIDE_TERMS, ids=["chain12", "chain30"])
+def test_check_wide_term_is_cap_exceeded_at_once(tmp_path, text, k):
+    eq = tmp_path / "wide.eq"
+    eq.write_text(text)
+    script = """
+import sys, time
+from fpal.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - start)
+"""
+    proc = run_limited(script, "check", str(eq), "--poset", f"chain:{k}")
+    # main printed nothing: the child's one line is its code and time
+    [code, seconds] = proc.stdout.split()
+    assert code == "2"
+    assert float(seconds) < 1.0
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error[cap-exceeded]:")
+
+
 def test_family_verdicts(write_aut, capsys):
     code, blob = run_json(["family", "symmetric"], capsys)
     assert code == 0
@@ -270,13 +291,18 @@ def test_family_verdicts(write_aut, capsys):
 
 
 def test_family_list_past_scan_limit_is_cap_exceeded(write_aut, capsys, monkeypatch):
-    from fpal import entailment
+    # without A_5's generators, a family covering every prime up to 59
+    # reaches a group fpal cannot build
+    from fpal import algebra
 
-    monkeypatch.setattr(entailment, "_MISSING_SCAN_LIMIT", 2)
-    code, out, err = run_cli(["family", "list", write_aut(counter(2))], capsys)
+    monkeypatch.setitem(algebra._SIMPLE_GROUPS, 60, ("A_5", None))
+    primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    files = [write_aut(counter(p), f"c{p}.json") for p in primes]
+    code, out, err = run_cli(["family", "list", *files], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error[cap-exceeded]:")
+    assert err == ("error[cap-exceeded]: every simple group of order up to 59 is "
+                   "covered; fpal cannot build A_5, the next one\n")
 
 
 def test_family_argument_validation(write_aut, capsys):

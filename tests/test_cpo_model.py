@@ -46,6 +46,7 @@ from fpal.term import (
     power,
     tup,
 )
+from conftest import WIDE_TERMS, run_limited
 from oracle import check_one_at_a_time, random_table_by_randrange, reference_eval
 
 C2 = chain(2)
@@ -92,6 +93,51 @@ def test_poset_validation():
         PosetModel(2, ((True, False), (False, True)), 0, "antichain")  # no bottom
 
 
+@pytest.mark.parametrize("size, leq, message", [
+    (2, ((1, 1),), "shape"),
+    (2, ((1, 1), (0,)), "shape"),
+    (0, (), "shape"),
+    (2, ((1, 1), (0, 0)), "reflexive"),
+    (2, ((1, 1), (1, 1)), "antisymmetric"),
+    # 0 <= 1 <= 2 but not 0 <= 2, with 0 below 1 and 2 only through 3
+    (4, ((1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)), "transitive"),
+    (3, ((1, 0, 1), (1, 1, 1), (0, 0, 1)), "bottom"),
+], ids=["short", "ragged", "empty", "reflexive", "antisymmetric", "transitive", "bottom"])
+def test_malformed_orders_are_refused(size, leq, message):
+    with pytest.raises(ValueError, match=message):
+        PosetModel(size, leq, 0)
+
+
+@pytest.mark.parametrize("bottom", [2, -1])
+def test_a_bottom_outside_the_carrier_is_refused(bottom):
+    # element 1 is the least of the two, so index -1 would name it
+    with pytest.raises(ValueError, match="bottom"):
+        PosetModel(2, ((1, 0), (1, 1)), bottom)
+
+
+def test_covers_and_ranks_of_a_diamond_with_a_tail():
+    # bottom 4 < 2, 3 < 1 < 0: listed from the top down
+    leq = ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 1, 1, 0, 0), (1, 1, 0, 1, 0),
+           (1, 1, 1, 1, 1))
+    poset = PosetModel(5, leq, 4)
+    assert [poset.covers_below(x) for x in range(5)] == [[1], [2, 3], [4], [4], []]
+    assert poset.ranks() == (3, 2, 1, 1, 0) and poset.height() == 4
+
+
+def test_long_chains_are_built_quickly_and_refused_past_the_cap():
+    import time
+
+    start = time.perf_counter()
+    poset = chain(400)
+    assert time.perf_counter() - start < 0.5
+    assert poset.height() == 400 and poset.covers_below(399) == [398]
+    # 2001^2 order entries pass MAX_SAMPLED_ENTRIES: refused before any is built
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        chain(2001)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_monotone_counts_on_chain2():
     assert count_monotone(C2, 1, 10**6) == 3
     assert count_monotone(C2, 2, 10**6) == 6
@@ -106,16 +152,19 @@ def test_monotone_counts_match_bruteforce():
 
 
 def test_count_past_the_cap_needs_no_enumeration(monkeypatch):
-    # chain(2)^10 has a level of 252 points, so at least 2^252 maps
     def refuse(poset, arity):
         raise AssertionError("counted by enumeration")
 
     monkeypatch.setattr(cpo_model, "_monotone_tables", refuse)
-    count_monotone.cache_clear()
+    _monotone_pool.cache_clear()
     try:
+        # chain(2)^10 has a level of 252 points, so at least 2^252 maps
         assert count_monotone(C2, 10, 100_000) == 100_001
+        # chain(12) has C(23, 12) = 1,352,078 maps into itself, though
+        # each level of it holds one point
+        assert count_monotone(chain(12), 1, 100_000) == 100_001
     finally:
-        count_monotone.cache_clear()
+        _monotone_pool.cache_clear()
 
 
 DIAMOND = PosetModel(4, ((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1)), 0, "diamond")
@@ -173,7 +222,7 @@ def test_enumeration_order_is_fixed():
 def test_model_caches_are_bounded():
     caches = {name: value for name, value in vars(cpo_model).items()
               if hasattr(value, "cache_info")}
-    assert {"_offsets", "_monotone_pool", "count_monotone"} <= set(caches)
+    assert {"_offsets", "_monotone_pool"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
 
@@ -198,18 +247,18 @@ def test_index_vectors_are_shared_by_the_checks_of_a_process():
 
 def test_exhaustive_pools_are_enumerated_once_per_poset_and_arity(monkeypatch):
     # two exhaustive checks over C2 and V, with symbols of arity 1 and 2,
-    # enumerate four pools; the second check of each poset reads them back
+    # enumerate four pools, which their counts read too; the second check
+    # of each poset reads them back
     f, g = Sym(Symbol("f", 1)), Sym(Symbol("g", 2))
     eq = Equation.of("fg", Comp(f, g), Comp(f, g))
     _monotone_pool.cache_clear()
-    # a poset computes its ranks from its covers when it is made; the
-    # checks read them back and ask for covers only through _cover_preds
+    # a poset computes its covers and ranks when it is made; the checks
+    # read them back and ask for covers only through _cover_preds
     covers = []
     covers_below = PosetModel.covers_below
     monkeypatch.setattr(PosetModel, "covers_below",
                         lambda self, x: covers.append(x) or covers_below(self, x))
     posets = [chain(2), PosetModel(V.size, V.leq, V.bottom, V.name)]
-    assert covers
     ranks = [poset.ranks() for poset in posets]
     for poset in posets:
         _cover_preds(poset, 1), _cover_preds(poset, 2)
@@ -218,10 +267,29 @@ def test_exhaustive_pools_are_enumerated_once_per_poset_and_arity(monkeypatch):
         assert check_equation(eq, poset, mode="exhaustive").holds
     assert not covers
     assert all(poset.ranks() is r for poset, r in zip(posets, ranks))
-    assert _monotone_pool.cache_info()[:2] == (4, 4)
+    # per check, one count and one read of each of its two pools
+    assert _monotone_pool.cache_info()[:2] == (12, 4)
     for poset, arity in ((C2, 1), (C2, 2), (V, 1), (V, 2)):
-        assert _monotone_pool(poset, arity) == tuple(
+        assert _monotone_pool(poset, arity, cpo_model.DEFAULT_EXHAUSTIVE_THRESHOLD) == tuple(
             tuple(fn.table) for fn in enumerate_monotone(poset, arity))
+
+
+def test_monotone_tables_run_once_per_pool(monkeypatch):
+    # a count and the exhaustive check after it enumerate each (poset,
+    # arity, cap) once, and a count past the cap keeps no pool
+    runs = []
+    tables = cpo_model._monotone_tables
+    monkeypatch.setattr(cpo_model, "_monotone_tables",
+                        lambda poset, arity: runs.append((poset.name, arity)) or tables(poset, arity))
+    _monotone_pool.cache_clear()
+    f, g = Sym(Symbol("f", 1)), Sym(Symbol("g", 2))
+    eq = Equation.of("fg", Comp(f, g), Comp(f, g))
+    for _ in range(2):
+        assert interpretation_count(eq, C3, 2000) == 10 * 175
+        assert check_equation(eq, C3, threshold=2000).strategy == "exhaustive"
+        assert count_monotone(C3, 2, 100) == 101
+    assert runs == [("chain(3)", 1), ("chain(3)", 2), ("chain(3)", 2)]
+    assert _monotone_pool(C3, 2, 100) is None
 
 
 def test_tablefn_call_and_encoding():
@@ -556,8 +624,13 @@ def test_block_size_shrinks_for_wide_symbols(monkeypatch):
     assert_matches_oracle(eq, C2, "sampled", 4, samples=3)
     # f of arity 3 on chain(5) has 125 entries
     assert_matches_oracle(corrupted_double_dagger(), chain(5), "sampled", 4, samples=5)
-    # BLOCK_ENTRIES is 1024: blocks of 1 and of 1024 // 125 = 8
-    assert sizes == [1, 8]
+    # the widest table counts too: f of arity 1 on chain(3) has 3 entries,
+    # but pi(1,6) and the composition 3^6 = 729 each
+    f = Sym(Symbol("f", 1))
+    eq = Equation.of("wide term", Comp(f, Proj(1, 6)), Comp(f, Proj(1, 6)))
+    assert_matches_oracle(eq, C3, "sampled", 4, samples=3)
+    # BLOCK_ENTRIES is 1024: blocks of 1, of 1024 // 125 = 8 and of 1
+    assert sizes == [1, 8, 1]
 
 
 # single symbols of every arity 0-9, and pairs and triples of mixed arities
@@ -726,3 +799,22 @@ def test_wide_symbol_gets_a_verdict(poset, arity):
     assert r.holds
     assert r.strategy == "sampled"
     assert r.interpretations_checked == 3
+
+
+@pytest.mark.parametrize("text, k", WIDE_TERMS, ids=["chain12", "chain30"])
+def test_wide_term_tables_are_refused_at_once(text, k):
+    script = f"""
+import time
+from fpal.cpo_model import chain, check_equation
+from fpal.errors import CapExceededError
+from fpal.term import parse_equation
+eq, poset = parse_equation({text!r}), chain({k})
+start = time.perf_counter()
+try:
+    check_equation(eq, poset)
+except CapExceededError:
+    print(time.perf_counter() - start)
+"""
+    proc = run_limited(script)
+    assert proc.returncode == 0, proc.stderr[-400:]
+    assert float(proc.stdout) < 1.0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import alternating5_automaton, extend_with_word_actions
+from conftest import alternating5_automaton, extend_with_word_actions, psl213_automaton
 from fpal.algebra import fingerprint, cyclic_group, transition_monoid
 from fpal.automaton import (
     Automaton,
@@ -21,7 +21,7 @@ from fpal.entailment import (
     family_completeness,
     initial_shift_check,
 )
-from fpal import algebra, entailment
+from fpal import algebra
 from fpal.errors import CapExceededError, NotInitiallyConnectedError
 from fpal.identities import gamma
 
@@ -247,9 +247,10 @@ def test_family_list_covering_primes_below_200_and_a5_reports_psl27():
 def test_missing_scan_candidates_are_the_named_simple_groups():
     combinatorics = pytest.importorskip("sympy.combinatorics")
     expected = {60: "A_5", 168: "PSL(2,7)", 360: "A_6", 504: "PSL(2,8)", 660: "PSL(2,11)"}
-    assert list(entailment._NONABELIAN_GENERATORS) == list(expected)
-    for order, gens in entailment._NONABELIAN_GENERATORS.items():
-        candidate = entailment._nonabelian_simple_id(order)
+    built = {order: gens for order, (_, gens) in algebra._SIMPLE_GROUPS.items() if gens}
+    assert list(built) == list(expected)
+    for order, gens in built.items():
+        candidate = algebra.simple_group_id(order)
         assert (candidate.order, str(candidate)) == (order, expected[order])
         group = combinatorics.PermutationGroup(
             [combinatorics.Permutation([v - 1 for v in p]) for p in gens]
@@ -260,6 +261,12 @@ def test_missing_scan_candidates_are_the_named_simple_groups():
             x = next(iter(cls))
             if not x.is_identity:
                 assert group.normal_closure(x).order() == order
+    # the catalogue names every nonabelian simple group below 20160
+    assert list(algebra._SIMPLE_GROUPS) == [
+        60, 168, 360, 504, 660, 1092, 2448, 2520, 3420, 4080, 5616, 6048,
+        6072, 7800, 7920, 9828, 12180, 14880,
+    ]
+    assert algebra.simple_group_id(1092) is None
 
 
 def test_cyclic_simple_id_closed_form():
@@ -269,14 +276,38 @@ def test_cyclic_simple_id_closed_form():
         assert str(closed) == f"C_{p}"
 
 
-def test_missing_scan_refuses_past_order_1091():
+def small_simple_groups_covered() -> set:
+    """Every simple group of order up to 1091: fpal builds them all."""
     primes = [p for p in range(2, 1092) if all(p % d for d in range(2, p))]
-    covered = {algebra._cyclic_simple_id(p) for p in primes}
-    covered |= {entailment._nonabelian_simple_id(o) for o in entailment._NONABELIAN_GENERATORS}
-    with pytest.raises(CapExceededError):
-        entailment._smallest_missing(covered)
+    covered = {algebra.simple_group_id(p) for p in primes}
+    return covered | {algebra.simple_group_id(o) for o in (60, 168, 360, 504, 660)}
+
+
+def test_missing_scan_refuses_past_order_1091():
+    covered = small_simple_groups_covered()
+    with pytest.raises(CapExceededError) as refused:
+        algebra.smallest_missing_simple_group(covered)
+    assert str(refused.value) == ("every simple group of order up to 1091 is covered; "
+                                  "fpal cannot build PSL(2,13), the next one")
     covered.remove(algebra._cyclic_simple_id(1091))
-    assert str(entailment._smallest_missing(covered)) == "C_1091"
+    assert str(algebra.smallest_missing_simple_group(covered)) == "C_1091"
+
+
+def test_missing_scan_passes_a_covered_group_it_cannot_build():
+    # with the divisors of PSL(2,13) covered too, the next gap is C_1093
+    covered = small_simple_groups_covered()
+    covered |= divisor_basis([psl213_automaton()], subgroup_cap=1092)
+    assert "PSL(2,13)" in names(covered)
+    assert algebra.smallest_missing_simple_group(covered) == algebra._cyclic_simple_id(1093)
+
+
+def test_missing_scan_ends_below_the_shared_order_20160():
+    # below 20160 a simple group is named by its order, so a covered set
+    # is read by orders alone
+    covered = [algebra.SimpleGroupId(n, ()) for n in range(2, 20160)]
+    with pytest.raises(CapExceededError) as refused:
+        algebra.smallest_missing_simple_group(covered)
+    assert "A_8 and PSL(3,4)" in str(refused.value)
 
 
 def test_family_witness_fingerprint_is_cp():
