@@ -19,8 +19,11 @@ sample so that no per-monoid data is reused, ``symmetric_group(6)``, and
 perfbench's entails-stream workload.  ``entails`` with that automaton as
 hypothesis and conclusion is timed warm, as a repeated query after one
 untimed call, and cold, with the caches emptied before every call (the
-emptying is timed too).  The auto-mode check of ``sym(f) = sym(f)`` with
-f of arity 10 on chain(2) is timed until it is refused, and ``fpal check
+emptying is timed too).  The auto-mode checks of ``sym(f) = sym(f)`` with
+f of arity 10 and of arity 3000 on chain(2) are timed until they are
+refused, and that of ``comp(sym(f),pi(1,4))`` on chain(7) (1,716
+interpretations of 2,401 entries) until it is refused or answered, the
+two outcomes of the trees this bench compares.  ``fpal check
 --builtin conway --samples 200`` (``fpal.cli.main``, stdout discarded) is
 timed whole: the model checker on every library identity, on chain(2),
 whose samples are drawn a block at a time, and with ``--poset chain:3``,
@@ -216,15 +219,31 @@ def refused(run) -> None:
     raise RuntimeError("the call should be refused")
 
 
-def refuse_wide_symbol() -> None:
-    """``sym(f) = sym(f)`` with f of arity 10 on chain(2), auto mode at the
-    default settings: too many interpretations to enumerate, too many
-    table entries to sample, so the check is refused."""
+def refuse_wide_symbol(arity: int) -> None:
+    """``sym(f) = sym(f)`` with f of this arity (10 or more) on chain(2),
+    auto mode at the default settings: too many interpretations to
+    enumerate, too many table entries to sample, so the check is refused."""
     from fpal.cpo_model import chain, check_equation
     from fpal.term import Equation, Sym, Symbol
 
-    f = Sym(Symbol("f", 10))
+    f = Sym(Symbol("f", arity))
     refused(lambda: check_equation(Equation.of("wide", f, f), chain(2)))
+
+
+def check_wide_chain7() -> None:
+    """``comp(sym(f),pi(1,4))`` on both sides, f of arity 1, on chain(7) in
+    auto mode: 1,716 interpretations of 7^4 table entries, within the
+    threshold.  Its result and its refusal (``CapExceededError``) both
+    count."""
+    from fpal.cpo_model import chain, check_equation
+    from fpal.errors import CapExceededError
+    from fpal.term import parse_equation
+
+    eq = parse_equation("sym f 1\ncomp(sym(f),pi(1,4)) = comp(sym(f),pi(1,4))\n")
+    try:
+        check_equation(eq, chain(7))
+    except CapExceededError:
+        pass
 
 
 def fpal_quietly(*argv: str) -> None:
@@ -323,7 +342,9 @@ def items(tmp: str) -> dict:
         entailment.entails([small], small)
 
     out["entails 13 states, cold"] = lambda: sample(cold_entails, SMALL_CALLS)
-    out["check sym f 10 refused"] = lambda: sample(refuse_wide_symbol)
+    out["check sym f 10 refused"] = lambda: sample(lambda: refuse_wide_symbol(10))
+    out["check sym f 3000 refused"] = lambda: sample(lambda: refuse_wide_symbol(3000))
+    out["check wide chain(7)"] = lambda: sample(check_wide_chain7)
     out["check conway, 200 samples"] = lambda: sample(check_conway)
     out["check conway chain(3), 200 samples"] = lambda: sample(
         lambda: check_conway("--poset", "chain:3"))

@@ -54,11 +54,21 @@ class Config:
     format: str = "json"
 
 
+def _read_json(path: str):
+    """The JSON document in a file.  One nested past the interpreter's
+    recursion limit is a JSONDecodeError, as malformed JSON is."""
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
 def load_config(path: str | None) -> Config:
     if not path:
         return Config()
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigError("configuration file must hold a JSON object")
     known = {f.name: f.type for f in fields(Config)}
@@ -79,8 +89,7 @@ def load_config(path: str | None) -> Config:
 
 
 def _load_automaton(path: str):
-    with open(path, encoding="utf-8") as f:
-        return automaton.from_dict(json.load(f))
+    return automaton.from_dict(_read_json(path))
 
 
 def _plain(aut):

@@ -51,15 +51,13 @@ DEFAULT_EXHAUSTIVE_THRESHOLD = 100_000
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 1729
 
-# A sampled check draws samples x (sum over symbols of |P|^arity) table
-# entries, at about 0.6 µs each entry by entry, and evaluates samples x
-# |P|^s entries for its widest table, s the largest source of a subterm;
-# it is refused when either passes this many.  Any check is refused when
-# its widest table alone passes it, and so is a chain whose order, of
-# k * k entries, would.  On a two-element poset a block's entries are
-# drawn in bulk, for far less per entry, but the cap is the same for
-# every poset.  The largest sampled check of the test suite draws
-# 2,560,000.
+# A check's work cap, in table entries, applied by check_equation in this
+# order before anything of that size is counted or built: each symbol's
+# table, |P|^arity, fits alone; the threshold picks the mode; N
+# interpretations (the exhaustive count or the samples) of the symbol
+# tables, and of each leaf's |P|^s, fit.  An exponent is compared first,
+# so no power past the cap is taken or printed.  A chain of k * k order
+# entries past it is refused too.
 MAX_SAMPLED_ENTRIES = 4_000_000
 
 # Interpretations evaluated together by check_equation: at most BLOCK, and
@@ -155,7 +153,7 @@ def chain(k: int) -> PosetModel:
         raise ValueError(f"chain needs at least one element, got {k}")
     if k * k > MAX_SAMPLED_ENTRIES:
         raise CapExceededError(
-            f"chain({k}) has {k * k} order entries, past the cap of "
+            f"chain({k}) has {k}^2 order entries, past the cap of "
             f"{MAX_SAMPLED_ENTRIES} entries"
         )
     leq = tuple((False,) * x + (True,) * (k - x) for x in range(k))
@@ -176,6 +174,8 @@ class TableFn:
             raise ValueError(
                 f"table length {len(self.table)} does not match arity {in_arity}"
             )
+        if not all(map(range(poset.size ** out_arity).__contains__, self.table)):
+            raise ValueError(f"table entries must lie below {poset.size ** out_arity}")
 
     def __eq__(self, other):
         return (
@@ -311,9 +311,8 @@ def _monotone_pool(poset: PosetModel, arity: int, cap: int) -> tuple | None:
     level) of them.  And the m = arity * (h - 1) + 1 total ranks all
     occur, h being the height of P, whose longest chain has one element
     of each rank: each monotone map of the total ranks into that chain
-    gives its own monotone map, C(m + h - 1, m) of them.  On chain(12) at
-    arity 1 that is 1,352,078, where a count to a threshold of 100,000
-    would hold that many tables of 12 entries."""
+    gives its own monotone map, C(m + h - 1, m) of them: 1,352,078 on
+    chain(12) at arity 1, where a count would hold 100,000 tables."""
     height = poset.height()
     ranks = arity * (height - 1) + 1
     if comb(ranks + height - 1, ranks) > cap or (
@@ -527,7 +526,7 @@ def lfp(fn: TableFn, params=()) -> int:
     return _fixed_points(poset, 1, 0)(at_params, 1)[0]
 
 
-def _compile(m: Morphism, poset: PosetModel, slots: dict, samples: int | None,
+def _compile(m: Morphism, poset: PosetModel, slots: dict, count: int,
              widths: list) -> tuple:
     """Compile a term in one walk.  A term without symbols becomes its
     constant table, returned as ``(table, None)``; any other term becomes
@@ -540,18 +539,19 @@ def _compile(m: Morphism, poset: PosetModel, slots: dict, samples: int | None,
     source of one of its subterms, and the widest is a leaf's: a
     composite has the source of a part, or less.  So each leaf notes its
     width in ``widths`` (a symbol's is counted with the symbol tables), and
-    ``_width`` refuses a wide leaf before any table is built."""
+    ``_width`` refuses it, before its table is built, past ``count``."""
     size = poset.size
     if isinstance(m, Proj):
+        width = _width(size, m.n, count, widths)
         span = size ** (m.n - m.i)
-        return [(idx // span) % size for idx in range(_width(size, m.n, samples, widths))], None
+        return [(idx // span) % size for idx in range(width)], None
     if isinstance(m, Sym):
         slot = slots[m.symbol.name]
         return None, lambda tables, n: tables[slot]
     if isinstance(m, Tup):
         if not m.parts:
-            return [0] * _width(size, m.source, samples, widths), None
-        parts = [_compile(part, poset, slots, samples, widths) for part in m.parts]
+            return [0] * _width(size, m.source, count, widths), None
+        parts = [_compile(part, poset, slots, count, widths) for part in m.parts]
         scales = [size ** part.target for part in m.parts[1:]]
         if all(run is None for _, run in parts):
             return _pack([table for table, _ in parts], scales), None
@@ -559,8 +559,8 @@ def _compile(m: Morphism, poset: PosetModel, slots: dict, samples: int | None,
             [table * n if run is None else run(tables, n) for table, run in parts], scales
         )
     if isinstance(m, Comp):
-        inner, inner_run = _compile(m.f, poset, slots, samples, widths)
-        outer, outer_run = _compile(m.g, poset, slots, samples, widths)
+        inner, inner_run = _compile(m.f, poset, slots, count, widths)
+        outer, outer_run = _compile(m.g, poset, slots, count, widths)
         if outer_run is None:
             if inner_run is None:
                 return [outer[v] for v in inner], None
@@ -575,7 +575,7 @@ def _compile(m: Morphism, poset: PosetModel, slots: dict, samples: int | None,
             map(add, inner_run(tables, n), _offsets(n, *shape)),
         ))
     if isinstance(m, Dagger):
-        body, body_run = _compile(m.body, poset, slots, samples, widths)
+        body, body_run = _compile(m.body, poset, slots, count, widths)
         solve = _fixed_points(poset, m.m, m.source)
         if body_run is None:
             return solve(body, 1), None
@@ -583,17 +583,21 @@ def _compile(m: Morphism, poset: PosetModel, slots: dict, samples: int | None,
     raise ValueError(f"cannot evaluate {m!r}")
 
 
-def _width(size: int, source: int, samples: int | None, widths: list) -> int:
-    """|P|^source, the entries of a table per interpretation, noted in
-    ``widths``.  Refused with CapExceededError past MAX_SAMPLED_ENTRIES,
-    or past it over ``samples`` in a sampled check."""
-    width = size ** source
-    if width * (samples or 1) > MAX_SAMPLED_ENTRIES:
-        held = (f"{samples} samples of a table of {width} entries exceed" if samples
-                else f"a table of {width} entries exceeds")
-        raise CapExceededError(f"{held} the cap of {MAX_SAMPLED_ENTRIES} entries")
+def _width(size: int, source: int, count: int, widths: list) -> int:
+    """|P|^source entries per interpretation, noted in ``widths``; refused past
+    MAX_SAMPLED_ENTRIES for ``count`` of them, the exponent compared first."""
+    if size > 1 and source >= MAX_SAMPLED_ENTRIES.bit_length() or (
+            count * (width := size ** source) > MAX_SAMPLED_ENTRIES):
+        raise _cap_exceeded(count, size, [source])
     widths.append(width)
     return width
+
+
+def _cap_exceeded(count: int, size: int, sources: list) -> CapExceededError:
+    """Refuse ``count`` interpretations of |P|^s table entries, s in ``sources``."""
+    tables = " + ".join(f"{size}^{s}" for s in sources)
+    return CapExceededError(f"{count} x {tables if len(sources) == 1 else f'({tables})'} "
+                            f"table entries exceed the cap of {MAX_SAMPLED_ENTRIES} entries")
 
 
 def _as_run(table: list | None, run):
@@ -658,7 +662,7 @@ def eval_morphism(m: Morphism, interp: Interpretation) -> TableFn:
         slots[name] = len(tables)
         tables.append(fn.table)
     poset = interp.poset
-    table = _as_run(*_compile(m, poset, slots, None, []))(tables, 1)
+    table = _as_run(*_compile(m, poset, slots, 1, []))(tables, 1)
     return TableFn(poset, m.source, m.target, table)
 
 
@@ -736,55 +740,51 @@ def check_equation(
 
     ``mode`` is "exhaustive", "sampled", or "auto" (exhaustive when the
     interpretation count fits under ``threshold``).  Sampling uses ``seed``
-    (default fixed) and ``samples`` draws, at least one.  A check is
-    refused with CapExceededError, before any table is drawn or built,
-    when its widest table passes MAX_SAMPLED_ENTRIES entries, and a
-    sampled one when its samples' symbol tables or widest tables would.
+    (default fixed) and ``samples`` draws, at least one.  The rule of
+    MAX_SAMPLED_ENTRIES refuses a check with CapExceededError: it sizes
+    each symbol's table before counting, then N interpretations (the
+    exhaustive count or the samples) before any table is built, in either
+    mode: the threshold picks the mode, the cap refuses.
     Both sides are compiled once; each interpretation is then a sequence
     of symbol tables in ``eq.symbols`` order, and the sides are evaluated
     on blocks of up to BLOCK consecutive interpretations, of at most
     BLOCK_ENTRIES entries of symbol tables or of widest tables unless one
-    interpretation has more.
-    The first block whose sides differ gives the first interpretation that
-    refutes the equation, so the result is the one a check of one
-    interpretation at a time would give.
+    interpretation has more.  The first block whose sides differ gives the
+    first interpretation that refutes the equation, so the result is the
+    one a check of one interpretation at a time would give.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    arities = [s.in_arity for s in eq.symbols]
+    entries = sum(_width(poset.size, arity, 1, []) for arity in arities)
     if mode in ("auto", "exhaustive"):
-        total = interpretation_count(eq, poset, threshold)
-        if total > threshold:
+        count = interpretation_count(eq, poset, threshold)
+        if count > threshold:
             if mode == "exhaustive":
                 raise ThresholdExceededError(
-                    f"about {total} interpretations exceed the exhaustive "
+                    f"about {count} interpretations exceed the exhaustive "
                     f"threshold {threshold}; sample instead"
                 )
             mode = "sampled"
         else:
             mode = "exhaustive"
-    # table entries of one interpretation
-    entries = sum(poset.size ** s.in_arity for s in eq.symbols)
     if mode == "sampled":
         seed = DEFAULT_SEED if seed is None else seed
-        samples = DEFAULT_SAMPLES if samples is None else samples
+        count = samples = DEFAULT_SAMPLES if samples is None else samples
         if samples < 1:
             raise ValueError(f"a sampled check needs at least one sample, got {samples}")
-        if samples * entries > MAX_SAMPLED_ENTRIES:
-            raise CapExceededError(
-                f"{samples} samples of {entries} table entries each "
-                f"exceed the sampling cap of {MAX_SAMPLED_ENTRIES} entries"
-            )
     else:
         seed = samples = None
+    if count * entries > MAX_SAMPLED_ENTRIES:
+        raise _cap_exceeded(count, poset.size, arities)
     slots = {s.name: k for k, s in enumerate(eq.symbols)}
     widths = [entries]
-    lhs = _as_run(*_compile(eq.lhs, poset, slots, samples, widths))
-    rhs = _as_run(*_compile(eq.rhs, poset, slots, samples, widths))
+    lhs = _as_run(*_compile(eq.lhs, poset, slots, count, widths))
+    rhs = _as_run(*_compile(eq.rhs, poset, slots, count, widths))
     block_size = max(1, min(BLOCK, BLOCK_ENTRIES // max(widths)))
     if mode == "sampled":
         getrandbits = random.Random(seed).getrandbits
         if poset.size == 2:
-            arities = tuple(s.in_arity for s in eq.symbols)
             blocks = _two_element_blocks(poset, arities, samples, getrandbits, block_size)
         else:
             bounds = _upper_bounds(poset)

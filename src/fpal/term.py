@@ -417,9 +417,13 @@ def _symbol_table(symbols) -> Mapping[str, Symbol]:
 def parse(text: str, symbols=None) -> Morphism:
     """Parse the functional notation.  ``symbols`` supplies the arity of
     every name usable in ``sym(...)`` (a mapping or an iterable of Symbol);
-    without it, terms containing symbols are rejected."""
+    without it, terms containing symbols are rejected.  A term nested past
+    the interpreter's recursion limit is a ParseError."""
     parser = _Parser(text, _symbol_table(symbols))
-    out = parser.term()
+    try:
+        out = parser.term()
+    except RecursionError:
+        raise ParseError("term nested too deeply", parser.peek()[2]) from None
     parser.take("end")
     return out
 
@@ -511,4 +515,7 @@ def parse_equation(text: str) -> Equation:
     lhs_text, rhs_text = joined.split("=")
     lhs = parse(lhs_text, symbols)
     rhs = parse(rhs_text, symbols)
-    return Equation(name, lhs, rhs, tuple(symbols.values()))
+    try:
+        return Equation(name, lhs, rhs, tuple(symbols.values()))
+    except RecursionError:  # a tuple's target is summed two frames a level deep
+        raise ParseError("equation nested too deeply", 0) from None

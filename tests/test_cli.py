@@ -274,6 +274,73 @@ print(code, time.perf_counter() - start)
     assert line.startswith("error[cap-exceeded]:")
 
 
+# One line per refusal: (files to write, name -> text; FPAL_CONFIG, a file
+# name or None; the arguments, where {name} stands for a file's path; the
+# error code).  Each run must exit 2 with nothing on stdout and one line on
+# stderr, within a second.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+WIDE_CHAIN7 = "name wide\nsym f 1\ncomp(sym(f),pi(1,4)) = comp(sym(f),pi(1,4))\n"
+REFUSALS = {
+    "sym f 10000": ({"eq": "name vast\nsym f 10000\nsym(f) = sym(f)\n"}, None,
+                    ["check", "{eq}"], "cap-exceeded"),
+    "sym f 1000000000": ({"eq": "name vast\nsym f 1000000000\nsym(f) = sym(f)\n"}, None,
+                         ["check", "{eq}"], "cap-exceeded"),
+    "pi(1,100000000)": ({"eq": "name vast\npi(1,100000000) = pi(1,100000000)\n"}, None,
+                        ["check", "{eq}"], "cap-exceeded"),
+    "chain:7 auto": ({"eq": WIDE_CHAIN7}, None,
+                     ["check", "{eq}", "--poset", "chain:7"], "cap-exceeded"),
+    "chain:7 exhaustive": ({"eq": WIDE_CHAIN7}, None,
+                           ["check", "{eq}", "--poset", "chain:7", "--exhaustive"],
+                           "cap-exceeded"),
+    "deep equation": ({"eq": "name deep\n" + "comp(pi(1,1)," * 1200 + "pi(1,1)"
+                       + ")" * 1200 + " = pi(1,1)\n"}, None, ["check", "{eq}"], "parse"),
+    "deep automaton": ({"aut": DEEP_JSON}, None, ["divisors", "{aut}"], "json"),
+    "deep FPAL_CONFIG": ({"cfg": DEEP_JSON}, "cfg", ["check", "--builtin", "conway"], "json"),
+}
+TIMED_MAIN = """
+import contextlib, io, json, sys, time
+from fpal.cli import main
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), time.perf_counter() - start]))
+"""
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_are_one_error_line_within_a_second(case, tmp_path, monkeypatch):
+    files, config, argv, code = REFUSALS[case]
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    if config:
+        monkeypatch.setenv("FPAL_CONFIG", str(paths[config]))
+    else:
+        monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    proc = run_limited(TIMED_MAIN, *(arg.format(**paths) for arg in argv))
+    assert proc.returncode == 0, proc.stderr[-400:]
+    exit_code, out, seconds = json.loads(proc.stdout)
+    assert (exit_code, out) == (2, "")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error[{code}]: ")
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("opening, depth", [("comp(pi(1,1),", 980), ("tup(", 490)],
+                         ids=["comp 980", "tup 490"])
+def test_deep_terms_within_the_recursion_limit_still_check(tmp_path, monkeypatch, opening,
+                                                         depth):
+    # a fresh interpreter, whose stack holds none of pytest's frames
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    eq = tmp_path / "deep.eq"
+    eq.write_text(f"name deep\n{opening * depth}pi(1,1){')' * depth} = pi(1,1)\n")
+    proc = _run_subprocess(["check", str(eq)])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["all_hold"] is True
+
+
 def test_family_verdicts(write_aut, capsys):
     code, blob = run_json(["family", "symmetric"], capsys)
     assert code == 0

@@ -302,6 +302,18 @@ def test_tablefn_call_and_encoding():
     assert not not_mono.is_monotone()
 
 
+def test_tablefn_refuses_entries_outside_its_codomain():
+    # entries of a table P^k -> P^t lie in 0 .. |P|^t - 1, as its length
+    # must be |P|^k
+    with pytest.raises(ValueError):
+        TableFn(C3, 1, 1, [1, 2, 7])
+    with pytest.raises(ValueError):
+        TableFn(C3, 1, 1, [-1, 0, 0])
+    with pytest.raises(ValueError):
+        TableFn(C2, 1, 2, [0, 4])
+    assert TableFn(C2, 1, 2, [0, 3]).decode_out(3) == (1, 1)
+
+
 def test_lfp_is_least_fixed_point():
     for fn in enumerate_monotone(C3, 1):
         x = lfp(fn)
@@ -789,6 +801,72 @@ def test_sampled_work_cap_counts_samples_times_table_entries(monkeypatch):
     assert check_equation(eq2, C3, mode="sampled", samples=2).holds
     with pytest.raises(CapExceededError):
         check_equation(eq2, C3, mode="sampled", samples=3)
+
+
+def test_exhaustive_work_cap_counts_interpretations_times_table_entries(monkeypatch):
+    # 175 monotone f of arity 2 on chain(3), 9 entries each: 1,575 entries
+    # under a cap of 1,000 are refused whichever mode the threshold picks,
+    # and 3 samples of 9 entries fit
+    f = Sym(Symbol("f", 2))
+    eq = Equation.of("two", f, f)
+    assert interpretation_count(eq, C3, 1000) == 175
+    monkeypatch.setattr(cpo_model, "MAX_SAMPLED_ENTRIES", 1000)
+    for mode in ("auto", "exhaustive"):
+        with pytest.raises(CapExceededError):
+            check_equation(eq, C3, mode=mode)
+    assert check_equation(eq, C3, mode="sampled", samples=3).interpretations_checked == 3
+
+
+def test_table_sizes_are_checked_before_interpretations_are_counted(monkeypatch):
+    def counted(*args):
+        raise AssertionError("interpretations counted before the table sizes were checked")
+
+    monkeypatch.setattr(cpo_model, "interpretation_count", counted)
+    f = Sym(Symbol("f", 10_000))
+    for mode in ("auto", "exhaustive"):
+        with pytest.raises(CapExceededError):
+            check_equation(Equation.of("vast", f, f), C2, mode=mode)
+
+
+@pytest.mark.parametrize("eq", [
+    Equation.of("vast symbol", Sym(Symbol("f", 10**9)), Sym(Symbol("f", 10**9))),
+    Equation.of("vast projection", Proj(1, 10**9), Proj(1, 10**9)),
+], ids=["symbol", "projection"])
+def test_refusal_of_a_vast_table_takes_no_power_past_the_cap(eq):
+    # 2^(10^9) has about 3 * 10^8 digits and takes seconds to compute:
+    # neither taken nor printed
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as refused:
+        check_equation(eq, C2)
+    assert time.perf_counter() - start < 0.5
+    assert len(str(refused.value)) < 200
+
+
+def _widest_source(m) -> int:
+    """The largest source of a subterm of m: its tables have |P|^s entries
+    per interpretation."""
+    parts = {Tup: lambda t: t.parts, Comp: lambda t: (t.g, t.f),
+             Dagger: lambda t: (t.body,)}.get(type(m), lambda t: ())(m)
+    return max([m.source, *map(_widest_source, parts)])
+
+
+@pytest.mark.parametrize("poset", [C2, C3], ids=["chain2", "chain3"])
+def test_library_exhaustive_work_fits_the_cap(poset):
+    # headroom: at the default threshold every library identity that is
+    # checked exhaustively evaluates at most MAX_SAMPLED_ENTRIES entries
+    threshold = cpo_model.DEFAULT_EXHAUSTIVE_THRESHOLD
+    exhaustive = 0
+    for eq in conway_library():
+        count = interpretation_count(eq, poset, threshold)
+        if count > threshold:
+            continue
+        exhaustive += 1
+        entries = sum(poset.size ** s.in_arity for s in eq.symbols)
+        widest = poset.size ** max(_widest_source(eq.lhs), _widest_source(eq.rhs))
+        assert count * max(entries, widest) <= cpo_model.MAX_SAMPLED_ENTRIES, eq.name
+    assert exhaustive > 0
 
 
 @pytest.mark.parametrize("poset, arity", [(C2, 10), (C3, 7)])

@@ -248,3 +248,21 @@ def test_equation_file_rejects_bad_sym_line():
         parse_equation("sym f\nsym(f) = sym(f)")
     with pytest.raises(ParseError):
         parse_equation("sym f 1\nsym f 2\nsym(f) = sym(f)")
+
+
+def _nested(head: str, depth: int) -> str:
+    """``pi(1,1)`` inside ``depth`` applications of ``comp(pi(1,1), .)`` or
+    of ``tup(.)``, each of them the identity on one sort."""
+    opening = "comp(pi(1,1)," if head == "comp" else "tup("
+    return opening * depth + "pi(1,1)" + ")" * depth
+
+
+def test_terms_nested_past_the_recursion_limit_are_parse_errors():
+    with pytest.raises(ParseError):
+        parse(_nested("comp", 1200))
+    with pytest.raises(ParseError):
+        parse(_nested("tup", 5000))
+    # a tuple this deep parses, but its target is a sum over a recursion
+    # twice as deep, taken when the equation is made
+    with pytest.raises(ParseError):
+        parse_equation(f"name deep\n{_nested('tup', 600)} = pi(1,1)\n")
