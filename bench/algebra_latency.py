@@ -13,7 +13,9 @@ resets (4096 idempotents, each with its own image), on PSL(2,7) acting
 on 25 copies of its 8 points with a collapse letter per copy (4368
 elements, 26 images, the 25 copies one D-class) and on T4 (41
 idempotents, 15 images), each monoid made anew from its maps for every
-sample so that no per-monoid data is reused, ``symmetric_group(6)``, and
+sample so that no per-monoid data is reused, ``transition_monoid`` and
+``algebra_report`` on T4 with its walk cached, which is what a repeated
+``fpal divisors`` pays, ``symmetric_group(6)``, and
 ``transition_monoid`` alone on T5 and on a
 13-state, 3-letter automaton of monoid order 77, the size of those in
 perfbench's entails-stream workload.  ``entails`` with that automaton as
@@ -33,10 +35,10 @@ the subgroup cap raised to 5040 through ``FPAL_CONFIG``; it comes last
 because a tree that holds S7's maximal subgroup as a table keeps that
 memory for the rest of its worker's life.  Each sample starts
 with fpal's caches empty, so it pays for the whole divisor search; the
-best of ``--repeat`` samples is kept.  The 13-state items take under a
-millisecond, so each of their samples is the mean of ``SMALL_CALLS``
-calls.  The items named ``cli ...`` time the command-line front end, each
-the best of ``CLI_RUNS`` samples.  ``cli divisors x20`` is twenty
+best of ``--repeat`` samples is kept.  The 13-state items and the warm
+T4 report take under a millisecond, so each of their samples is the mean
+of ``SMALL_CALLS`` calls.  The items named ``cli ...`` time the
+command-line front end, each the best of ``CLI_RUNS`` samples.  ``cli divisors x20`` is twenty
 in-process ``fpal divisors`` runs on small automata (counters, S3 and S4),
 started with the argument parsers dropped as well, so each sample builds
 them as a new process would.  The other two are whole ``python -m fpal``
@@ -326,6 +328,10 @@ def items(tmp: str) -> dict:
         out[f"algebra_report {name}, cold"] = lambda m=m: sample(
             lambda: algebra.algebra_report(algebra.TransformationMonoid(
                 m.maps, m.witnesses, m.letters)))
+    t4_automaton = full_transformations(4)
+    out["algebra_report T4, warm"] = lambda: sample(
+        lambda: algebra.algebra_report(algebra.transition_monoid(t4_automaton)),
+        SMALL_CALLS, warm=True)
     out["symmetric_group(6)"] = lambda: sample(lambda: algebra.symmetric_group(6))
     t5 = full_transformations(5)
     out["transition_monoid T5"] = lambda: sample(lambda: algebra.transition_monoid(t5))

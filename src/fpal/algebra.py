@@ -3,9 +3,9 @@ simple divisors.
 
 The monoid of an automaton is the set of word-induced state maps, with
 ``x * y`` meaning "apply x, then y"; the maps are kept in the form of
-``automaton.map_form`` and composed on demand, with no product table,
-and the monoid is built whole when it is made: its maps, their index
-and their image keys, bucketed by image.
+``automaton.map_form`` and composed on demand, with no product table:
+a monoid is its maps, their witness words and what composing and
+looking up a product needs, all built when it is made.
 A simple group S divides a monoid M when S is a quotient of some
 subsemigroup of M that happens to be a group; equivalently, S is a
 quotient K/N of a subgroup K of one of the maximal subgroups H sitting at
@@ -71,32 +71,24 @@ class TransformationMonoid:
     Elements are the maps of ``map_form``, sorted; each carries a shortest
     witness word (ties broken toward earlier letters).  There is no
     product table: a product is one composition and an index lookup.
-    ``index`` is a read-only map -> element index dict, ``image_keys`` a
-    tuple with one key per element, equal for two elements exactly when
-    their maps have the same image, and ``image_buckets`` a read-only
-    image key -> element indices (ascending) dict.
+    ``index`` is a read-only map -> element index dict.
     """
 
     __slots__ = ("maps", "witnesses", "letters", "n_states", "then", "padded", "index",
-                 "identity_index", "image_keys", "image_buckets")
+                 "identity_index")
 
     def __init__(self, maps, witnesses, letters):
         self.maps = tuple(maps)
         self.witnesses = tuple(witnesses)
         self.letters = tuple(letters)
         self.n_states = len(self.maps[0])
-        encode, pad, self.then, images = map_form(self.n_states)
+        encode, pad, self.then, _ = map_form(self.n_states)
         self.padded = tuple(map(pad, self.maps))
         self.index = MappingProxyType(dict(zip(self.maps, count())))
         ident = self.index.get(encode(range(self.n_states)))
         if ident is None:
             raise ValueError("transformation monoid must contain the identity")
         self.identity_index = ident
-        self.image_keys = tuple(images(self.maps))
-        buckets: dict = {}
-        for i, key in enumerate(self.image_keys):
-            buckets.setdefault(key, []).append(i)
-        self.image_buckets = MappingProxyType({key: tuple(xs) for key, xs in buckets.items()})
 
     @property
     def order(self) -> int:
@@ -228,15 +220,15 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_from_permutations([cycle, swap])
 
 
-def maximal_subgroup_at(m: TransformationMonoid, e: int) -> FiniteGroup:
+def maximal_subgroup_at(m: TransformationMonoid, e: int, same_image) -> FiniteGroup:
     """The group of invertible elements of e M e, the largest group inside
     the monoid whose unit is the idempotent e: the monoid elements x with
     the image and the kernel of e, ascending, multiplied as in the monoid.
-    Among the maps with the image of e, its bucket in ``image_buckets``,
-    "e then x" equals x exactly when x has the kernel of e too, so one
-    composition per bucket member finds them."""
+    ``same_image`` is e's image class, the ascending indices of the
+    elements whose maps have the image of e; among them "e then x" equals
+    x exactly when x has the kernel of e too, so one composition per
+    member finds them."""
     then, padded, maps, index, t_e = m.then, m.padded, m.maps, m.index, m.maps[e]
-    same_image = m.image_buckets[m.image_keys[e]]
     units = tuple([x for x in same_image if then(t_e, padded[x]) == maps[x]])
     if e not in units:  # "e then e" is not e
         raise ValueError(f"element {e} is not idempotent")
@@ -732,22 +724,27 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     whose group is isomorphic.  The first idempotent giving each divisor
     is the least of its D-class, so it is never skipped.  Each leader's
     search skips the C_p found already, and a leader above ``cap`` is
-    refused as soon as |H| is known.  Cached per set of maps, which
+    refused as soon as |H| is known.  Images are compared by the keys of
+    ``map_form``, made on a cache miss only.  Cached per set of maps, which
     automata with different letters can share, so the witnesses name their
     idempotent by index only."""
     key = (m.maps, cap)
     cached = _walk_cache.get(key)
     if cached is not None:
         return cached
-    keys, product = m.image_keys, m.product
+    keys, product = tuple(map_form(m.n_states)[3](m.maps)), m.product
     first: dict = {}
     leaders = [first.setdefault(keys[e], e) for e in idempotents(m)]
+    classes: dict = {image: [] for image in first}  # a leader's image -> its elements
+    for x, image in enumerate(keys):
+        if image in classes:
+            classes[image].append(x)
     order_of: dict = {}
     peers: dict = {}  # order allowing a nonsolvable group -> the leaders of that order
     out: dict = {}
     found_orders: set = set()
     for e in first.values():
-        h = maximal_subgroup_at(m, e)
+        h = maximal_subgroup_at(m, e, classes[keys[e]])
         order_of[e] = h.order
         if not _surely_solvable(h.order):
             earlier = peers.setdefault(h.order, [])
@@ -765,17 +762,20 @@ def _walk_idempotents(m: TransformationMonoid, cap: int) -> _IdempotentWalk:
     return _remember(_walk_cache, key, walk, MONOID_CACHE_SIZE)
 
 
+def _with_words(m: TransformationMonoid, walk: _IdempotentWalk) -> MappingProxyType:
+    """The walk's witnesses, read-only, each naming its idempotent by a word."""
+    words = m.witnesses
+    return MappingProxyType({fp: DivisorWitness(w.subgroup, w.normal, w.idempotent,
+                                                words[w.idempotent]) for fp, w in walk.witnesses})
+
+
 def divisor_witnesses_monoid(
     m: TransformationMonoid, cap: int = DEFAULT_SUBGROUP_CAP
 ) -> MappingProxyType:
     """Simple divisors of a monoid with witnesses, as a read-only mapping
     in divisor order.  Each witness names its idempotent by a word in the
     monoid's own letters."""
-    words = m.witnesses
-    return MappingProxyType({
-        fp: DivisorWitness(w.subgroup, w.normal, w.idempotent, words[w.idempotent])
-        for fp, w in _walk_idempotents(m, cap).witnesses
-    })
+    return _with_words(m, _walk_idempotents(m, cap))
 
 
 def simple_divisors_monoid(
@@ -798,13 +798,12 @@ def divides(s: SimpleGroupId, m: TransformationMonoid,
 def algebra_report(m: TransformationMonoid, cap: int = DEFAULT_SUBGROUP_CAP) -> dict:
     """JSON-ready summary: order, idempotents, maximal subgroup orders and
     the sorted simple divisors with their witnesses."""
-    orders = _walk_idempotents(m, cap).subgroup_orders
+    walk = _walk_idempotents(m, cap)
     return {
         "order": m.order,
-        "idempotents": len(orders),
-        "maximal_subgroup_orders": list(orders),
+        "idempotents": len(walk.subgroup_orders),
+        "maximal_subgroup_orders": list(walk.subgroup_orders),
         "simple_divisors": [
-            {**fp.to_json(), "witness": w.to_json()}
-            for fp, w in divisor_witnesses_monoid(m, cap).items()
+            {**fp.to_json(), "witness": w.to_json()} for fp, w in _with_words(m, walk).items()
         ],
     }

@@ -299,10 +299,11 @@ def _upper_bounds(poset: PosetModel) -> _UpperBounds:
 
 
 @lru_cache(maxsize=_POSET_CACHE_SIZE)
-def _monotone_pool(poset: PosetModel, arity: int, cap: int) -> tuple | None:
-    """Every monotone table P^arity -> P as a tuple, in the order of
-    ``_monotone_tables``, or None when there are more than ``cap``, which
-    two lower bounds often tell without enumerating.
+def _monotone_pool(poset: PosetModel, arity: int, cap: int, entries: int) -> tuple:
+    """The count of monotone tables P^arity -> P, up to cap + 1, and the
+    tables as tuples in the order of ``_monotone_tables``, or None past cap
+    or past entries // |P|^arity, the most an exhaustive check of ``entries``
+    entries uses.  Two lower bounds often tell a count past cap unenumerated.
 
     Total rank strictly increases along < in P^arity, so each level of
     equal total rank is an antichain.  The up-set of each subset of a
@@ -318,9 +319,11 @@ def _monotone_pool(poset: PosetModel, arity: int, cap: int) -> tuple | None:
     if comb(ranks + height - 1, ranks) > cap or (
             cap >= 0 and poset.size >= 2
             and _largest_level(poset.ranks(), arity) >= cap.bit_length()):
-        return None
-    pool = tuple(map(tuple, islice(_monotone_tables(poset, arity), cap + 1)))
-    return pool if len(pool) <= cap else None
+        return cap + 1, None
+    tables, hold = _monotone_tables(poset, arity), min(cap, entries // poset.size ** arity)
+    pool = tuple(map(tuple, islice(tables, hold + 1)))
+    n = len(pool) + sum(1 for _ in islice(tables, cap + 1 - len(pool)))
+    return n, pool if n <= hold else None
 
 
 def _monotone_tables(poset: PosetModel, arity: int):
@@ -372,10 +375,9 @@ def _largest_level(ranks: tuple, arity: int) -> int:
 
 
 def count_monotone(poset: PosetModel, in_arity: int, cap: int) -> int:
-    """Number of monotone functions, counting no further than cap + 1:
-    the length of their pool."""
-    pool = _monotone_pool(poset, in_arity, cap)
-    return cap + 1 if pool is None else len(pool)
+    """Number of monotone functions, counting no further than cap + 1, as
+    their pool counts it."""
+    return _monotone_pool(poset, in_arity, cap, MAX_SAMPLED_ENTRIES)[0]
 
 
 def _random_table(plan: tuple, bounds: _UpperBounds, getrandbits) -> list:
@@ -794,9 +796,9 @@ def check_equation(
                 for _ in range(samples)
             ), block_size)
     else:
-        blocks = _blocks(
-            iproduct(*(_monotone_pool(poset, s.in_arity, threshold) for s in eq.symbols)),
-            block_size)
+        pools = [_monotone_pool(poset, s.in_arity, threshold, MAX_SAMPLED_ENTRIES)[1]
+                 for s in eq.symbols]
+        blocks = _blocks(iproduct(*pools), block_size)
     width = poset.size ** eq.lhs.source
     checked = 0
     for n, tables in blocks:

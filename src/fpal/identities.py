@@ -36,14 +36,12 @@ def _block(start: int, length: int, n: int) -> Morphism:
     return _sel(range(start, start + length), n)
 
 
-def schematic(name: str, source: int, target: int):
+def schematic(name: str, source: int, target: int) -> Morphism:
     """A schematic morphism variable of the given arity, realized as a
     tupling of fresh symbols (one per output)."""
     if target == 1:
-        s = Symbol(name, source)
-        return Sym(s), (s,)
-    syms = tuple(Symbol(f"{name}{j}", source) for j in range(1, target + 1))
-    return tup([Sym(s) for s in syms]), syms
+        return Sym(Symbol(name, source))
+    return tup([Sym(Symbol(f"{name}{j}", source)) for j in range(1, target + 1)])
 
 
 def _dup(block: int, copies: int) -> Morphism:
@@ -59,8 +57,8 @@ def _dup(block: int, copies: int) -> Morphism:
 def parameter_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     """Substituting into the parameters commutes with taking the fixed
     point."""
-    f, _ = schematic("f", a + b, a)
-    g, _ = schematic("g", c, b)
+    f = schematic("f", a + b, a)
+    g = schematic("g", c, b)
     one_a_times_g = tup([_block(1, a, a + c), Comp(g, _block(a + 1, c, a + c))])
     lhs = Dagger(Comp(f, one_a_times_g), a)
     rhs = Comp(Dagger(f, a), g)
@@ -70,7 +68,7 @@ def parameter_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
 def double_dagger_identity(a: int = 1, c: int = 1) -> Equation:
     """Solving twice equals solving once after merging the two recursion
     blocks through the diagonal."""
-    f, _ = schematic("f", 2 * a + c, a)
+    f = schematic("f", 2 * a + c, a)
     merge = _sel(list(range(1, a + 1)) * 2 + list(range(a + 1, a + c + 1)), a + c)
     lhs = Dagger(Dagger(f, a), a)
     rhs = Dagger(Comp(f, merge), a)
@@ -80,8 +78,8 @@ def double_dagger_identity(a: int = 1, c: int = 1) -> Equation:
 def composition_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     """The fixed point of f after g can be recovered by applying f to the
     fixed point of g after f."""
-    f, _ = schematic("f", b + c, a)
-    g, _ = schematic("g", a + c, b)
+    f = schematic("f", b + c, a)
+    g = schematic("g", a + c, b)
     lhs = Dagger(Comp(f, tup([g, _block(a + 1, c, a + c)])), a)
     k = Comp(g, tup([f, _block(b + 1, c, b + c)]))
     rhs = Comp(f, tup([Dagger(k, b), identity(c)], source=c))
@@ -90,7 +88,7 @@ def composition_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
 
 def fixed_point_identity(a: int = 1, c: int = 1) -> Equation:
     """The solution really is a fixed point of the body."""
-    f, _ = schematic("f", a + c, a)
+    f = schematic("f", a + c, a)
     lhs = Dagger(f, a)
     rhs = Comp(f, tup([Dagger(f, a), identity(c)], source=c))
     return Equation.of(f"fixed-point[a={a},c={c}]", lhs, rhs)
@@ -99,7 +97,7 @@ def fixed_point_identity(a: int = 1, c: int = 1) -> Equation:
 def left_zero_identity(a: int = 1, c: int = 1) -> Equation:
     """Solving a system whose body ignores the recursion block does
     nothing."""
-    f, _ = schematic("f", c, a)
+    f = schematic("f", c, a)
     lhs = Dagger(Comp(f, _block(a + 1, c, a + c)), a)
     return Equation.of(f"left-zero[a={a},c={c}]", lhs, f)
 
@@ -107,7 +105,7 @@ def left_zero_identity(a: int = 1, c: int = 1) -> Equation:
 def right_zero_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     """Unused trailing parameters can be dropped before or after
     solving."""
-    f, _ = schematic("f", a + b, a)
+    f = schematic("f", a + b, a)
     lhs = Dagger(Comp(f, _block(1, a + b, a + b + c)), a)
     rhs = Comp(Dagger(f, a), _block(1, b, b + c))
     return Equation.of(f"right-zero[a={a},b={b},c={c}]", lhs, rhs)
@@ -116,8 +114,8 @@ def right_zero_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
 def pairing_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     """A joint fixed point can be computed blockwise: solve for the first
     block, substitute, solve for the second, and back-substitute."""
-    f, _ = schematic("f", a + b + c, a)
-    g, _ = schematic("g", a + b + c, b)
+    f = schematic("f", a + b + c, a)
+    g = schematic("g", a + b + c, b)
     fd = Dagger(f, a)
     h = Comp(g, tup([fd, identity(b + c)], source=b + c))
     hd = Dagger(h, b)
@@ -130,8 +128,8 @@ def pairing_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
 def pairing_dual_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     """The mirror image of the pairing identity, eliminating the second
     block first."""
-    f, _ = schematic("f", a + b + c, a)
-    g, _ = schematic("g", a + b + c, b)
+    f = schematic("f", a + b + c, a)
+    g = schematic("g", a + b + c, b)
     swap = _sel(
         list(range(b + 1, b + a + 1)) + list(range(1, b + 1))
         + list(range(b + a + 1, b + a + c + 1)),
@@ -150,8 +148,8 @@ def pairing_dual_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
 def separated_pairing_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     """Two systems that do not mention each other can be solved jointly or
     separately."""
-    f, _ = schematic("f", a + c, a)
-    g, _ = schematic("g", b + c, b)
+    f = schematic("f", a + c, a)
+    g = schematic("g", b + c, b)
     drop_b = _sel(
         list(range(1, a + 1)) + list(range(a + b + 1, a + b + c + 1)), a + b + c
     )
@@ -164,8 +162,8 @@ def separated_pairing_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
 def c1_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     """Projecting a joint solution onto a block that never reads the other
     block gives that block's own solution."""
-    f, _ = schematic("f", a + c, a)
-    g, _ = schematic("g", a + b + c, b)
+    f = schematic("f", a + c, a)
+    g = schematic("g", a + b + c, b)
     drop_b = _sel(
         list(range(1, a + 1)) + list(range(a + b + 1, a + b + c + 1)), a + b + c
     )
@@ -179,8 +177,8 @@ def c2_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     """When the second block is a function of the first, that function may
     be substituted into the first block's body without changing the joint
     solution."""
-    f, _ = schematic("f", a + b + c, a)
-    g, _ = schematic("g", a, b)
+    f = schematic("f", a + b + c, a)
+    g = schematic("g", a, b)
     g_of_first = Comp(g, _block(1, a, a + b + c))
     expand = tup([
         _block(1, a, a + b + c),
@@ -194,8 +192,8 @@ def c2_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
 
 def c22_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     """The explicit solution of the substituted system from the c2 step."""
-    f, _ = schematic("f", a + b + c, a)
-    g, _ = schematic("g", a, b)
+    f = schematic("f", a + b + c, a)
+    g = schematic("g", a, b)
     g_of_first = Comp(g, _block(1, a, a + b + c))
     embed = tup([
         _block(1, a, a + c),
@@ -225,7 +223,7 @@ def permutation_identity(sigma, a: int = 1, c: int = 1) -> Equation:
             out.extend(range((v - 1) * a + 1, v * a + 1))
         return out
 
-    f, _ = schematic("f", k * a + c, k * a)
+    f = schematic("f", k * a + c, k * a)
     apply_perm = _sel(blocks(sigma), k * a)
     undo_args = _sel(
         blocks(inverse) + list(range(k * a + 1, k * a + c + 1)), k * a + c
@@ -240,7 +238,7 @@ def n_dagger_identity(n: int, a: int = 1, c: int = 1) -> Equation:
     recursion blocks identified."""
     if n < 1:
         raise ValueError(f"need at least one dagger, got {n}")
-    f, _ = schematic("f", n * a + c, a)
+    f = schematic("f", n * a + c, a)
     lhs: Morphism = f
     for _ in range(n):
         lhs = Dagger(lhs, a)
@@ -310,7 +308,7 @@ def gamma(q: Automaton, p: int = 1) -> Equation:
     if p < 0:
         raise ValueError(f"parameter arity {p} must be nonnegative")
     n, m = q.n_states, q.n_letters
-    sym_f, _ = schematic("f", m + p, 1)
+    sym_f = schematic("f", m + p, 1)
     lhs = Dagger(_system_morphism(q, sym_f, p), n)
     rhs = Comp(_dup(1, n), _diagonal_solution(sym_f, m, p))
     return Equation.of(f"gamma[{n}states,{m}letters,p={p}]", lhs, rhs)
@@ -324,7 +322,7 @@ def gamma_init(q: Automaton, initial: int, p: int = 1) -> Equation:
     if not 1 <= initial <= q.n_states:
         raise ValueError(f"initial state {initial} out of range [1..{q.n_states}]")
     n, m = q.n_states, q.n_letters
-    sym_f, _ = schematic("f", m + p, 1)
+    sym_f = schematic("f", m + p, 1)
     lhs = Comp(Proj(initial, n), Dagger(_system_morphism(q, sym_f, p), n))
     rhs = _diagonal_solution(sym_f, m, p)
     return Equation.of(f"gamma-init[{n}states,{m}letters,q={initial},p={p}]", lhs, rhs)
@@ -367,7 +365,7 @@ def power_identity(n: int, p: int = 1) -> Equation:
     nothing."""
     if n < 1:
         raise ValueError(f"power identity needs n >= 1, got {n}")
-    sym_f, _ = schematic("f", 1 + p, 1)
+    sym_f = schematic("f", 1 + p, 1)
     lhs = Dagger(power(sym_f, n), 1)
     rhs = Dagger(sym_f, 1)
     return Equation.of(f"power[n={n},p={p}]", lhs, rhs)
@@ -379,7 +377,7 @@ def cycle_transposition_identity(n: int, p: int = 1) -> Equation:
     solution back into the body does not change the diagonal solution."""
     if n < 3:
         raise ValueError(f"this family starts at n = 3, got {n}")
-    sym_f, _ = schematic("f", 2 + p, 1)
+    sym_f = schematic("f", 2 + p, 1)
     merge = _sel([1, 1] + list(range(2, p + 2)), 1 + p)
     diag = Comp(sym_f, merge)
     partial = Dagger(sym_f, 1)

@@ -409,6 +409,14 @@ def group_divisors_with_witnesses(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CA
     return witnesses
 
 
+def image_class(m: TransformationMonoid, e: int) -> list:
+    """The ascending indices of the elements whose maps have the image of
+    element e, found by comparing frozenset images, apart from the keys
+    of ``automaton.map_form`` that the walk reads."""
+    image = frozenset(m.maps[e])
+    return [x for x, t in enumerate(m.maps) if frozenset(t) == image]
+
+
 def walk_every_idempotent(m: TransformationMonoid,
                           cap: int = DEFAULT_SUBGROUP_CAP) -> _IdempotentWalk:
     """The idempotent walk with the maximal subgroup at every idempotent
@@ -418,7 +426,7 @@ def walk_every_idempotent(m: TransformationMonoid,
     orders = []
     out: dict = {}
     for e in idempotents(m):
-        h = maximal_subgroup_at(m, e)
+        h = maximal_subgroup_at(m, e, image_class(m, e))
         orders.append(h.order)
         for fp, w in _group_divisors_with_witnesses(h, cap, idempotent=e).items():
             out.setdefault(fp, w)

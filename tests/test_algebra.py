@@ -26,6 +26,7 @@ from fpal import algebra, cli, entailment
 from fpal.algebra import (
     FiniteGroup,
     SimpleGroupId,
+    TransformationMonoid,
     composition_factors,
     cyclic_group,
     divides,
@@ -40,7 +41,7 @@ from fpal.algebra import (
     symmetric_group,
     transition_monoid,
 )
-from fpal.automaton import Automaton, counter, full_T2, symmetric_automaton, to_dict
+from fpal.automaton import Automaton, counter, full_T2, map_form, symmetric_automaton, to_dict
 from fpal.errors import CapExceededError
 import oracle
 from oracle import (
@@ -155,7 +156,7 @@ def test_full_t2_idempotents():
     m = transition_monoid(full_T2())
     idem = idempotents(m)
     assert len(idem) == 3
-    orders = sorted(maximal_subgroup_at(m, e).order for e in idem)
+    orders = sorted(maximal_subgroup_at(m, e, oracle.image_class(m, e)).order for e in idem)
     assert orders == [1, 1, 2]
 
 
@@ -176,7 +177,7 @@ def test_maximal_subgroup_requires_idempotent():
         i for i in range(m.order) if m.product(i, i) != i
     )
     with pytest.raises(ValueError):
-        maximal_subgroup_at(m, non_idem)
+        maximal_subgroup_at(m, non_idem, oracle.image_class(m, non_idem))
 
 
 # -- groups -------------------------------------------------------------------
@@ -232,22 +233,46 @@ def test_algebra_values_have_no_instance_dict():
         FiniteGroup.from_table([[0, 1], [1, 0]], labels=["e", "s"]),
         cyclic_group(6),
         group_from_permutations([(2, 3, 1), (2, 1, 3)]),
-        maximal_subgroup_at(m, m.identity_index),
+        maximal_subgroup_at(m, m.identity_index, oracle.image_class(m, m.identity_index)),
     ]
     for value in [m] + groups:
         assert not hasattr(value, "__dict__"), type(value).__name__
 
 
-def test_image_keys_and_buckets_are_built_with_the_monoid():
-    # both are slots, filled by the constructor (reading an unfilled slot
-    # raises AttributeError), not computed on first read
+def test_monoid_slots_are_its_maps_words_and_products():
+    # a monoid keeps what every reader uses, each a slot filled by the
+    # constructor (reading an unfilled slot raises AttributeError); the
+    # divisor walk makes the image keys, which only it reads
     m = transition_monoid(full_transformations(3))
-    for name in ("image_keys", "image_buckets"):
+    slots = ("maps", "witnesses", "letters", "n_states", "then", "padded", "index",
+             "identity_index")
+    assert sorted(TransformationMonoid.__slots__) == sorted(slots)
+    for name in slots:
         assert isinstance(inspect.getattr_static(m, name), types.MemberDescriptorType)
-    assert len(m.image_keys) == m.order
-    members = [i for xs in m.image_buckets.values() for i in xs]
-    assert sorted(members) == list(range(m.order))
-    assert all(list(xs) == sorted(xs) for xs in m.image_buckets.values())
+        getattr(m, name)
+
+
+def test_a_cached_walk_computes_no_image_key(monkeypatch):
+    # image keys are made by the walk on a cache miss, once per monoid, and
+    # neither building a monoid nor a report from the cached walk makes any
+    calls = []
+
+    def counted(n):
+        encode, pad, then, images = map_form(n)
+        return encode, pad, then, lambda maps: calls.append(n) or images(maps)
+
+    monkeypatch.setattr(algebra, "map_form", counted)
+    monkeypatch.setattr(algebra, "_walk_cache", {})
+    for q in (symmetric_automaton(4), full_transformations(4), counter(7)):
+        calls.clear()
+        first = algebra.algebra_report(transition_monoid(q))
+        assert calls == [q.n_states]
+        calls.clear()
+        assert algebra.algebra_report(transition_monoid(q)) == first
+        witnesses = divisor_witnesses_monoid(transition_monoid(q))
+        assert [w.to_json() for w in witnesses.values()] \
+            == [d["witness"] for d in first["simple_divisors"]]
+        assert calls == []
 
 
 # The subgroup and quotient tables live in the oracle, the reference for
@@ -413,7 +438,8 @@ def automaton_groups() -> dict:
     out = {}
     for name, q in (("S4", symmetric_automaton(4)), ("A5", alternating5_automaton())):
         m = transition_monoid(q)
-        out[name] = maximal_subgroup_at(m, m.identity_index)
+        e = m.identity_index
+        out[name] = maximal_subgroup_at(m, e, oracle.image_class(m, e))
     return out
 
 
@@ -576,7 +602,7 @@ def test_divisor_witnesses_match_the_lattice_scan():
         psl27(),
         direct_product(psl27(), cyclic_group(2)),
         alternating6(),
-    ] + [maximal_subgroup_at(t5, e) for e in idempotents(t5)]
+    ] + [maximal_subgroup_at(t5, e, oracle.image_class(t5, e)) for e in idempotents(t5)]
     for g in groups:
         got = algebra._group_divisors_with_witnesses(g, algebra.DEFAULT_SUBGROUP_CAP)
         assert list(got.items()) == list(oracle.group_divisors_with_witnesses(g).items()), g.order
@@ -621,8 +647,8 @@ def count_searches(monkeypatch) -> tuple:
     subgroups, with the walk cache emptied."""
     taken, searched = [], []
 
-    def taken_at(m, e):
-        h = maximal_subgroup_at(m, e)
+    def taken_at(m, e, same_image):
+        h = maximal_subgroup_at(m, e, same_image)
         taken.append(h.order)
         return h
 
@@ -663,7 +689,7 @@ def test_one_maximal_subgroup_per_image_kernel_class(monkeypatch):
         assert searched == groups
         # the order at every idempotent, each group built on its own
         assert report["maximal_subgroup_orders"] == [
-            maximal_subgroup_at(m, e).order for e in idempotents(m)]
+            maximal_subgroup_at(m, e, oracle.image_class(m, e)).order for e in idempotents(m)]
         # one class per rank: the orders are n!, (n-1)!, ..., 1
         assert sorted(set(report["maximal_subgroup_orders"])) == [1, 2, 6, 24, 120][:n]
 
@@ -679,14 +705,14 @@ def commuting_resets(k: int) -> Automaton:
 
 def test_a_class_per_idempotent(monkeypatch):
     # 4096 classes of one idempotent each: the walk takes the trivial group
-    # at every one, each read off a bucket holding only its unit
+    # at every one, each read off an image class holding only its unit
     taken, searched = count_searches(monkeypatch)
     m = transition_monoid(commuting_resets(12))
     report = algebra.algebra_report(m)
     assert m.order == report["idempotents"] == len(taken) == 4096
     assert set(taken) == set(report["maximal_subgroup_orders"]) == {1}
     assert report["simple_divisors"] == [] and searched == []
-    assert set(map(len, m.image_buckets.values())) == {1}
+    assert len(set(map(frozenset, m.maps))) == m.order
 
 
 @pytest.mark.parametrize("gens, order", [([(2, 3, 4, 5, 1), (2, 3, 1, 4, 5)], 60),
@@ -774,7 +800,7 @@ def test_unit_walk_matches_the_table_walk(corpus_monoids):
     walks = cyclic = 0
     for m in corpus_monoids + [transition_monoid(q) for q in qs]:
         for e in image_leaders(m):
-            h = maximal_subgroup_at(m, e)
+            h = maximal_subgroup_at(m, e, oracle.image_class(m, e))
             table = FiniteGroup.from_table(oracle.group_table(h).rows)
             generated = h.order in h.element_orders()
             primes = algebra._prime_factors(h.order)
@@ -861,7 +887,7 @@ def test_witness_scan_equals_composition_factor_union(corpus_monoids):
     # here taken from the oracle's subgroup and quotient tables
     groups = group_corpus()
     for m in corpus_monoids:
-        groups += [maximal_subgroup_at(m, e) for e in idempotents(m)]
+        groups += [maximal_subgroup_at(m, e, oracle.image_class(m, e)) for e in idempotents(m)]
     for g in groups:
         union = set()
         for k in oracle.subgroups(g):
@@ -883,7 +909,7 @@ def test_units_by_rank_match_inverse_search(corpus_monoids):
         assert idempotents(m) == oracle.table_idempotents(table)
         for e in idempotents(m):
             units = units_by_inverse_search(table, e)
-            h = maximal_subgroup_at(m, e)
+            h = maximal_subgroup_at(m, e, oracle.image_class(m, e))
             assert list(h.labels) == list(h.elements) == units
             assert oracle.group_table(h).rows == oracle.group_table(
                 group_from_monoid_indices(m, units, table)).rows
@@ -901,7 +927,7 @@ def test_map_groups_match_their_tables(corpus_monoids):
                                      (1, 2, 3, 4, 5, 7, 6)])
     groups = [psl27(), a5_c2, symmetric_group(5)]
     for m in corpus_monoids:
-        groups += [maximal_subgroup_at(m, e) for e in image_leaders(m)]
+        groups += [maximal_subgroup_at(m, e, oracle.image_class(m, e)) for e in image_leaders(m)]
     cap = algebra.DEFAULT_SUBGROUP_CAP
     for g in groups:
         table = FiniteGroup.from_table(oracle.group_table(g).rows, labels=g.labels)
@@ -939,7 +965,8 @@ def test_wide_automaton_keeps_tuple_maps():
     m = transition_monoid(counter(300))
     assert isinstance(m.maps[0], tuple)
     assert (m.order, idempotents(m)) == (300, [m.identity_index])
-    assert maximal_subgroup_at(m, m.identity_index).order == 300
+    e = m.identity_index
+    assert maximal_subgroup_at(m, e, oracle.image_class(m, e)).order == 300
     report = algebra.algebra_report(m)
     assert [(d["name"], d["witness"]["subgroup"]) for d in report["simple_divisors"]] == [
         ("C_2", [0, 150]), ("C_3", [0, 100, 200]), ("C_5", [0, 60, 120, 180, 240]),
@@ -953,7 +980,7 @@ def test_wide_automaton_with_nonabelian_maximal_subgroup():
     q = padded_with_fixed_states(alternating5_automaton(), 300)
     m = transition_monoid(q)
     assert isinstance(m.maps[0], tuple)
-    h = maximal_subgroup_at(m, m.identity_index)
+    h = maximal_subgroup_at(m, m.identity_index, oracle.image_class(m, m.identity_index))
     assert (m.order, h.order, h.is_abelian()) == (60, 60, False)
     assert names(simple_divisors_monoid(m)) == ["A_5", "C_2", "C_3", "C_5"]
     small = transition_monoid(alternating5_automaton())
@@ -965,7 +992,8 @@ def test_tuple_maps_give_the_same_idempotent_classes(monkeypatch):
     # the same image leaders, taken by the walk, and the same report
     taken = []
     monkeypatch.setattr(algebra, "maximal_subgroup_at",
-                        lambda m, e: taken.append(e) or maximal_subgroup_at(m, e))
+                        lambda m, e, same_image: taken.append(e)
+                        or maximal_subgroup_at(m, e, same_image))
     monkeypatch.setattr(algebra, "_walk_cache", {})
 
     def walk(m):
@@ -986,17 +1014,12 @@ def test_tuple_maps_give_the_same_idempotent_classes(monkeypatch):
 
 
 def assert_image_keys_match_images(m) -> None:
-    """Two elements share an image key exactly when their maps have one
-    image, and each element's image bucket lists, ascending, the elements
-    with its image."""
-    images = [frozenset(t) for t in m.maps]
-    keys = m.image_keys
+    """Two elements share a ``map_form`` image key exactly when their maps
+    have one image: each element's key picks out its image class."""
+    keys = list(map_form(m.n_states)[3](m.maps))
     assert len(keys) == m.order
     for i in range(m.order):
-        assert [keys[i] == k for k in keys] == [images[i] == im for im in images]
-        assert m.image_buckets[keys[i]] == tuple(
-            j for j in range(m.order) if images[j] == images[i])
-    assert len(m.image_buckets) == len(set(images))
+        assert [j for j, k in enumerate(keys) if k == keys[i]] == oracle.image_class(m, i)
 
 
 def test_image_keys_match_frozenset_images(monkeypatch):
@@ -1053,13 +1076,10 @@ def test_cached_divisor_table_is_read_only():
         del table[next(iter(original))]
     assert dict(divisor_witnesses_monoid(transition_monoid(counter(6)))) == original
     assert isinstance(all_subgroup_sets(cyclic_group(6)), tuple)
-    # the per-monoid index and image keys cannot be changed either
-    assert isinstance(m.maps, tuple)
+    # the per-monoid maps, words and index cannot be changed either
+    assert isinstance(m.maps, tuple) and isinstance(m.witnesses, tuple)
     with pytest.raises(TypeError):
         m.index[next(iter(m.index))] = 0
-    assert isinstance(m.image_keys, tuple)
-    with pytest.raises(TypeError):
-        m.image_buckets[m.image_keys[0]] = ()
     # nor can the per-automaton table that entailment caches, or its witnesses
     caps = (algebra.DEFAULT_MONOID_CAP, algebra.DEFAULT_SUBGROUP_CAP)
     cached = entailment._divisor_table(counter(6), *caps)

@@ -270,8 +270,9 @@ def test_exhaustive_pools_are_enumerated_once_per_poset_and_arity(monkeypatch):
     # per check, one count and one read of each of its two pools
     assert _monotone_pool.cache_info()[:2] == (12, 4)
     for poset, arity in ((C2, 1), (C2, 2), (V, 1), (V, 2)):
-        assert _monotone_pool(poset, arity, cpo_model.DEFAULT_EXHAUSTIVE_THRESHOLD) == tuple(
-            tuple(fn.table) for fn in enumerate_monotone(poset, arity))
+        pool = _monotone_pool(poset, arity, cpo_model.DEFAULT_EXHAUSTIVE_THRESHOLD,
+                              cpo_model.MAX_SAMPLED_ENTRIES)
+        assert pool[1] == tuple(tuple(fn.table) for fn in enumerate_monotone(poset, arity))
 
 
 def test_monotone_tables_run_once_per_pool(monkeypatch):
@@ -289,7 +290,38 @@ def test_monotone_tables_run_once_per_pool(monkeypatch):
         assert check_equation(eq, C3, threshold=2000).strategy == "exhaustive"
         assert count_monotone(C3, 2, 100) == 101
     assert runs == [("chain(3)", 1), ("chain(3)", 2), ("chain(3)", 2)]
-    assert _monotone_pool(C3, 2, 100) is None
+    assert _monotone_pool(C3, 2, 100, cpo_model.MAX_SAMPLED_ENTRIES) == (101, None)
+
+
+def test_pools_hold_no_more_tables_than_an_exhaustive_check_can_use(monkeypatch):
+    # a pool holds at most MAX_SAMPLED_ENTRIES // |P|^arity tables, the most
+    # an exhaustive check within the cap evaluates; a count past that goes
+    # on to the threshold holding none, and the verdicts stay the same
+    monkeypatch.setattr(cpo_model, "MAX_SAMPLED_ENTRIES", 100_000)
+    held = []
+    pool = cpo_model._monotone_pool
+
+    def recorded(poset, arity, *caps):
+        counted, tables = pool(poset, arity, *caps)
+        held.append((poset.size ** arity, counted, tables))
+        return counted, tables
+
+    monkeypatch.setattr(cpo_model, "_monotone_pool", recorded)
+    f = Sym(Symbol("f", 2))
+    eq = Equation.of("f", f, f)
+    with pytest.raises(CapExceededError) as refused:
+        check_equation(eq, chain(4))
+    assert str(refused.value) == "24696 x 4^2 table entries exceed the cap of 100000 entries"
+    result = check_equation(eq, C3)
+    assert (result.strategy, result.interpretations_checked, result.holds) == (
+        "exhaustive", 175, True)
+    assert [(width, counted) for width, counted, _ in held] == [(16, 24696), (9, 175), (9, 175)]
+    assert held[0][2] is None and len(held[1][2]) == 175
+    # the pool's cache key holds the cap, so a pool counted under another
+    # cap is not read back
+    monkeypatch.undo()
+    threshold, cap = cpo_model.DEFAULT_EXHAUSTIVE_THRESHOLD, cpo_model.MAX_SAMPLED_ENTRIES
+    assert len(_monotone_pool(chain(4), 2, threshold, cap)[1]) == 24696
 
 
 def test_tablefn_call_and_encoding():
