@@ -25,7 +25,9 @@ emptying is timed too).  The auto-mode checks of ``sym(f) = sym(f)`` with
 f of arity 10 and of arity 3000 on chain(2) are timed until they are
 refused, and that of ``comp(sym(f),pi(1,4))`` on chain(7) (1,716
 interpretations of 2,401 entries) until it is refused or answered, the
-two outcomes of the trees this bench compares.  ``fpal check
+two outcomes of the trees this bench compares; ``sym(f) = sym(f)`` with f
+of arity 10 is also checked on 1,000 samples, a block of one sample at a
+time.  ``fpal check
 --builtin conway --samples 200`` (``fpal.cli.main``, stdout discarded) is
 timed whole: the model checker on every library identity, on chain(2),
 whose samples are drawn a block at a time, and with ``--poset chain:3``,
@@ -41,9 +43,13 @@ of ``SMALL_CALLS`` calls.  The items named ``cli ...`` time the
 command-line front end, each the best of ``CLI_RUNS`` samples.  ``cli divisors x20`` is twenty
 in-process ``fpal divisors`` runs on small automata (counters, S3 and S4),
 started with the argument parsers dropped as well, so each sample builds
-them as a new process would.  The other two are whole ``python -m fpal``
+them as a new process would.  Two are whole ``python -m fpal``
 runs in a fresh interpreter, imports included: ``fpal --help`` and
-``fpal divisors`` on S4.
+``fpal divisors`` on S4.  ``cli fpal --help, max RSS MB`` is, in MB rather
+than seconds, the peak resident memory of a fresh ``fpal --help`` that
+writes no bytecode and finds none, on a copy of the tree's sources: it
+compiles every fpal module from source, as a benchmark worker started
+with ``PYTHONDONTWRITEBYTECODE=1`` in a fresh checkout does.
 
 Each source tree is imported by its own worker interpreter, and the
 samples alternate between the trees: every sample of an item is taken on
@@ -60,7 +66,8 @@ after the items; the best wall seconds and pytest's last summary line
 are kept.  A run that fails, or cannot collect a test, stops the bench.
 
 The output holds ``nproc``, the Python version, and per tree the best
-seconds of every item and the line count of its ``fpal`` package.
+value of every item (seconds, or MB where the name says so) and the line
+count of its ``fpal`` package.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ import json
 import os
 import pathlib
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -97,6 +105,18 @@ ELEMENTARY_ABELIAN_2_6 = tuple(
     tuple((s ^ 1 if s // 2 == i else s) + 1 for s in range(12)) for i in range(6))
 SMALL_CALLS = 200
 CLI_RUNS = 10
+# ``python -m fpal`` with the arguments given, then its peak resident KB
+# on the last line of stdout.
+PEAK_RSS_SCRIPT = """import runpy, sys
+sys.argv[0] = "fpal"
+try:
+    runpy.run_module("fpal", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    if done.code:
+        raise
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
 
 
 def gf4_mul(a: int, b: int) -> int:
@@ -173,11 +193,13 @@ def automata() -> dict:
 
 def clear_caches() -> None:
     """Empty fpal's process-wide caches: every ``lru_cache`` of the
-    algebra, model-checker and entailment modules, the idempotent walks and
-    the divisor tables, as a new process starts."""
+    algebra, model-checker, kernel and entailment modules, the idempotent
+    walks and the divisor tables, as a new process starts."""
     from fpal import algebra, cpo_model, entailment
 
-    for module in (algebra, cpo_model, entailment):
+    # a tree from before the kernel module has none
+    kernels = sys.modules.get("fpal.kernels")
+    for module in filter(None, (algebra, cpo_model, entailment, kernels)):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -248,6 +270,17 @@ def check_wide_chain7() -> None:
         pass
 
 
+def check_wide_sampled() -> None:
+    """``sym(f) = sym(f)`` with f of arity 10 on chain(2), on 1,000 samples:
+    a 1,024-entry table per sample, so blocks of one sample."""
+    from fpal.cpo_model import chain, check_equation
+    from fpal.term import Equation, Sym, Symbol
+
+    f = Sym(Symbol("f", 10))
+    if not check_equation(Equation.of("wide", f, f), chain(2), samples=1000).holds:
+        raise RuntimeError("sym(f) = sym(f) should hold")
+
+
 def fpal_quietly(*argv: str) -> None:
     """``fpal.cli.main(argv)`` with stdout discarded; it must exit 0."""
     from fpal import cli
@@ -272,10 +305,22 @@ def cli_run(argv: list) -> float:
     return time.perf_counter() - start
 
 
+def cli_max_rss(src: str, argv: list) -> float:
+    """Peak resident MB of one ``python -m fpal argv`` in a fresh
+    interpreter on the sources in ``src``, writing no bytecode: the VmHWM
+    of its own memory map, which the pages of the process that started it
+    do not enter, as they enter ``ru_maxrss``."""
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, *argv], check=True,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                          stdout=subprocess.PIPE, text=True)
+    return int(done.stdout.split()[-1]) / 1024
+
+
 def items(tmp: str) -> dict:
     """Item name -> a function taking one sample of it, in seconds, for the
     fpal found on ``sys.path``.  Items named ``cli ...`` time the front end
     and take ``CLI_RUNS`` samples."""
+    import fpal
     from fpal import algebra, entailment
     from fpal.automaton import Automaton, counter, symmetric_automaton, to_dict
 
@@ -302,6 +347,10 @@ def items(tmp: str) -> dict:
 
     out["cli divisors x20"] = lambda: sample(divisors_x20)
     out["cli fpal --help"] = lambda: cli_run(["--help"])
+    sources = os.path.join(tmp, "src")
+    shutil.copytree(os.path.dirname(fpal.__file__), os.path.join(sources, "fpal"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    out["cli fpal --help, max RSS MB"] = lambda: cli_max_rss(sources, ["--help"])
     s4 = os.path.join(tmp, "S4.json")
     out["cli fpal divisors S4"] = lambda: cli_run(["divisors", s4])
     psl = algebra.group_from_permutations(PSL27_GENERATORS)
@@ -351,6 +400,7 @@ def items(tmp: str) -> dict:
     out["check sym f 10 refused"] = lambda: sample(lambda: refuse_wide_symbol(10))
     out["check sym f 3000 refused"] = lambda: sample(lambda: refuse_wide_symbol(3000))
     out["check wide chain(7)"] = lambda: sample(check_wide_chain7)
+    out["check sym f 10, 1000 samples"] = lambda: sample(check_wide_sampled)
     out["check conway, 200 samples"] = lambda: sample(check_conway)
     out["check conway chain(3), 200 samples"] = lambda: sample(
         lambda: check_conway("--poset", "chain:3"))

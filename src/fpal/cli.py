@@ -270,8 +270,9 @@ def cmd_check(args, config: Config) -> int:
         mode = "auto"
     samples = args.samples if args.samples is not None else config.sample_count
     seed = args.seed if args.seed is not None else config.seed
-    results = [
-        cpo_model.check_equation(
+    # every check is sized before any runs, so a refusal comes first
+    checks = [
+        cpo_model.prepare_check(
             eq,
             poset,
             mode=mode,
@@ -281,6 +282,7 @@ def cmd_check(args, config: Config) -> int:
         )
         for eq in eqs
     ]
+    results = [check() for check in checks]
     all_hold = all(r.holds for r in results)
     emit({"poset": poset.name, "all_hold": all_hold,
           "results": [r.to_json() for r in results]}, config)

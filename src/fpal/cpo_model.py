@@ -16,13 +16,15 @@ tables at compile time, so an interpretation only pays for the nodes that
 read a symbol.  The compiled side evaluates a block of interpretations at
 once, each table of the block being the tables of its interpretations one
 after another: composition is one gather, with each interpretation's
-offset into the block added to its indices (those index vectors depend
-on shapes alone and are kept per process); tupling packs the
+offset into the block added to its indices; tupling packs the
 concatenated tables; a constant is repeated once per interpretation; and
-dagger iterates every interpretation of the block together.  On tables of
-2 to 64 entries most of a node's cost is the Python call around it, which
-a block pays once.  A check of one interpretation, as ``eval_morphism``
-makes, is a block of one.
+dagger iterates every interpretation of the block together.  A check of
+one interpretation, as ``eval_morphism`` makes, is a block of one.  The
+primitives come from one of the two kernels of ``fpal.kernels``, picked
+once per check by its compile walk: bytes, a few C calls per node and
+block, when the poset, every output code and every gathered table fit
+in a byte (every identity of the library on chain(2), all but two on
+chain(3)), and lists, with a ``map`` step per entry, otherwise.
 
 Sampled tables draw each entry as ``Random.randrange`` does, with its
 rejection loop inlined, so a seed gives the same interpretations as
@@ -40,18 +42,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain as concat, islice, product as iproduct
+from itertools import islice, product as iproduct
 from math import comb
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .errors import CapExceededError, ThresholdExceededError
+from .kernels import Bytes, Lists, PastAByte, fit
 from .term import Comp, Dagger, Equation, Morphism, Proj, Sym, Tup, symbols_of
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 100_000
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 1729
 
-# A check's work cap, in table entries, applied by check_equation in this
+# A check's work cap, in table entries, applied by prepare_check in this
 # order before anything of that size is counted or built: each symbol's
 # table, |P|^arity, fits alone; the threshold picks the mode; N
 # interpretations (the exhaustive count or the samples) of the symbol
@@ -60,12 +63,13 @@ DEFAULT_SEED = 1729
 # entries past it is refused too.
 MAX_SAMPLED_ENTRIES = 4_000_000
 
-# Interpretations evaluated together by check_equation: at most BLOCK, and
+# Interpretations evaluated together by a check: at most BLOCK, and
 # no more than fit in BLOCK_ENTRIES entries of their symbol tables or of
 # their widest table, which bounds the memory of a block's tables and
-# index vectors.  Blocks of 16 or more give
-# a check-library pass the same time; blocks of 1 are slower than one
-# interpretation at a time was.
+# index vectors.  On byte tables a check-library pass (cold caches, 2-core
+# x86-64) takes 42 ms with these, 42 ms with blocks of 16, 40 ms of 64 or
+# of 256 in 8192 entries, 47 ms with 512 entries and 54 ms with blocks
+# of 8.
 BLOCK = 32
 BLOCK_ENTRIES = 1024
 
@@ -74,8 +78,6 @@ BLOCK_ENTRIES = 1024
 # bound.
 _POSET_CACHE_SIZE = 16
 _PLAN_CACHE_SIZE = 64
-# A check-library pass asks for about 220 shapes of index vectors.
-_OFFSETS_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -301,7 +303,8 @@ def _upper_bounds(poset: PosetModel) -> _UpperBounds:
 @lru_cache(maxsize=_POSET_CACHE_SIZE)
 def _monotone_pool(poset: PosetModel, arity: int, cap: int, entries: int) -> tuple:
     """The count of monotone tables P^arity -> P, up to cap + 1, and the
-    tables as tuples in the order of ``_monotone_tables``, or None past cap
+    tables in the order of ``_monotone_tables``, as bytes (as tuples on a
+    poset of more than 256 elements), or None past cap
     or past entries // |P|^arity, the most an exhaustive check of ``entries``
     entries uses.  Two lower bounds often tell a count past cap unenumerated.
 
@@ -321,7 +324,7 @@ def _monotone_pool(poset: PosetModel, arity: int, cap: int, entries: int) -> tup
             and _largest_level(poset.ranks(), arity) >= cap.bit_length()):
         return cap + 1, None
     tables, hold = _monotone_tables(poset, arity), min(cap, entries // poset.size ** arity)
-    pool = tuple(map(tuple, islice(tables, hold + 1)))
+    pool = tuple(map(bytes if poset.size <= 256 else tuple, islice(tables, hold + 1)))
     n = len(pool) + sum(1 for _ in islice(tables, cap + 1 - len(pool)))
     return n, pool if n <= hold else None
 
@@ -412,7 +415,8 @@ _REJECTED = bytes(range(128, 256))
 def _two_element_closure(poset: PosetModel, arity: int, n: int) -> tuple:
     """How ``_two_element_blocks`` reads n samples of a symbol of this
     arity: for each index of its table, the place of its draw in the fill
-    plan; and the closure steps ``(up, down, mask)``, one per coordinate,
+    plan, and for one sample of more than one entry an ``itemgetter`` of
+    those places; and the closure steps ``(up, down, mask)``, one per coordinate,
     on the n tables laid out index by index, entry idx of sample b in byte
     lane ``idx * n + b``.  Along the coordinate of stride s the top is bit
     s equal to ``1 - bottom``, and a top index's predecessor lies s indices
@@ -428,7 +432,7 @@ def _two_element_closure(poset: PosetModel, arity: int, n: int) -> tuple:
         lanes = (low + high if top else high + low) * (length // (2 * s))
         shift = 8 * s * n
         steps.append((shift * top, shift * poset.bottom, int.from_bytes(lanes, "little")))
-    return tuple(positions), tuple(steps)
+    return tuple(positions), itemgetter(*positions) if n == 1 < length else None, tuple(steps)
 
 
 def _two_element_blocks(poset: PosetModel, arities: tuple, samples: int, getrandbits,
@@ -445,10 +449,11 @@ def _two_element_blocks(poset: PosetModel, arities: tuple, samples: int, getrand
     the up-closure of its draws.  Words are drawn in bulk, the first one
     least significant, and the accepted ones are carried from block to
     block.  A symbol's draws in a block are gathered index by index, one
-    strided slice per index, closed by one shift and mask per coordinate
-    on an integer with one byte per entry, and read back sample by sample,
-    one strided slice per sample.  The generator may be left past the
-    last word used."""
+    strided slice per index (or one ``itemgetter`` call for a block of one),
+    closed by one shift and mask per coordinate on an integer with one
+    byte per entry, and read back sample by sample, one strided slice per
+    sample, as bytes.  The generator may be left past the last word
+    used."""
     draws = _TOP_BYTE_DRAWS[poset.bottom]
     values = bytes((poset.bottom, 1 - poset.bottom)) + bytes(254)
     lengths = [2 ** a for a in arities]
@@ -466,13 +471,14 @@ def _two_element_blocks(poset: PosetModel, arities: tuple, samples: int, getrand
         if n not in closures:
             closures[n] = [_two_element_closure(poset, a, n) for a in arities]
         tables = []
-        for offset, (positions, steps) in zip(offsets, closures[n]):
+        for offset, (positions, pick, steps) in zip(offsets, closures[n]):
             own = pending[offset:need]
-            x = int.from_bytes(b"".join([own[k::entries] for k in positions]), "little")
+            x = int.from_bytes(bytes(pick(own)) if pick else
+                               b"".join([own[k::entries] for k in positions]), "little")
             for up, down, mask in steps:
                 x |= (x << up >> down) & mask
             by_index = x.to_bytes(n * len(positions), "little")
-            tables.append(list(b"".join([by_index[b::n] for b in range(n)]).translate(values)))
+            tables.append(b"".join([by_index[b::n] for b in range(n)]).translate(values))
         pending = pending[need:]
         yield n, tables
 
@@ -501,19 +507,6 @@ class Interpretation:
                 raise ValueError(f"symbol {name!r} must have one output")
 
 
-@lru_cache(maxsize=_OFFSETS_CACHE_SIZE)
-def _offsets(n: int, width: int, stride: int, step: int) -> tuple:
-    """The index vector ``b * stride + c * step`` for b < n and c < width,
-    where each of n interpretations owns ``width`` entries of one block
-    and ``stride`` of another.  It depends on the shapes of a term's nodes
-    and the block's count alone, so every check of the process shares
-    it."""
-    vec = []
-    for b in range(0, n * stride, stride):
-        vec += range(b, b + width * step, step) if step else [b] * width
-    return tuple(vec)
-
-
 def lfp(fn: TableFn, params=()) -> int:
     """Least fixed point of ``fn: P x P^p -> P`` at the given parameters,
     by iteration from bottom."""
@@ -525,17 +518,33 @@ def lfp(fn: TableFn, params=()) -> int:
         raise ValueError(f"expected {fn.in_arity - 1} parameters, got {len(params)}")
     # the body at these parameters alone, x -> fn(x, params), as a block of one
     at_params = fn.table[_encode(params, poset.size)::poset.size ** len(params)]
-    return _fixed_points(poset, 1, 0)(at_params, 1)[0]
+    return _fixed_points(poset, 1, 0, Lists)(at_params, 1)[0]
+
+
+def _compile_sides(sides: list, poset: PosetModel, slots: dict, count: int,
+                   widths: list) -> tuple:
+    """The kernel a check runs on and the runs of its sides compiled for
+    it: ``Bytes`` when the poset, every code and every gathered table of
+    the sides fit in a byte, else ``Lists``, which no walk refuses."""
+    for kernel in (Bytes, Lists)[poset.size > 256:]:
+        try:
+            return kernel, [_as_run(*_compile(side, poset, slots, count, widths, kernel)[:2])
+                            for side in sides]
+        except PastAByte:
+            pass
 
 
 def _compile(m: Morphism, poset: PosetModel, slots: dict, count: int,
-             widths: list) -> tuple:
-    """Compile a term in one walk.  A term without symbols becomes its
-    constant table, returned as ``(table, None)``; any other term becomes
-    ``(None, run)``.  ``run(tables, n)`` evaluates the term on a block of n
+             widths: list, kernel) -> tuple:
+    """Compile a term in one walk, reading each node's source and target
+    once, into ``(table, run, source, target)``.  A term without symbols
+    becomes its constant table, with run None; any other term has table
+    None and ``run(tables, n)``, which evaluates it on a block of n
     interpretations at once: ``tables`` holds, indexed by ``slots``, each
     symbol's n tables one after another, and the result is the term's n
-    tables one after another.
+    tables one after another, in the form of ``kernel``.  On ``Bytes`` a
+    term whose codes or gathered tables pass a byte raises
+    ``PastAByte``.
 
     A term's tables have |P|^source entries per interpretation for the
     source of one of its subterms, and the widest is a leaf's: a
@@ -546,42 +555,42 @@ def _compile(m: Morphism, poset: PosetModel, slots: dict, count: int,
     if isinstance(m, Proj):
         width = _width(size, m.n, count, widths)
         span = size ** (m.n - m.i)
-        return [(idx // span) % size for idx in range(width)], None
+        return kernel.table([(idx // span) % size for idx in range(width)]), None, m.n, 1
     if isinstance(m, Sym):
         slot = slots[m.symbol.name]
-        return None, lambda tables, n: tables[slot]
+        return None, lambda tables, n: tables[slot], m.symbol.in_arity, 1
     if isinstance(m, Tup):
         if not m.parts:
-            return [0] * _width(size, m.source, count, widths), None
-        parts = [_compile(part, poset, slots, count, widths) for part in m.parts]
-        scales = [size ** part.target for part in m.parts[1:]]
-        if all(run is None for _, run in parts):
-            return _pack([table for table, _ in parts], scales), None
-        return None, lambda tables, n: _pack(
-            [table * n if run is None else run(tables, n) for table, run in parts], scales
-        )
+            return kernel.table([0] * _width(size, m.source, count, widths)), None, m.source, 0
+        parts = [_compile(part, poset, slots, count, widths, kernel) for part in m.parts]
+        target = sum(part[3] for part in parts)
+        fit(kernel, size, target)
+        scales = [size ** part[3] for part in parts[1:]]
+        pack = kernel.pack
+        if all(run is None for _, run, _, _ in parts):
+            return pack([table for table, _, _, _ in parts], scales), None, m.source, target
+        return None, lambda tables, n: pack(
+            [table * n if run is None else run(tables, n) for table, run, _, _ in parts], scales
+        ), m.source, target
     if isinstance(m, Comp):
-        inner, inner_run = _compile(m.f, poset, slots, count, widths)
-        outer, outer_run = _compile(m.g, poset, slots, count, widths)
+        inner, inner_run, source, _ = _compile(m.f, poset, slots, count, widths, kernel)
+        outer, outer_run, middle, target = _compile(m.g, poset, slots, count, widths, kernel)
+        fit(kernel, size, middle)
+        gather, w = kernel.gather, size ** middle
         if outer_run is None:
             if inner_run is None:
-                return [outer[v] for v in inner], None
-            at = outer.__getitem__
-            return None, lambda tables, n: list(map(at, inner_run(tables, n)))
-        inner_run = _as_run(inner, inner_run)
-        # interpretation b's inner table reads b's outer table, which
-        # starts at b * stride in the block
-        shape = size ** m.f.source, size ** m.g.source, 0
-        return None, lambda tables, n: list(map(
-            outer_run(tables, n).__getitem__,
-            map(add, inner_run(tables, n), _offsets(n, *shape)),
-        ))
+                return gather(outer, inner, w), None, source, target
+            return None, lambda tables, n: gather(outer, inner_run(tables, n), w), source, target
+        inner_run, k = _as_run(inner, inner_run), size ** source
+        return None, lambda tables, n: gather(
+            outer_run(tables, n), inner_run(tables, n), w, n, k), source, target
     if isinstance(m, Dagger):
-        body, body_run = _compile(m.body, poset, slots, count, widths)
-        solve = _fixed_points(poset, m.m, m.source)
+        body, body_run, source, _ = _compile(m.body, poset, slots, count, widths, kernel)
+        fit(kernel, size, source)
+        solve = _fixed_points(poset, m.m, source - m.m, kernel)
         if body_run is None:
-            return solve(body, 1), None
-        return None, lambda tables, n: solve(body_run(tables, n), n)
+            return solve(body, 1), None, source - m.m, m.m
+        return None, lambda tables, n: solve(body_run(tables, n), n), source - m.m, m.m
     raise ValueError(f"cannot evaluate {m!r}")
 
 
@@ -602,30 +611,28 @@ def _cap_exceeded(count: int, size: int, sources: list) -> CapExceededError:
                             f"table entries exceed the cap of {MAX_SAMPLED_ENTRIES} entries")
 
 
-def _as_run(table: list | None, run):
+def _as_run(table, run):
     """The run of a compiled term, a constant one repeating its table."""
     return run if run is not None else lambda tables, n: table * n
 
 
-def _fixed_points(poset: PosetModel, m: int, p: int):
+def _fixed_points(poset: PosetModel, m: int, p: int, kernel):
     """``(body, n) -> table``: for n tables of ``body: P^m x P^p -> P^m``
     one after another, the least fixed points at every parameter of every
-    table, iterating them all together from bottom.  From bottom a
-    monotone body climbs a chain of P^m, which has at most
+    table, iterating them all together from bottom with ``kernel.step``.
+    From bottom a monotone body climbs a chain of P^m, which has at most
     ``m * (height - 1) + 1`` elements; one more step is allowed before the
     body is declared not monotone."""
     span = poset.size ** p
-    # entry b * span + c of the result reads body b at x * span + c
-    shape = span, poset.size ** m * span, 1
-    bottom = _encode((poset.bottom,) * m, poset.size)
+    w = poset.size ** m * span
+    bottom = kernel.table([_encode((poset.bottom,) * m, poset.size)])
     steps = range(m * (poset.height() - 1) + 2)
+    step = kernel.step
 
-    def solve(body: list, n: int) -> list:
-        columns = _offsets(n, *shape)
-        xs = [bottom] * (n * span)
+    def solve(body, n: int):
+        xs = bottom * (n * span)
         for _ in steps:
-            rows = xs if span == 1 else map(span.__mul__, xs)
-            nxt = list(map(body.__getitem__, map(add, rows, columns)))
+            nxt = step(body, xs, n, span, w)
             if nxt == xs:
                 return xs
             xs = nxt
@@ -636,21 +643,10 @@ def _fixed_points(poset: PosetModel, m: int, p: int):
     return solve
 
 
-def _pack(parts: list, scales: list) -> list:
-    """Tupling: pack each entry's component outputs in mixed radix,
-    ``code = code * size**width + part``, where ``scales`` holds
-    ``size**width`` for every component after the first.  A block packs
-    entry by entry like a single table."""
-    acc = parts[0]
-    for part, scale in zip(parts[1:], scales):
-        acc = list(map(add, map(scale.__mul__, acc), part))
-    return acc
-
-
 def eval_morphism(m: Morphism, interp: Interpretation) -> TableFn:
     """Interpret a term as a TableFn over the interpretation's poset: a
     block of one interpretation."""
-    tables = []
+    fns = []
     slots = {}
     for name, symbol in symbols_of(m).items():
         fn = interp.by_name.get(name)
@@ -661,11 +657,11 @@ def eval_morphism(m: Morphism, interp: Interpretation) -> TableFn:
                 f"symbol {name!r} has arity {symbol.in_arity}, "
                 f"interpreted with {fn.in_arity}"
             )
-        slots[name] = len(tables)
-        tables.append(fn.table)
+        slots[name] = len(fns)
+        fns.append(fn)
     poset = interp.poset
-    table = _as_run(*_compile(m, poset, slots, 1, []))(tables, 1)
-    return TableFn(poset, m.source, m.target, table)
+    kernel, (run,) = _compile_sides([m], poset, slots, 1, [])
+    return TableFn(poset, m.source, m.target, run([kernel.table(fn.table) for fn in fns], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +707,7 @@ def _counterexample(eq: Equation, poset: PosetModel, tables: list, b: int,
     size = poset.size
     lengths = [size ** s.in_arity for s in eq.symbols]
     return {
-        "symbols": {s.name: table[b * k:(b + 1) * k]
+        "symbols": {s.name: list(table[b * k:(b + 1) * k])
                     for s, table, k in zip(eq.symbols, tables, lengths)},
         "input": list(_decode(idx, size, eq.lhs.source)),
         "lhs": list(_decode(lhs, size, eq.lhs.target)),
@@ -730,15 +726,18 @@ def interpretation_count(eq: Equation, poset: PosetModel, cap: int) -> int:
     return total
 
 
-def check_equation(
-    eq: Equation,
-    poset: PosetModel,
-    mode: str = "auto",
-    seed: int | None = None,
-    samples: int | None = None,
-    threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
-) -> CheckResult:
-    """Check an equation over all (or sampled) monotone interpretations.
+def check_equation(eq: Equation, poset: PosetModel, mode: str = "auto", seed: int | None = None,
+                   samples: int | None = None,
+                   threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD) -> CheckResult:
+    """Check an equation: the check ``prepare_check`` sizes, run at once."""
+    return prepare_check(eq, poset, mode, seed, samples, threshold)()
+
+
+def prepare_check(eq: Equation, poset: PosetModel, mode: str = "auto", seed: int | None = None,
+                  samples: int | None = None, threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD):
+    """Size and compile a check of an equation over all (or sampled)
+    monotone interpretations, returned as a function of no arguments that
+    runs it to its CheckResult, so that every check can be sized first.
 
     ``mode`` is "exhaustive", "sampled", or "auto" (exhaustive when the
     interpretation count fits under ``threshold``).  Sampling uses ``seed``
@@ -781,45 +780,51 @@ def check_equation(
         raise _cap_exceeded(count, poset.size, arities)
     slots = {s.name: k for k, s in enumerate(eq.symbols)}
     widths = [entries]
-    lhs = _as_run(*_compile(eq.lhs, poset, slots, count, widths))
-    rhs = _as_run(*_compile(eq.rhs, poset, slots, count, widths))
+    kernel, (lhs, rhs) = _compile_sides([eq.lhs, eq.rhs], poset, slots, count, widths)
     block_size = max(1, min(BLOCK, BLOCK_ENTRIES // max(widths)))
-    if mode == "sampled":
-        getrandbits = random.Random(seed).getrandbits
-        if poset.size == 2:
-            blocks = _two_element_blocks(poset, arities, samples, getrandbits, block_size)
+
+    def run() -> CheckResult:
+        if mode == "sampled":
+            getrandbits = random.Random(seed).getrandbits
+            if poset.size == 2:
+                blocks = _two_element_blocks(poset, arities, samples, getrandbits, block_size)
+                if kernel is Lists:
+                    blocks = ((n, [list(table) for table in tables]) for n, tables in blocks)
+            else:
+                bounds = _upper_bounds(poset)
+                plans = [_fill_plan(poset, arity) for arity in arities]
+                blocks = _blocks((
+                    [kernel.table(_random_table(plan, bounds, getrandbits)) for plan in plans]
+                    for _ in range(samples)
+                ), kernel.join, block_size)
         else:
-            bounds = _upper_bounds(poset)
-            plans = [_fill_plan(poset, s.in_arity) for s in eq.symbols]
-            blocks = _blocks((
-                [_random_table(plan, bounds, getrandbits) for plan in plans]
-                for _ in range(samples)
-            ), block_size)
-    else:
-        pools = [_monotone_pool(poset, s.in_arity, threshold, MAX_SAMPLED_ENTRIES)[1]
-                 for s in eq.symbols]
-        blocks = _blocks(iproduct(*pools), block_size)
-    width = poset.size ** eq.lhs.source
-    checked = 0
-    for n, tables in blocks:
-        lhs_block = lhs(tables, n)
-        rhs_block = rhs(tables, n)
-        if lhs_block != rhs_block:
-            # the interpretation holding the first entry where the sides differ
-            j = next(j for j, (a, b) in enumerate(zip(lhs_block, rhs_block)) if a != b)
-            b = j // width
-            return CheckResult(
-                eq.name, poset.name, mode, seed, checked + b + 1, False,
-                _counterexample(eq, poset, tables, b, j - b * width, lhs_block[j], rhs_block[j]),
-            )
-        checked += n
-    return CheckResult(eq.name, poset.name, mode, seed, checked, True, None)
+            pools = [_monotone_pool(poset, arity, threshold, MAX_SAMPLED_ENTRIES)[1]
+                     for arity in arities]
+            blocks = _blocks(iproduct(*pools), kernel.join, block_size)
+        width = poset.size ** eq.lhs.source
+        checked = 0
+        for n, tables in blocks:
+            lhs_block = lhs(tables, n)
+            rhs_block = rhs(tables, n)
+            if lhs_block != rhs_block:
+                # the interpretation holding the first entry where the sides differ
+                j = next(j for j, (a, b) in enumerate(zip(lhs_block, rhs_block)) if a != b)
+                b = j // width
+                return CheckResult(
+                    eq.name, poset.name, mode, seed, checked + b + 1, False,
+                    _counterexample(eq, poset, tables, b, j - b * width,
+                                    lhs_block[j], rhs_block[j]),
+                )
+            checked += n
+        return CheckResult(eq.name, poset.name, mode, seed, checked, True, None)
+
+    return run
 
 
-def _blocks(interpretations, block_size: int):
+def _blocks(interpretations, join, block_size: int):
     """Consecutive runs of ``block_size`` interpretations (fewer at the
     end), each as ``(n, tables)``: the run's length, and every symbol's
-    tables of the run, one after another, as ``_compile``'s runs read
-    them."""
+    tables of the run, one after another, joined by ``join`` into the
+    form ``_compile``'s runs read."""
     while block := list(islice(interpretations, block_size)):
-        yield len(block), [list(concat.from_iterable(column)) for column in zip(*block)]
+        yield len(block), [join(column) for column in zip(*block)]

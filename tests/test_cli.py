@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WIDE_TERMS, run_limited
-from fpal import cli
+from fpal import cli, cpo_model
 from fpal.automaton import (
     Automaton,
     InitializedAutomaton,
@@ -172,6 +172,34 @@ def test_check_failing_equation_exits_1(tmp_path, capsys):
     blob = json.loads(out)
     assert blob["all_hold"] is False
     assert blob["results"][0]["counterexample"] is not None
+
+
+def test_golden_library_check_on_chain3(capsys, monkeypatch):
+    # recorded before the byte kernel: 102 of the 104 library identities
+    # run on bytes on chain(3), and the two n-dagger identities with n = 3
+    # and a = 2, whose dagger bodies have 3^6 and 3^7 entries, on lists
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    code, out, err = run_cli(["check", "--builtin", "conway", "--samples", "50",
+                              "--poset", "chain:3", "--seed", "1729"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "check_conway_samples50_chain3_seed1729.json").read_text()
+
+
+def test_check_sizes_every_equation_before_checking_any(monkeypatch, capsys):
+    # on chain(4), 200 samples of an identity with two symbols of arity 7
+    # pass the work cap; the identities before it were once checked in
+    # full (4.5 s) before the refusal threw their verdicts away
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    drawn = []
+    draw = cpo_model._random_table
+    monkeypatch.setattr(cpo_model, "_random_table",
+                        lambda *args: drawn.append(args) or draw(*args))
+    code, out, err = run_cli(["check", "--builtin", "conway", "--samples", "200",
+                              "--poset", "chain:4"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error[cap-exceeded]: 200 x (4^7 + 4^7) table entries exceed "
+                   "the cap of 4000000 entries\n")
+    assert not drawn
 
 
 def test_check_requires_one_source(tmp_path, write_aut, capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fpal import cpo_model
+from fpal import cpo_model, kernels
 from fpal.cli import main
 from fpal.cpo_model import (
     Interpretation,
@@ -14,7 +14,6 @@ from fpal.cpo_model import (
     _cover_preds,
     _fill_plan,
     _monotone_pool,
-    _offsets,
     _upper_bounds,
     chain,
     check_equation,
@@ -26,6 +25,7 @@ from fpal.cpo_model import (
     random_monotone,
 )
 from fpal.errors import CapExceededError, ThresholdExceededError
+from fpal.kernels import Lists, lanes, offsets
 from fpal.identities import (
     adding_id_instance,
     conway_library,
@@ -220,27 +220,30 @@ def test_enumeration_order_is_fixed():
 
 
 def test_model_caches_are_bounded():
-    caches = {name: value for name, value in vars(cpo_model).items()
-              if hasattr(value, "cache_info")}
-    assert {"_offsets", "_monotone_pool"} <= set(caches)
+    caches = {name: value for module in (cpo_model, kernels)
+              for name, value in vars(module).items() if hasattr(value, "cache_info")}
+    assert {"offsets", "lanes", "_monotone_pool"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
 
 
 def test_index_vectors_are_shared_by_the_checks_of_a_process():
     # read-only tuples, since every check of the process reads them
-    assert type(_offsets(2, 3, 4, 1)) is tuple
-    assert _offsets(2, 3, 4, 1) == (0, 1, 2, 4, 5, 6)
-    assert _offsets(2, 3, 4, 0) == (0, 0, 0, 4, 4, 4)
-    # a composition of two symbols and a dagger read index vectors
+    assert type(offsets(2, 3, 4, 1)) is tuple
+    assert offsets(2, 3, 4, 1) == (0, 1, 2, 4, 5, 6)
+    assert offsets(2, 3, 4, 0) == (0, 0, 0, 4, 4, 4)
+    # on byte lanes, ints whose offsets start over every 256 // stride
+    # interpretations
+    assert lanes(3, 2, 100, 1).to_bytes(6, "little") == bytes([0, 1, 100, 101, 0, 1])
+    # a composition of two symbols and a dagger read lane offsets
     f, g = Sym(Symbol("f", 1)), Sym(Symbol("g", 2))
     eq = Equation.of("fg dagger", Dagger(Comp(f, g), 1), Dagger(Comp(f, g), 1))
-    _offsets.cache_clear()
+    lanes.cache_clear()
     assert check_equation(eq, C3, mode="exhaustive").holds
-    first = _offsets.cache_info()
+    first = lanes.cache_info()
     assert first.misses > 0
     assert check_equation(eq, C3, mode="exhaustive").holds
-    second = _offsets.cache_info()
+    second = lanes.cache_info()
     assert second.misses == first.misses
     assert second.hits > first.hits
 
@@ -272,7 +275,7 @@ def test_exhaustive_pools_are_enumerated_once_per_poset_and_arity(monkeypatch):
     for poset, arity in ((C2, 1), (C2, 2), (V, 1), (V, 2)):
         pool = _monotone_pool(poset, arity, cpo_model.DEFAULT_EXHAUSTIVE_THRESHOLD,
                               cpo_model.MAX_SAMPLED_ENTRIES)
-        assert pool[1] == tuple(tuple(fn.table) for fn in enumerate_monotone(poset, arity))
+        assert pool[1] == tuple(bytes(fn.table) for fn in enumerate_monotone(poset, arity))
 
 
 def test_monotone_tables_run_once_per_pool(monkeypatch):
@@ -686,7 +689,7 @@ TWO_ELEMENT_ARITIES = [(a,) for a in range(10)] + [
 @pytest.mark.parametrize("poset", [C2, B1], ids=["chain2", "bottom1"])
 def test_two_element_blocks_match_randrange(poset):
     # the bulk sampler yields the blocks of the tables randrange draws from
-    # the same seed; 2 * size + 1 samples end in a block of one, and blocks
+    # the same seed, as bytes; 2 * size + 1 samples end in a block of one, and blocks
     # of one draw so few words that later blocks start on carried ones
     bounds = _upper_bounds(poset)
     carried = 0
@@ -699,7 +702,7 @@ def test_two_element_blocks_match_randrange(poset):
             drawn = [[random_table_by_randrange(plan, bounds, ref.randrange) for plan in plans]
                      for _ in range(samples)]
             expect = [
-                (len(run), [list(itertools.chain.from_iterable(col)) for col in zip(*run)])
+                (len(run), [bytes(itertools.chain.from_iterable(col)) for col in zip(*run)])
                 for run in (drawn[i:i + size] for i in range(0, samples, size))
             ]
             rng, calls = random.Random(seed), []
@@ -712,6 +715,110 @@ def test_two_element_blocks_match_randrange(poset):
             assert got == expect, (arities, samples, size)
             carried += len(calls) < len(expect)
     assert carried
+
+
+def _within_a_byte(eq, size: int) -> bool:
+    """Whether every subterm of the equation has at most 256 output codes,
+    |P|^target, and every table a composition or a dagger gathers from,
+    of |P|^source entries for the outer part or the body, at most 256
+    entries."""
+    def fits(m) -> bool:
+        gathered = {Comp: lambda t: (t.g,), Dagger: lambda t: (t.body,)}.get(type(m),
+                                                                          lambda t: ())(m)
+        parts = {Tup: lambda t: t.parts, Comp: lambda t: (t.g, t.f),
+                 Dagger: lambda t: (t.body,)}.get(type(m), lambda t: ())(m)
+        return (size ** m.target <= 256 and all(size ** g.source <= 256 for g in gathered)
+                and all(map(fits, parts)))
+
+    return fits(eq.lhs) and fits(eq.rhs)
+
+
+def _byte_boundary_equations() -> list:
+    """``(equation, poset, within a byte)``: sides that reach code 255 or
+    gather from a table of 256 entries, and their twins one past."""
+    f, g = Sym(Symbol("f", 1)), Sym(Symbol("g", 1))
+    cases = []
+    for poset, outputs in ((C2, 8), (C2, 9), (chain(4), 4), (chain(4), 5)):
+        lhs = Tup((f,) * outputs, 1)
+        rhs = Tup((f,) * (outputs - 1) + (g,), 1)
+        cases.append((Equation.of(f"{outputs} outputs", lhs, rhs), poset,
+                      poset.size ** outputs <= 256))
+    for arity in (8, 9):
+        h = Sym(Symbol("h", arity))
+        lhs = Comp(h, Tup((f,) * arity, 1))
+        rhs = Comp(h, Tup((f,) * (arity - 1) + (Proj(1, 1),), 1))
+        cases.append((Equation.of(f"outer source {arity}", lhs, rhs), C2, arity == 8))
+        params = tuple(Proj(i, arity - 1) for i in range(1, arity))
+        fixed = Comp(h, Tup((Dagger(h, 1),) + params, arity - 1))
+        cases.append((Equation.of(f"body source {arity}", Dagger(h, 1), fixed), C2, arity == 8))
+    return cases
+
+
+def count_list_primitives(monkeypatch) -> list:
+    """Record every call of a primitive of the list kernel."""
+    calls = []
+    for name in ("pack", "gather", "step"):
+        def counted(*args, primitive=getattr(Lists, name), name=name):
+            calls.append(name)
+            return primitive(*args)
+
+        monkeypatch.setattr(Lists, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", _byte_boundary_equations(),
+                         ids=lambda case: f"{case[0].name} on {case[1].name}")
+def test_checks_at_the_byte_boundary_match_the_oracle(case, monkeypatch):
+    # a check within a byte runs on bytes, one past it on lists
+    eq, poset, within = case
+    assert _within_a_byte(eq, poset.size) == within
+    calls = count_list_primitives(monkeypatch)
+    refuted = False
+    for seed in (1, 2):
+        refuted |= not assert_matches_oracle(eq, poset, "sampled", seed).holds
+        if interpretation_count(eq, poset, DIFFERENTIAL_THRESHOLD) <= DIFFERENTIAL_THRESHOLD:
+            assert_matches_oracle(eq, poset, "exhaustive", seed)
+    assert refuted == (not eq.name.startswith("body"))
+    assert bool(calls) != within
+
+
+def test_library_checks_on_chain2_run_on_bytes(monkeypatch):
+    calls = count_list_primitives(monkeypatch)
+    for seed, eq in enumerate(library_equations()):
+        check_equation(eq, C2, seed=seed, samples=40)
+    assert not calls
+    # the same primitives, called through the list kernel, are counted
+    check_equation(_byte_boundary_equations()[1][0], C2, samples=3)
+    assert calls
+
+
+def test_library_checks_past_a_byte_on_chain4_match_the_oracle():
+    # 12 library identities have a subterm of more than 256 codes or
+    # gather from a table of more than 256 entries on chain(4)
+    wide = [eq for eq in conway_library() if not _within_a_byte(eq, 4)]
+    assert len(wide) == 12
+    assert all(_within_a_byte(eq, 2) for eq in conway_library())
+    for seed, eq in enumerate(wide):
+        assert_matches_oracle(eq, chain(4), "sampled", seed, samples=3)
+
+
+def test_a_block_with_one_interpretation_not_monotone_is_refused(monkeypatch):
+    # the pool's fourth table of f of arity 2 on chain(2) is replaced by a
+    # table that is not monotone, and its dagger then has no fixed point
+    # to reach: the block holding it is refused as a whole
+    f = Sym(Symbol("f", 2))
+    eq = Equation.of("fixed point", Dagger(f, 1), Comp(f, Tup((Dagger(f, 1), Proj(1, 1)), 1)))
+    assert check_equation(eq, C2, mode="exhaustive").holds
+    pool = cpo_model._monotone_pool
+
+    def spoiled(poset, arity, *caps):
+        count, tables = pool(poset, arity, *caps)
+        flip = type(tables[0])([1, 0, 0, 0])
+        return count, tables[:3] + (flip,) + tables[4:]
+
+    monkeypatch.setattr(cpo_model, "_monotone_pool", spoiled)
+    with pytest.raises(RuntimeError):
+        check_equation(eq, C2, mode="exhaustive")
 
 
 @pytest.mark.parametrize("poset", [C2, C3], ids=["chain2", "chain3"])
