@@ -31,7 +31,12 @@ time.  ``fpal check
 --builtin conway --samples 200`` (``fpal.cli.main``, stdout discarded) is
 timed whole: the model checker on every library identity, on chain(2),
 whose samples are drawn a block at a time, and with ``--poset chain:3``,
-whose samples are drawn entry by entry.  The last item
+whose samples are drawn entry by entry.  ``check library pass, cold``
+times the 113 checks of perfbench's check-library workload at seed 2501
+(the same equations, order, sampling seeds and settings) with the caches
+emptied, as its forked passes start: ``prepare`` sums the
+``prepare_check`` calls, which size and compile each check, and ``run``
+the checks they return, so the compile layer shows on its own.  The last item
 is ``fpal divisors`` on the S7 automaton (order 5040, the monoid cap) with
 the subgroup cap raised to 5040 through ``FPAL_CONFIG``; it comes last
 because a tree that holds S7's maximal subgroup as a table keeps that
@@ -79,6 +84,7 @@ import json
 import os
 import pathlib
 import platform
+import random
 import shutil
 import subprocess
 import sys
@@ -281,6 +287,44 @@ def check_wide_sampled() -> None:
         raise RuntimeError("sym(f) = sym(f) should hold")
 
 
+def check_library_cases(seed: int) -> list:
+    """``(equation, sampling seed)`` for each op of perfbench's
+    check-library workload at this seed, in its order: the library
+    identities and its corrupted equations, shuffled by the seed, each
+    then given its own seed."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import CORRUPTED_EQUATIONS
+    from fpal import identities
+    from fpal.term import parse_equation
+
+    cases = (identities.conway_library()
+             + [identities.cycle_transposition_identity(n, 1) for n in (3, 4)]
+             + [identities.adding_id_instance(n, 1) for n in (1, 2)]
+             + [parse_equation(text) for text in CORRUPTED_EQUATIONS])
+    rng = random.Random(seed)
+    rng.shuffle(cases)
+    return [(eq, rng.randrange(2**31)) for eq in cases]
+
+
+def check_library_pass(cases: list) -> tuple:
+    """Seconds of the ``prepare_check`` calls and of the checks they
+    return over one pass of check-library's cases on chain(2), with the
+    caches emptied first."""
+    from fpal.cpo_model import chain, prepare_check
+    from workloads import LIBRARY_SAMPLES, LIBRARY_THRESHOLD
+
+    c2 = chain(2)
+    clear_caches()
+    prepare = run = 0.0
+    for eq, seed in cases:
+        start = time.perf_counter()
+        check = prepare_check(eq, c2, "auto", seed, LIBRARY_SAMPLES, LIBRARY_THRESHOLD)
+        ready = time.perf_counter()
+        check()
+        prepare, run = prepare + ready - start, run + time.perf_counter() - ready
+    return prepare, run
+
+
 def fpal_quietly(*argv: str) -> None:
     """``fpal.cli.main(argv)`` with stdout discarded; it must exit 0."""
     from fpal import cli
@@ -401,6 +445,9 @@ def items(tmp: str) -> dict:
     out["check sym f 3000 refused"] = lambda: sample(lambda: refuse_wide_symbol(3000))
     out["check wide chain(7)"] = lambda: sample(check_wide_chain7)
     out["check sym f 10, 1000 samples"] = lambda: sample(check_wide_sampled)
+    library = check_library_cases(2501)
+    out["check library pass, cold: prepare"] = lambda: check_library_pass(library)[0]
+    out["check library pass, cold: run"] = lambda: check_library_pass(library)[1]
     out["check conway, 200 samples"] = lambda: sample(check_conway)
     out["check conway chain(3), 200 samples"] = lambda: sample(
         lambda: check_conway("--poset", "chain:3"))

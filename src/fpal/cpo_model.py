@@ -10,20 +10,22 @@ sampling interpretations of its symbols and comparing the two evaluated
 tables; a counterexample refutes the equation, but a completed check only
 reports that none was found.
 
-Each side of an equation is compiled once per check into a function from
-the symbol tables to its table: subterms without symbols become constant
-tables at compile time, so an interpretation only pays for the nodes that
-read a symbol.  The compiled side evaluates a block of interpretations at
-once, each table of the block being the tables of its interpretations one
-after another: composition is one gather, with each interpretation's
+The sides of an equation are compiled together once per check, each
+distinct subterm once, into functions from the symbol tables to their
+tables: subterms without symbols become constant tables at compile time,
+so an interpretation only pays for the nodes that read a symbol, each
+once per block.  The checks of a process share projection tables and
+dagger solvers.  The compiled side evaluates a block of interpretations
+at once, each table of the block being the tables of its interpretations
+one after another: composition is one gather, with each interpretation's
 offset into the block added to its indices; tupling packs the
 concatenated tables; a constant is repeated once per interpretation; and
 dagger iterates every interpretation of the block together.  A check of
 one interpretation, as ``eval_morphism`` makes, is a block of one.  The
 primitives come from one of the two kernels of ``fpal.kernels``, picked
 once per check by its compile walk: bytes, a few C calls per node and
-block, when the poset, every output code and every gathered table fit
-in a byte (every identity of the library on chain(2), all but two on
+block, when the poset, every output code and every gathered table fit in
+a byte (every identity of the library on chain(2), all but two on
 chain(3)), and lists, with a ``map`` step per entry, otherwise.
 
 Sampled tables draw each entry as ``Random.randrange`` does, with its
@@ -525,19 +527,22 @@ def _compile_sides(sides: list, poset: PosetModel, slots: dict, count: int,
                    widths: list) -> tuple:
     """The kernel a check runs on and the runs of its sides compiled for
     it: ``Bytes`` when the poset, every code and every gathered table of
-    the sides fit in a byte, else ``Lists``, which no walk refuses."""
+    the sides fit in a byte, else ``Lists``, which no walk refuses.  The
+    sides share one memo, fresh for each kernel tried."""
     for kernel in (Bytes, Lists)[poset.size > 256:]:
+        memo = {}
         try:
-            return kernel, [_as_run(*_compile(side, poset, slots, count, widths, kernel)[:2])
-                            for side in sides]
+            compiled = [_compile(side, poset, slots, count, widths, kernel, memo)
+                        for side in sides]
         except PastAByte:
-            pass
+            continue
+        return kernel, [_as_run(table, run) for table, run, _, _ in compiled]
 
 
 def _compile(m: Morphism, poset: PosetModel, slots: dict, count: int,
-             widths: list, kernel) -> tuple:
+             widths: list, kernel, memo: dict) -> list:
     """Compile a term in one walk, reading each node's source and target
-    once, into ``(table, run, source, target)``.  A term without symbols
+    once, into ``[table, run, source, target]``.  A term without symbols
     becomes its constant table, with run None; any other term has table
     None and ``run(tables, n)``, which evaluates it on a block of n
     interpretations at once: ``tables`` holds, indexed by ``slots``, each
@@ -546,52 +551,93 @@ def _compile(m: Morphism, poset: PosetModel, slots: dict, count: int,
     term whose codes or gathered tables pass a byte raises
     ``PastAByte``.
 
+    ``memo`` maps ``id(node)`` to the entry of each distinct non-symbol
+    node; the term keeps its nodes alive while the memo lives.  A node
+    reached again returns its entry, its run made a ``_OncePerBlock``,
+    which every parent reads from the entry when it runs.
+
     A term's tables have |P|^source entries per interpretation for the
     source of one of its subterms, and the widest is a leaf's: a
     composite has the source of a part, or less.  So each leaf notes its
     width in ``widths`` (a symbol's is counted with the symbol tables), and
     ``_width`` refuses it, before its table is built, past ``count``."""
+    if isinstance(m, Sym):
+        slot = slots[m.symbol.name]
+        return [None, lambda tables, n: tables[slot], m.symbol.in_arity, 1]
+    compiled = memo.get(id(m))
+    if compiled is not None:
+        if compiled[1] is not None and not isinstance(compiled[1], _OncePerBlock):
+            compiled[1] = _OncePerBlock(compiled[1])
+        return compiled
     size = poset.size
     if isinstance(m, Proj):
         width = _width(size, m.n, count, widths)
-        span = size ** (m.n - m.i)
-        return kernel.table([(idx // span) % size for idx in range(width)]), None, m.n, 1
-    if isinstance(m, Sym):
-        slot = slots[m.symbol.name]
-        return None, lambda tables, n: tables[slot], m.symbol.in_arity, 1
-    if isinstance(m, Tup):
-        if not m.parts:
-            return kernel.table([0] * _width(size, m.source, count, widths)), None, m.source, 0
-        parts = [_compile(part, poset, slots, count, widths, kernel) for part in m.parts]
+        project = _projection if width <= BLOCK_ENTRIES else _projection.__wrapped__
+        compiled = [kernel.table(project(kernel, size, m.i, width)), None, m.n, 1]
+    elif isinstance(m, Tup) and not m.parts:
+        compiled = [kernel.table([0] * _width(size, m.source, count, widths)), None, m.source, 0]
+    elif isinstance(m, Tup):
+        parts = [_compile(part, poset, slots, count, widths, kernel, memo) for part in m.parts]
         target = sum(part[3] for part in parts)
         fit(kernel, size, target)
         scales = [size ** part[3] for part in parts[1:]]
         pack = kernel.pack
         if all(run is None for _, run, _, _ in parts):
-            return pack([table for table, _, _, _ in parts], scales), None, m.source, target
-        return None, lambda tables, n: pack(
-            [table * n if run is None else run(tables, n) for table, run, _, _ in parts], scales
-        ), m.source, target
-    if isinstance(m, Comp):
-        inner, inner_run, source, _ = _compile(m.f, poset, slots, count, widths, kernel)
-        outer, outer_run, middle, target = _compile(m.g, poset, slots, count, widths, kernel)
+            compiled = [pack([table for table, _, _, _ in parts], scales), None, m.source, target]
+        else:
+            compiled = [None, lambda tables, n: pack(
+                [table * n if run is None else run(tables, n) for table, run, _, _ in parts],
+                scales), m.source, target]
+    elif isinstance(m, Comp):
+        inner = _compile(m.f, poset, slots, count, widths, kernel, memo)
+        outer = _compile(m.g, poset, slots, count, widths, kernel, memo)
+        source, middle, target = inner[2], outer[2], outer[3]
         fit(kernel, size, middle)
-        gather, w = kernel.gather, size ** middle
-        if outer_run is None:
-            if inner_run is None:
-                return gather(outer, inner, w), None, source, target
-            return None, lambda tables, n: gather(outer, inner_run(tables, n), w), source, target
-        inner_run, k = _as_run(inner, inner_run), size ** source
-        return None, lambda tables, n: gather(
-            outer_run(tables, n), inner_run(tables, n), w, n, k), source, target
-    if isinstance(m, Dagger):
-        body, body_run, source, _ = _compile(m.body, poset, slots, count, widths, kernel)
-        fit(kernel, size, source)
-        solve = _fixed_points(poset, m.m, source - m.m, kernel)
-        if body_run is None:
-            return solve(body, 1), None, source - m.m, m.m
-        return None, lambda tables, n: solve(body_run(tables, n), n), source - m.m, m.m
-    raise ValueError(f"cannot evaluate {m!r}")
+        gather, w, k = kernel.gather, size ** middle, size ** source
+        if outer[1] is not None:
+            compiled = [None, lambda tables, n: gather(
+                outer[1](tables, n), inner[0] * n if inner[1] is None else inner[1](tables, n),
+                w, n, k)]
+        elif inner[1] is not None:
+            compiled = [None, lambda tables, n: gather(outer[0], inner[1](tables, n), w)]
+        else:
+            compiled = [gather(outer[0], inner[0], w), None]
+        compiled += source, target
+    elif isinstance(m, Dagger):
+        body = _compile(m.body, poset, slots, count, widths, kernel, memo)
+        source = body[2] - m.m
+        fit(kernel, size, body[2])
+        solve = _fixed_points(poset, m.m, source, kernel)
+        compiled = ([solve(body[0], 1), None] if body[1] is None else
+                    [None, lambda tables, n: solve(body[1](tables, n), n)]) + [source, m.m]
+    else:
+        raise ValueError(f"cannot evaluate {m!r}")
+    memo[id(m)] = compiled
+    return compiled
+
+
+class _OncePerBlock:
+    """The run of a subterm that occurs more than once in a check, with the
+    last block's ``tables`` list, held so no later list takes its id, and
+    the result for it."""
+
+    __slots__ = ("run", "tables", "result")
+
+    def __init__(self, run):
+        self.run, self.tables, self.result = run, None, None
+
+    def __call__(self, tables: list, n: int):
+        if tables is not self.tables:
+            self.result, self.tables = self.run(tables, n), tables
+        return self.result
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _projection(kernel, size: int, i: int, width: int):
+    """The table of ``pi(i, n)`` for |P|^n = width, read-only: bytes on
+    ``Bytes``, a tuple on ``Lists``, which ``kernel.table`` copies."""
+    span = width // size ** i
+    return (bytes if kernel is Bytes else tuple)((idx // span) % size for idx in range(width))
 
 
 def _width(size: int, source: int, count: int, widths: list) -> int:
@@ -616,21 +662,22 @@ def _as_run(table, run):
     return run if run is not None else lambda tables, n: table * n
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _fixed_points(poset: PosetModel, m: int, p: int, kernel):
     """``(body, n) -> table``: for n tables of ``body: P^m x P^p -> P^m``
     one after another, the least fixed points at every parameter of every
     table, iterating them all together from bottom with ``kernel.step``.
     From bottom a monotone body climbs a chain of P^m, which has at most
     ``m * (height - 1) + 1`` elements; one more step is allowed before the
-    body is declared not monotone."""
+    body is declared not monotone.  The checks of a process share each
+    solver, which reads ``kernel.step`` as each solve starts."""
     span = poset.size ** p
     w = poset.size ** m * span
     bottom = kernel.table([_encode((poset.bottom,) * m, poset.size)])
     steps = range(m * (poset.height() - 1) + 2)
-    step = kernel.step
 
     def solve(body, n: int):
-        xs = bottom * (n * span)
+        xs, step = bottom * (n * span), kernel.step
         for _ in steps:
             nxt = step(body, xs, n, span, w)
             if nxt == xs:

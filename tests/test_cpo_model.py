@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import pathlib
@@ -43,7 +44,10 @@ from fpal.term import (
     base_from_function,
     dagger,
     identity,
+    parse_equation,
     power,
+    render_equation,
+    symbols_of,
     tup,
 )
 from conftest import WIDE_TERMS, run_limited
@@ -222,9 +226,79 @@ def test_enumeration_order_is_fixed():
 def test_model_caches_are_bounded():
     caches = {name: value for module in (cpo_model, kernels)
               for name, value in vars(module).items() if hasattr(value, "cache_info")}
-    assert {"offsets", "lanes", "_monotone_pool"} <= set(caches)
+    assert {"offsets", "lanes", "_monotone_pool", "_projection", "_fixed_points"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
+
+
+def test_the_bench_empties_the_model_caches():
+    spec = importlib.util.spec_from_file_location(
+        "algebra_latency", pathlib.Path(__file__).parents[1] / "bench" / "algebra_latency.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    f = Sym(Symbol("f", 2))
+    eq = Equation.of("fixed point", Dagger(f, 1), Comp(f, Tup((Dagger(f, 1), Proj(1, 1)), 1)))
+    assert check_equation(eq, C2).holds
+    caches = (cpo_model._projection, cpo_model._fixed_points, cpo_model._monotone_pool)
+    assert all(cache.cache_info().currsize for cache in caches)
+    bench.clear_caches()
+    assert not any(cache.cache_info().currsize for cache in caches)
+
+
+def test_cached_projection_tables_are_read_only():
+    # bytes on the byte kernel; on lists a tuple, which a compile copies
+    # into a list of the check's own
+    for kernel, kind in ((kernels.Bytes, bytes), (Lists, tuple)):
+        cached = cpo_model._projection(kernel, 3, 2, 9)
+        assert (type(cached), list(cached)) == (kind, [0, 1, 2] * 3)
+    table = cpo_model._compile(Proj(2, 2), C3, {}, 1, [], Lists, {})[0]
+    assert (type(table), table) == (list, [0, 1, 2] * 3)
+    table[0] = 2
+    assert cpo_model._compile(Proj(2, 2), C3, {}, 1, [], Lists, {})[0] == [0, 1, 2] * 3
+
+
+def test_a_constant_side_on_lists_compares_as_a_list(monkeypatch):
+    # six codes of chain(3) pass a byte, so this check runs on lists; its
+    # lhs is the cached table of pi(1,1), and a block of it must be a list
+    # to compare equal to the rhs's blocks
+    f = Sym(Symbol("f", 1))
+    rhs = Comp(Proj(1, 6), Tup((Proj(1, 1),) + (f,) * 5, 1))
+    calls = count_list_primitives(monkeypatch)
+    for mode in ("exhaustive", "sampled"):
+        eq = Equation.of("first of six", Proj(1, 1), rhs)
+        assert check_equation(eq, C3, mode, samples=20).holds
+    assert calls
+
+
+def _occurrences(m, seen: dict) -> dict:
+    """Every node of a term by identity, as ``id -> [node, occurrences]``."""
+    seen.setdefault(id(m), [m, 0])[1] += 1
+    for part in {Tup: lambda t: t.parts, Comp: lambda t: (t.g, t.f),
+                 Dagger: lambda t: (t.body,)}.get(type(m), lambda t: ())(m):
+        _occurrences(part, seen)
+    return seen
+
+
+def test_each_distinct_dagger_is_solved_once_per_block(monkeypatch):
+    # the rhs holds dagger(sym(f),1) three times and a 2-dagger twice,
+    # each the same object; with the lhs's dagger, three distinct daggers
+    # read symbols
+    eq = next(eq for eq in conway_library() if eq.name == "pairing[a=1,b=2,c=0]")
+    daggers = [k for m, k in _occurrences(eq.rhs, _occurrences(eq.lhs, {})).values()
+               if isinstance(m, Dagger) and symbols_of(m)]
+    assert (len(daggers), sum(daggers)) == (3, 6)
+    # a solve starts from the bottom block, all zeros on chain(2), and
+    # never steps from it again; solvers read the step as they start
+    solves, blocks = [], []
+    step, real_blocks = kernels.Bytes.step, cpo_model._blocks
+    monkeypatch.setattr(kernels.Bytes, "step",
+                        lambda body, xs, *rest: solves.append(not any(xs)) or step(body, xs, *rest))
+    monkeypatch.setattr(cpo_model, "_blocks", lambda *args: (
+        blocks.append(n) or (n, tables) for n, tables in real_blocks(*args)))
+    run = cpo_model.prepare_check(eq, C2, mode="exhaustive")
+    solves.clear()
+    assert run().holds and len(blocks) > 1
+    assert sum(solves) == len(daggers) * len(blocks)
 
 
 def test_index_vectors_are_shared_by_the_checks_of_a_process():
@@ -731,6 +805,28 @@ def _within_a_byte(eq, size: int) -> bool:
                 and all(map(fits, parts)))
 
     return fits(eq.lhs) and fits(eq.rhs)
+
+
+@pytest.mark.parametrize("poset", [C2, C3], ids=["chain2", "chain3"])
+def test_shared_subterms_check_as_their_unshared_twins(poset):
+    # 80 of these equations share a subterm that reads symbols, by
+    # identity, and their rendered and parsed twins share none; exhaustive
+    # and two sampled settings give each the same result
+    shared = refuted = 0
+    for k, eq in enumerate(library_equations()):
+        twin = parse_equation(render_equation(eq))
+        nodes = _occurrences(eq.rhs, _occurrences(eq.lhs, {})).values()
+        shared += any(n > 1 and not isinstance(m, Sym) and symbols_of(m) for m, n in nodes)
+        assert all(n == 1 for _, n in _occurrences(twin.rhs, _occurrences(twin.lhs, {})).values())
+        settings = [("sampled", k, 25), ("sampled", 1000 + k, 3)]
+        if interpretation_count(eq, poset, DIFFERENTIAL_THRESHOLD) <= DIFFERENTIAL_THRESHOLD:
+            settings.append(("exhaustive", None, None))
+        for mode, seed, samples in settings:
+            got, want = (check_equation(e, poset, mode, seed, samples, DIFFERENTIAL_THRESHOLD)
+                         .to_json() for e in (eq, twin))
+            assert got == want, (eq.name, mode)
+            refuted += not got["holds"]
+    assert shared == 80 and refuted > 10
 
 
 def _byte_boundary_equations() -> list:
