@@ -13,7 +13,6 @@ from .algebra import (
     TransformationMonoid,
     composition_factors,
     cyclic_group,
-    divides,
     fingerprint,
     group_from_permutations,
     simple_divisors_monoid,
@@ -37,13 +36,9 @@ from .automaton import (
 )
 from .cpo_model import (
     CheckResult,
-    Interpretation,
     PosetModel,
-    TableFn,
     chain,
     check_equation,
-    enumerate_monotone,
-    eval_morphism,
 )
 from .entailment import (
     EntailmentReport,

@@ -127,41 +127,17 @@ class FiniteGroup:
     permutations).  A maximal subgroup of a monoid has the monoid element
     indices of its members, which are their own labels (``labels`` is
     ``elements``), and its product composes two maps and looks the
-    result up in the monoid.  The constructor takes these parts as they
-    are, a group by construction, and checks nothing;
-    ``FiniteGroup.from_table`` takes a multiplication table, a sequence
-    of rows, checks that it is a group and reads its products off the
-    rows."""
+    result up in the monoid.  This is the one constructor: it takes these
+    parts as they are, a group by construction, and checks nothing.  A
+    group read off a multiplication table, with the table's group axioms
+    checked, is a reference kept in the tests (``group_from_table`` in
+    ``tests/oracle.py``)."""
 
     __slots__ = ("elements", "order", "identity", "mul", "labels")
 
     def __init__(self, elements, identity: int, mul, labels=None):
         self.elements, self.order, self.identity, self.mul = elements, len(elements), identity, mul
         self.labels = elements if labels is None else labels
-
-    @classmethod
-    def from_table(cls, table, labels=None) -> FiniteGroup:
-        rows = tuple(map(tuple, table))
-        n = len(rows)
-        if n < 1:
-            raise ValueError("group must have at least one element")
-        if any(len(row) != n for row in rows):
-            raise ValueError("group table must be square")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("label count differs from group order")
-        if not all(0 <= v < n for row in rows for v in row):
-            raise ValueError("table entries out of range")
-        columns = tuple(zip(*rows))
-        # Latin square: every row and column is a permutation.
-        if any(len(set(line)) != n for line in rows + columns):
-            raise ValueError("table rows and columns must be permutations")
-        idx = tuple(range(n))
-        ident = [e for e in idx if rows[e] == idx and columns[e] == idx]
-        if len(ident) != 1:
-            raise ValueError("table has no two-sided identity")
-        return cls(range(n), ident[0], lambda y, x: rows[y][x], labels)
 
     def element_order(self, i: int) -> int:
         mul, k, x = self.mul, 1, i
@@ -697,11 +673,6 @@ def _group_divisors_with_witnesses(g: FiniteGroup, cap: int, skip=(),
     return {fp: DivisorWitness(k, n, idempotent) for fp, (k, n) in found.items()}
 
 
-def simple_divisors_group(g: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> set:
-    """All simple groups dividing ``g``: quotients of subgroups of ``g``."""
-    return set(_group_divisors_with_witnesses(g, cap))
-
-
 class _IdempotentWalk(NamedTuple):
     subgroup_orders: tuple  # order of the maximal subgroup at each idempotent
     witnesses: tuple  # (simple divisor, DivisorWitness without its word), sorted
@@ -782,13 +753,6 @@ def simple_divisors_monoid(
     m: TransformationMonoid, cap: int = DEFAULT_SUBGROUP_CAP
 ) -> set:
     return set(divisor_witnesses_monoid(m, cap))
-
-
-def divides(s: SimpleGroupId, m: TransformationMonoid,
-            cap: int = DEFAULT_SUBGROUP_CAP) -> tuple:
-    """Whether the simple group ``s`` divides the monoid, with a witness."""
-    w = divisor_witnesses_monoid(m, cap).get(s)
-    return (w is not None, w)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ at once, each table of the block being the tables of its interpretations
 one after another: composition is one gather, with each interpretation's
 offset into the block added to its indices; tupling packs the
 concatenated tables; a constant is repeated once per interpretation; and
-dagger iterates every interpretation of the block together.  A check of
-one interpretation, as ``eval_morphism`` makes, is a block of one.  The
+dagger iterates every interpretation of the block together.  The
 primitives come from one of the two kernels of ``fpal.kernels``, picked
 once per check by its compile walk: bytes, a few C calls per node and
 block, when the poset, every output code and every gathered table fit in
@@ -50,7 +49,7 @@ from operator import itemgetter
 
 from .errors import CapExceededError, ThresholdExceededError
 from .kernels import Bytes, Lists, PastAByte, fit
-from .term import Comp, Dagger, Equation, Morphism, Proj, Sym, Tup, symbols_of
+from .term import Comp, Dagger, Equation, Morphism, Proj, Sym, Tup
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 100_000
 DEFAULT_SAMPLES = 10_000
@@ -162,59 +161,6 @@ def chain(k: int) -> PosetModel:
         )
     leq = tuple((False,) * x + (True,) * (k - x) for x in range(k))
     return PosetModel(k, leq, 0, name=f"chain({k})")
-
-
-class TableFn:
-    """A function P^k -> P^t as a flat table of encoded outputs."""
-
-    __slots__ = ("poset", "in_arity", "out_arity", "table")
-
-    def __init__(self, poset: PosetModel, in_arity: int, out_arity: int, table):
-        self.poset = poset
-        self.in_arity = in_arity
-        self.out_arity = out_arity
-        self.table = list(table)
-        if len(self.table) != poset.size ** in_arity:
-            raise ValueError(
-                f"table length {len(self.table)} does not match arity {in_arity}"
-            )
-        if not all(map(range(poset.size ** out_arity).__contains__, self.table)):
-            raise ValueError(f"table entries must lie below {poset.size ** out_arity}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TableFn)
-            and self.poset == other.poset
-            and self.in_arity == other.in_arity
-            and self.out_arity == other.out_arity
-            and self.table == other.table
-        )
-
-    def __repr__(self):
-        return f"TableFn(in={self.in_arity}, out={self.out_arity}, table={self.table})"
-
-    def encode(self, tup) -> int:
-        return _encode(tup, self.poset.size)
-
-    def decode_out(self, code: int) -> tuple:
-        return _decode(code, self.poset.size, self.out_arity)
-
-    def __call__(self, args) -> tuple:
-        args = tuple(args)
-        if len(args) != self.in_arity:
-            raise ValueError(f"expected {self.in_arity} arguments, got {len(args)}")
-        return self.decode_out(self.table[self.encode(args)])
-
-    def is_monotone(self) -> bool:
-        size = self.poset.size
-        leq = self.poset.leq
-        for idx, preds in enumerate(_cover_preds(self.poset, self.in_arity)):
-            out_x = _decode(self.table[idx], size, self.out_arity)
-            for p in preds:
-                out_p = _decode(self.table[p], size, self.out_arity)
-                if not all(leq[a][b] for a, b in zip(out_p, out_x)):
-                    return False
-        return True
 
 
 def _encode(digits, size: int) -> int:
@@ -354,18 +300,6 @@ def _monotone_tables(poset: PosetModel, arity: int):
             stack.append(iter(bounds[plan[k + 1][1](table)][0]))
 
 
-def enumerate_monotone(poset: PosetModel, in_arity: int, limit: int | None = None):
-    """Yield every monotone function P^in_arity -> P as a TableFn, in a
-    fixed deterministic order.  With ``limit``, raise once more than that
-    many functions exist."""
-    for count, table in enumerate(_monotone_tables(poset, in_arity), 1):
-        if limit is not None and count > limit:
-            raise ThresholdExceededError(
-                f"more than {limit} monotone functions; sample instead"
-            )
-        yield TableFn(poset, in_arity, 1, table)
-
-
 def _largest_level(ranks: tuple, arity: int) -> int:
     """Most points of P^arity sharing one total rank: the largest
     coefficient of (sum over x of z^rank(x))^arity."""
@@ -485,42 +419,8 @@ def _two_element_blocks(poset: PosetModel, arities: tuple, samples: int, getrand
         yield n, tables
 
 
-def random_monotone(poset: PosetModel, in_arity: int, rng: random.Random) -> TableFn:
-    """A random monotone function, filled greedily along a linear
-    extension.  Every monotone function has positive probability."""
-    table = _random_table(_fill_plan(poset, in_arity), _upper_bounds(poset), rng.getrandbits)
-    return TableFn(poset, in_arity, 1, table)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-class Interpretation:
-    """Assignment of a monotone TableFn to every symbol name."""
-
-    def __init__(self, poset: PosetModel, by_name: dict):
-        self.poset = poset
-        self.by_name = dict(by_name)
-        for name, fn in self.by_name.items():
-            if fn.poset != poset:
-                raise ValueError(f"symbol {name!r} interpreted over a different poset")
-            if fn.out_arity != 1:
-                raise ValueError(f"symbol {name!r} must have one output")
-
-
-def lfp(fn: TableFn, params=()) -> int:
-    """Least fixed point of ``fn: P x P^p -> P`` at the given parameters,
-    by iteration from bottom."""
-    if fn.out_arity != 1 or fn.in_arity < 1:
-        raise ValueError("least fixed point needs a function P x P^p -> P")
-    poset = fn.poset
-    params = tuple(params)
-    if len(params) != fn.in_arity - 1:
-        raise ValueError(f"expected {fn.in_arity - 1} parameters, got {len(params)}")
-    # the body at these parameters alone, x -> fn(x, params), as a block of one
-    at_params = fn.table[_encode(params, poset.size)::poset.size ** len(params)]
-    return _fixed_points(poset, 1, 0, Lists)(at_params, 1)[0]
 
 
 def _compile_sides(sides: list, poset: PosetModel, slots: dict, count: int,
@@ -690,27 +590,6 @@ def _fixed_points(poset: PosetModel, m: int, p: int, kernel):
     return solve
 
 
-def eval_morphism(m: Morphism, interp: Interpretation) -> TableFn:
-    """Interpret a term as a TableFn over the interpretation's poset: a
-    block of one interpretation."""
-    fns = []
-    slots = {}
-    for name, symbol in symbols_of(m).items():
-        fn = interp.by_name.get(name)
-        if fn is None:
-            raise ValueError(f"no interpretation for symbol {name!r}")
-        if fn.in_arity != symbol.in_arity:
-            raise ValueError(
-                f"symbol {name!r} has arity {symbol.in_arity}, "
-                f"interpreted with {fn.in_arity}"
-            )
-        slots[name] = len(fns)
-        fns.append(fn)
-    poset = interp.poset
-    kernel, (run,) = _compile_sides([m], poset, slots, 1, [])
-    return TableFn(poset, m.source, m.target, run([kernel.table(fn.table) for fn in fns], 1))
-
-
 # ---------------------------------------------------------------------------
 # equation checking
 
@@ -788,7 +667,8 @@ def prepare_check(eq: Equation, poset: PosetModel, mode: str = "auto", seed: int
 
     ``mode`` is "exhaustive", "sampled", or "auto" (exhaustive when the
     interpretation count fits under ``threshold``).  Sampling uses ``seed``
-    (default fixed) and ``samples`` draws, at least one.  The rule of
+    (default fixed; a negative one, whose stream is its absolute value's,
+    is refused in every mode) and ``samples`` draws, at least one.  The rule of
     MAX_SAMPLED_ENTRIES refuses a check with CapExceededError: it sizes
     each symbol's table before counting, then N interpretations (the
     exhaustive count or the samples) before any table is built, in either
@@ -803,6 +683,8 @@ def prepare_check(eq: Equation, poset: PosetModel, mode: str = "auto", seed: int
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     arities = [s.in_arity for s in eq.symbols]
     entries = sum(_width(poset.size, arity, 1, []) for arity in arities)
     if mode in ("auto", "exhaustive"):

@@ -1,18 +1,29 @@
-"""Brute-force references for the divisor pipeline, kept out of the
-library.  They build the full product table of a monoid, and of each
-group, where ``fpal.algebra`` composes maps on demand, they enumerate
-directly what ``fpal.algebra`` derives from the maximal subgroups, and
-they build explicit subgroup and quotient tables where ``fpal.algebra``
-reads sections off index sets, they list the whole subgroup lattice and
-filter it for normal subgroups where ``fpal.algebra`` joins conjugacy
-classes, and they scan that lattice for divisor witnesses where
-``fpal.algebra`` uses Cauchy's theorem, the solvable residual and its
-2-generated subgroups, and they search the maximal subgroup at every
-idempotent where ``fpal.algebra`` takes one per image and skips those
-that can add no divisor; the tests replay the fast routes against them.
-For the model checker they check an equation one interpretation at a
-time, walking each side node by node, where ``fpal.cpo_model``
-evaluates compiled sides on blocks of interpretations."""
+"""Brute-force references for the divisor pipeline and the model
+checker, kept out of the library; the tests replay the fast routes
+against them.
+
+For the divisor pipeline they build the full product table of a monoid,
+and of each group, where ``fpal.algebra`` composes maps on demand, they
+enumerate directly what ``fpal.algebra`` derives from the maximal
+subgroups, and they build explicit subgroup and quotient tables where
+``fpal.algebra`` reads sections off index sets, they list the whole
+subgroup lattice and filter it for normal subgroups where
+``fpal.algebra`` joins conjugacy classes, and they scan that lattice for
+divisor witnesses where ``fpal.algebra`` uses Cauchy's theorem, the
+solvable residual and its 2-generated subgroups, and they search the
+maximal subgroup at every idempotent where ``fpal.algebra`` takes one
+per image and skips those that can add no divisor.  A group read off a
+multiplication table, its group axioms checked, is ``group_from_table``
+here; ``fpal.algebra.FiniteGroup`` has one constructor, which takes the
+elements, identity and product as they are.
+
+For the model checker, tables are plain lists and an interpretation is a
+``{name: table}`` map.  ``reference_eval`` walks a term node by node for
+one interpretation and ``check_one_at_a_time`` checks an equation one
+interpretation at a time, where ``fpal.cpo_model`` evaluates compiled
+sides on blocks of interpretations, and ``is_monotone`` compares a
+table at every ordered pair of points, where ``fpal.cpo_model`` fills
+tables along covers."""
 
 import itertools
 import random
@@ -35,13 +46,7 @@ from fpal.algebra import (
     idempotents,
     maximal_subgroup_at,
 )
-from fpal.cpo_model import (
-    Interpretation,
-    TableFn,
-    _fill_plan,
-    _upper_bounds,
-    enumerate_monotone,
-)
+from fpal.cpo_model import _fill_plan, _monotone_tables, _upper_bounds
 from fpal.errors import CapExceededError
 from fpal.term import Comp, Dagger, Proj, Sym, Tup
 
@@ -68,6 +73,35 @@ def product_table(m: TransformationMonoid) -> np.ndarray:
         pos = np.searchsorted(sorted_keys, _row_keys(composed))
         table[i] = sort[pos]
     return table
+
+
+def group_from_table(table, labels=None) -> FiniteGroup:
+    """The group on 0, ..., n - 1 whose products are read off the rows of
+    a multiplication table, once the table is checked to be a group: a
+    square Latin square with a two-sided identity, and as many labels as
+    rows.  The oracle's subgroup, quotient and monoid-index tables are
+    presented through it; the library builds no group from a table."""
+    rows = tuple(map(tuple, table))
+    n = len(rows)
+    if n < 1:
+        raise ValueError("group must have at least one element")
+    if any(len(row) != n for row in rows):
+        raise ValueError("group table must be square")
+    if labels is not None:
+        labels = tuple(labels)
+        if len(labels) != n:
+            raise ValueError("label count differs from group order")
+    if not all(0 <= v < n for row in rows for v in row):
+        raise ValueError("table entries out of range")
+    columns = tuple(zip(*rows))
+    # Latin square: every row and column is a permutation.
+    if any(len(set(line)) != n for line in rows + columns):
+        raise ValueError("table rows and columns must be permutations")
+    idx = tuple(range(n))
+    ident = [e for e in idx if rows[e] == idx and columns[e] == idx]
+    if len(ident) != 1:
+        raise ValueError("table has no two-sided identity")
+    return FiniteGroup(range(n), ident[0], lambda y, x: rows[y][x], labels)
 
 
 class GroupTable(NamedTuple):
@@ -269,7 +303,7 @@ def group_from_monoid_indices(m: TransformationMonoid, indices, mt=None) -> Fini
         table = [[pos[int(mt[x, y])] for y in indices] for x in indices]
     except KeyError:
         raise ValueError("index set is not closed under the monoid product") from None
-    return FiniteGroup.from_table(table, labels=indices)
+    return group_from_table(table, labels=indices)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +336,7 @@ def subgroup_from_indices(g: FiniteGroup, indices) -> FiniteGroup:
         table = [[pos[rows[x][y]] for y in indices] for x in indices]
     except KeyError:
         raise ValueError("index set is not closed under multiplication") from None
-    return FiniteGroup.from_table(table, labels=[g.labels[x] for x in indices])
+    return group_from_table(table, labels=[g.labels[x] for x in indices])
 
 
 def subgroups(g: FiniteGroup) -> list:
@@ -355,7 +389,7 @@ def quotient_by_indices(g: FiniteGroup, n_idx) -> FiniteGroup:
     qtable = [[coset_of[int(table[mem_a[0], mem_b[0]])] for mem_b in cosets]
               for mem_a in cosets]
     labels = [tuple(g.labels[v] for v in mem) for mem in cosets]
-    return FiniteGroup.from_table(qtable, labels=labels)
+    return group_from_table(qtable, labels=labels)
 
 
 def simple_id(q: FiniteGroup) -> SimpleGroupId:
@@ -469,51 +503,59 @@ def composition_factor_orders_sympy(g: FiniteGroup) -> list:
 # model checking, one interpretation at a time
 
 
-def reference_eval(m, interp: Interpretation) -> TableFn:
-    """Interpret a term by a direct recursive walk, one table per node,
-    with each dagger entry iterated from bottom on its own."""
-    poset = interp.poset
+def reference_eval(m, poset, tables: dict) -> list:
+    """The table of a term, for the symbol tables ``tables`` (name ->
+    list), by a direct recursive walk, one table per node, with each
+    dagger entry iterated from bottom on its own."""
     size = poset.size
     if isinstance(m, Proj):
         span = size ** (m.n - m.i)
-        return TableFn(poset, m.n, 1, [(idx // span) % size for idx in range(size ** m.n)])
+        return [(idx // span) % size for idx in range(size ** m.n)]
     if isinstance(m, Sym):
-        fn = interp.by_name[m.symbol.name]
-        assert fn.in_arity == m.symbol.in_arity
-        return fn
+        table = list(tables[m.symbol.name])
+        assert len(table) == size ** m.symbol.in_arity
+        return table
     if isinstance(m, Tup):
         total = size ** m.source
         table = [0] * total
-        for part in (reference_eval(p, interp) for p in m.parts):
-            scale = size ** part.out_arity
+        for part in m.parts:
+            scale, values = size ** part.target, reference_eval(part, poset, tables)
             for idx in range(total):
-                table[idx] = table[idx] * scale + part.table[idx]
-        return TableFn(poset, m.source, m.target, table)
+                table[idx] = table[idx] * scale + values[idx]
+        return table
     if isinstance(m, Comp):
-        inner = reference_eval(m.f, interp)
-        outer = reference_eval(m.g, interp)
-        return TableFn(poset, inner.in_arity, outer.out_arity,
-                       [outer.table[v] for v in inner.table])
+        outer = reference_eval(m.g, poset, tables)
+        return [outer[v] for v in reference_eval(m.f, poset, tables)]
     if isinstance(m, Dagger):
-        body = reference_eval(m.body, interp)
-        p = body.in_arity - m.m
-        span = size ** p
+        body = reference_eval(m.body, poset, tables)
+        span = size ** m.source
         bottom = 0
         for _ in range(m.m):
             bottom = bottom * size + poset.bottom
         table = []
-        for c in range(size ** p):
+        for c in range(span):
             x = bottom
             for _ in range(m.m * (poset.height() - 1) + 2):
-                nxt = body.table[x * span + c]
+                nxt = body[x * span + c]
                 if nxt == x:
                     break
                 x = nxt
             else:
                 raise RuntimeError("fixed-point iteration failed to stabilize")
             table.append(x)
-        return TableFn(poset, p, m.m, table)
+        return table
     raise AssertionError(f"cannot evaluate {m!r}")
+
+
+def is_monotone(poset, arity: int, table) -> bool:
+    """Whether a table P^arity -> P is monotone, comparing its entries at
+    every pair x <= y of P^arity, apart from the cover relation that
+    ``fpal.cpo_model`` fills and enumerates tables along."""
+    points = list(itertools.product(range(poset.size), repeat=arity))
+    leq = poset.leq
+    return all(leq[table[i]][table[j]]
+               for i, x in enumerate(points) for j, y in enumerate(points)
+               if all(leq[a][b] for a, b in zip(x, y)))
 
 
 def random_table_by_randrange(plan: tuple, bounds, randrange) -> list:
@@ -546,20 +588,16 @@ def check_one_at_a_time(eq, poset, strategy: str, seed: int | None = None,
             for _ in range(samples)
         )
     else:
-        pools = [[fn.table for fn in enumerate_monotone(poset, s.in_arity)]
-                 for s in eq.symbols]
+        pools = [list(_monotone_tables(poset, s.in_arity)) for s in eq.symbols]
         interpretations = itertools.product(*pools)
     points = list(itertools.product(range(poset.size), repeat=eq.lhs.source))
     outputs = list(itertools.product(range(poset.size), repeat=eq.lhs.target))
     checked = 0
     for tables in interpretations:
         checked += 1
-        interp = Interpretation(poset, {
-            s.name: TableFn(poset, s.in_arity, 1, table)
-            for s, table in zip(eq.symbols, tables)
-        })
-        lhs = reference_eval(eq.lhs, interp).table
-        rhs = reference_eval(eq.rhs, interp).table
+        by_name = {s.name: table for s, table in zip(eq.symbols, tables)}
+        lhs = reference_eval(eq.lhs, poset, by_name)
+        rhs = reference_eval(eq.rhs, poset, by_name)
         if lhs != rhs:
             idx = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
             return False, checked, {

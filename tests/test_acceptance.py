@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from conftest import all_automata, extend_with_word_actions, random_automaton
 from fpal.algebra import (
     composition_factors,
-    simple_divisors_group,
     simple_divisors_monoid,
     symmetric_group,
     transition_monoid,
@@ -35,7 +34,7 @@ from fpal.identities import (
     power_identity,
 )
 from oracle import simple_divisors_monoid_bruteforce
-from test_algebra import TieBreaks, alternating5_squared, group_corpus, names
+from test_algebra import TieBreaks, alternating5_squared, group_corpus, group_divisors, names
 from test_cpo_model import (
     corrupted_double_dagger,
     corrupted_drop_params,
@@ -111,7 +110,7 @@ def test_criterion_3_composition_series():
         assert {n for n, _ in picks} == {1, 2}
         s4 = symmetric_group(4)
         assert sorted(f.order for f in composition_factors(s4)) == [2, 2, 2, 3]
-        assert names(simple_divisors_group(symmetric_group(5))) == [
+        assert names(group_divisors(symmetric_group(5))) == [
             "A_5", "C_2", "C_3", "C_5",
         ]
 

@@ -29,14 +29,12 @@ from fpal.algebra import (
     TransformationMonoid,
     composition_factors,
     cyclic_group,
-    divides,
     divisor_witnesses_monoid,
     fingerprint,
     group_from_permutations,
     idempotents,
     is_simple,
     maximal_subgroup_at,
-    simple_divisors_group,
     simple_divisors_monoid,
     symmetric_group,
     transition_monoid,
@@ -47,6 +45,7 @@ import oracle
 from oracle import (
     all_subgroup_sets,
     group_from_monoid_indices,
+    group_from_table,
     group_subsemigroups,
     simple_divisors_monoid_bruteforce,
     units_by_inverse_search,
@@ -63,9 +62,14 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """The table of g x h, for groups on 0, ..., order - 1: (i, j) is
     element i * |h| + j."""
     n, m = g.order, h.order
-    return FiniteGroup.from_table([[g.mul(i, k) * m + h.mul(j, l)
-                                    for k in range(n) for l in range(m)]
-                                   for i in range(n) for j in range(m)])
+    return group_from_table([[g.mul(i, k) * m + h.mul(j, l)
+                              for k in range(n) for l in range(m)]
+                             for i in range(n) for j in range(m)])
+
+
+def group_divisors(g: FiniteGroup) -> set:
+    """The simple divisors of a group: quotients of its subgroups."""
+    return set(algebra._group_divisors_with_witnesses(g, algebra.DEFAULT_SUBGROUP_CAP))
 
 
 def alternating4() -> FiniteGroup:
@@ -210,14 +214,14 @@ def test_group_validation_rejects_non_group():
         ([[0, 1], [1, 0]], ["e"], "label count"),
     ):
         with pytest.raises(ValueError, match=message):
-            FiniteGroup.from_table(table, labels=labels)
+            group_from_table(table, labels=labels)
 
 
 def test_group_tables_are_immutable():
-    # a group built through from_table is checked once, when built, so
-    # the caller's table may not change it afterwards
+    # a group read off a table is checked once, when built, so the
+    # caller's table may not change it afterwards
     table = [[0, 1], [1, 0]]
-    g = FiniteGroup.from_table(table, labels=["e", "s"])
+    g = group_from_table(table, labels=["e", "s"])
     table[0][0] = table[1][1] = 1
     assert [[g.mul(y, x) for x in g.elements] for y in g.elements] == [[0, 1], [1, 0]]
     with pytest.raises(TypeError):
@@ -230,7 +234,7 @@ def test_algebra_values_have_no_instance_dict():
     m = transition_monoid(symmetric_automaton(3))
     groups = [
         FiniteGroup(range(2), 0, lambda y, x: y ^ x),
-        FiniteGroup.from_table([[0, 1], [1, 0]], labels=["e", "s"]),
+        group_from_table([[0, 1], [1, 0]], labels=["e", "s"]),
         cyclic_group(6),
         group_from_permutations([(2, 3, 1), (2, 1, 3)]),
         maximal_subgroup_at(m, m.identity_index, oracle.image_class(m, m.identity_index)),
@@ -536,7 +540,7 @@ def test_class_sizes_rule_out_joins_in_simple_groups(monkeypatch):
 
 def test_simple_divisors_of_s5_group():
     s5 = symmetric_group(5)
-    assert names(simple_divisors_group(s5)) == ["A_5", "C_2", "C_3", "C_5"]
+    assert names(group_divisors(s5)) == ["A_5", "C_2", "C_3", "C_5"]
 
 
 def test_simple_divisors_monoid_examples():
@@ -550,14 +554,12 @@ def test_simple_divisors_monoid_examples():
 def test_divides_with_witness():
     m = transition_monoid(full_T2())
     c2 = fingerprint(cyclic_group(2))
-    ok, witness = divides(c2, m)
-    assert ok
+    witness = divisor_witnesses_monoid(m).get(c2)
     assert witness is not None
     sub = group_from_monoid_indices(m, witness.subgroup)
     assert sub.order == 2
     c5 = fingerprint(cyclic_group(5))
-    ok, witness = divides(c5, m)
-    assert not ok and witness is None
+    assert divisor_witnesses_monoid(m).get(c5) is None
 
 
 def test_divisor_witnesses_name_idempotent():
@@ -801,7 +803,7 @@ def test_unit_walk_matches_the_table_walk(corpus_monoids):
     for m in corpus_monoids + [transition_monoid(q) for q in qs]:
         for e in image_leaders(m):
             h = maximal_subgroup_at(m, e, oracle.image_class(m, e))
-            table = FiniteGroup.from_table(oracle.group_table(h).rows)
+            table = group_from_table(oracle.group_table(h).rows)
             generated = h.order in h.element_orders()
             primes = algebra._prime_factors(h.order)
             for k in range(len(primes) + 1):
@@ -892,7 +894,7 @@ def test_witness_scan_equals_composition_factor_union(corpus_monoids):
         union = set()
         for k in oracle.subgroups(g):
             union.update(oracle.composition_factors(k))
-        assert simple_divisors_group(g) == union
+        assert group_divisors(g) == union
 
 
 def test_units_by_rank_match_inverse_search(corpus_monoids):
@@ -918,10 +920,9 @@ def test_units_by_rank_match_inverse_search(corpus_monoids):
 
 
 def test_map_groups_match_their_tables(corpus_monoids):
-    # a group given as maps and the same group given as
-    # FiniteGroup.from_table(its table) agree; from_table checks the
-    # table, and the small ones are checked for associativity as well.
-    # The corpus has maximal subgroups whose identity is not their least
+    # a group given as maps and the same group read off its table by
+    # group_from_table agree; group_from_table checks the table, and the
+    # small ones are checked for associativity as well. The corpus has maximal subgroups whose identity is not their least
     # element.
     a5_c2 = group_from_permutations([(2, 3, 4, 5, 1, 6, 7), (2, 3, 1, 4, 5, 6, 7),
                                      (1, 2, 3, 4, 5, 7, 6)])
@@ -930,7 +931,7 @@ def test_map_groups_match_their_tables(corpus_monoids):
         groups += [maximal_subgroup_at(m, e, oracle.image_class(m, e)) for e in image_leaders(m)]
     cap = algebra.DEFAULT_SUBGROUP_CAP
     for g in groups:
-        table = FiniteGroup.from_table(oracle.group_table(g).rows, labels=g.labels)
+        table = group_from_table(oracle.group_table(g).rows, labels=g.labels)
         assert table.order > 60 or oracle.is_associative(table)
         assert composition_factors(g) == composition_factors(table)
         assert list(algebra._group_divisors_with_witnesses(g, cap).items()) \

@@ -261,6 +261,18 @@ def test_check_refuses_zero_samples(tmp_path, capsys, samples):
     assert err.startswith("error[bad-input]:")
 
 
+def test_check_refuses_a_negative_seed(capsys, monkeypatch):
+    # random.Random(-7) draws the stream of Random(7), so a negative seed
+    # was printed but checked as its absolute value; FPAL_CONFIG refuses one
+    # too
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    argv = ["check", "--builtin", "conway", "--poset", "chain:3", "--samples", "50"]
+    code, out, err = run_cli(argv + ["--seed", "-7"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[bad-input]:") and err.count("\n") == 1
+    assert run_cli(argv + ["--seed", "0"], capsys)[0] == 0
+
+
 def test_check_wide_symbol(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"exhaustive_threshold": 10, "sample_count": 3}))
