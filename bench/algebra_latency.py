@@ -26,12 +26,13 @@ f of arity 10 and of arity 3000 on chain(2) are timed until they are
 refused, and that of ``comp(sym(f),pi(1,4))`` on chain(7) (1,716
 interpretations of 2,401 entries) until it is refused or answered, the
 two outcomes of the trees this bench compares; ``sym(f) = sym(f)`` with f
-of arity 10 is also checked on 1,000 samples, a block of one sample at a
-time.  ``fpal check
---builtin conway --samples 200`` (``fpal.cli.main``, stdout discarded) is
-timed whole: the model checker on every library identity, on chain(2),
-whose samples are drawn a block at a time, and with ``--poset chain:3``,
-whose samples are drawn entry by entry.  ``check library pass, cold``
+of arity 10 is also checked on 1,000 samples, of 1,024 table entries
+each, so a block holds few of them.  ``fpal check --builtin conway
+--samples 200`` (``fpal.cli.main``, stdout discarded) is timed whole: the
+model checker on every library identity, on chain(2), whose samples are
+drawn a block at a time, and with ``--poset chain:3``, whose samples are
+drawn entry by entry; ``check conway, 10000 samples`` is the default
+``fpal check --builtin conway`` on chain(2).  ``check library pass, cold``
 times the 113 checks of perfbench's check-library workload at seed 2501
 (the same equations, order, sampling seeds and settings) with the caches
 emptied, as its forked passes start: ``prepare`` sums the
@@ -48,9 +49,9 @@ of ``SMALL_CALLS`` calls.  The items named ``cli ...`` time the
 command-line front end, each the best of ``CLI_RUNS`` samples.  ``cli divisors x20`` is twenty
 in-process ``fpal divisors`` runs on small automata (counters, S3 and S4),
 started with the argument parsers dropped as well, so each sample builds
-them as a new process would.  Two are whole ``python -m fpal``
-runs in a fresh interpreter, imports included: ``fpal --help`` and
-``fpal divisors`` on S4.  ``cli fpal --help, max RSS MB`` is, in MB rather
+them as a new process would.  Three are whole ``python -m fpal``
+runs in a fresh interpreter, imports included: ``fpal --help``,
+``fpal divisors`` on S4 and ``fpal check --builtin conway``.  ``cli fpal --help, max RSS MB`` is, in MB rather
 than seconds, the peak resident memory of a fresh ``fpal --help`` that
 writes no bytecode and finds none, on a copy of the tree's sources: it
 compiles every fpal module from source, as a benchmark worker started
@@ -278,7 +279,7 @@ def check_wide_chain7() -> None:
 
 def check_wide_sampled() -> None:
     """``sym(f) = sym(f)`` with f of arity 10 on chain(2), on 1,000 samples:
-    a 1,024-entry table per sample, so blocks of one sample."""
+    a 1,024-entry table per sample."""
     from fpal.cpo_model import chain, check_equation
     from fpal.term import Equation, Sym, Symbol
 
@@ -451,6 +452,9 @@ def items(tmp: str) -> dict:
     out["check conway, 200 samples"] = lambda: sample(check_conway)
     out["check conway chain(3), 200 samples"] = lambda: sample(
         lambda: check_conway("--poset", "chain:3"))
+    out["check conway, 10000 samples"] = lambda: sample(
+        lambda: fpal_quietly("check", "--builtin", "conway"))
+    out["cli fpal check --builtin conway"] = lambda: cli_run(["check", "--builtin", "conway"])
     s7 = write("S7", symmetric_automaton(7))
     cap_file = os.path.join(tmp, "cap5040.json")
     pathlib.Path(cap_file).write_text(json.dumps({"subgroup_cap": 5040}))

@@ -16,7 +16,8 @@ tables: subterms without symbols become constant tables at compile time,
 so an interpretation only pays for the nodes that read a symbol, each
 once per block.  The checks of a process share projection tables and
 dagger solvers.  The compiled side evaluates a block of interpretations
-at once, each table of the block being the tables of its interpretations
+at once, as many as fit in ``BLOCK_ENTRIES`` entries of each of its
+tables, each table of the block being the tables of its interpretations
 one after another: composition is one gather, with each interpretation's
 offset into the block added to its indices; tupling packs the
 concatenated tables; a constant is repeated once per interpretation; and
@@ -48,7 +49,7 @@ from math import comb
 from operator import itemgetter
 
 from .errors import CapExceededError, ThresholdExceededError
-from .kernels import Bytes, Lists, PastAByte, fit
+from .kernels import BLOCK_ENTRIES, Bytes, Lists, PastAByte, fit
 from .term import Comp, Dagger, Equation, Morphism, Proj, Sym, Tup
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 100_000
@@ -64,21 +65,13 @@ DEFAULT_SEED = 1729
 # entries past it is refused too.
 MAX_SAMPLED_ENTRIES = 4_000_000
 
-# Interpretations evaluated together by a check: at most BLOCK, and
-# no more than fit in BLOCK_ENTRIES entries of their symbol tables or of
-# their widest table, which bounds the memory of a block's tables and
-# index vectors.  On byte tables a check-library pass (cold caches, 2-core
-# x86-64) takes 42 ms with these, 42 ms with blocks of 16, 40 ms of 64 or
-# of 256 in 8192 entries, 47 ms with 512 entries and 54 ms with blocks
-# of 8.
-BLOCK = 32
-BLOCK_ENTRIES = 1024
-
 # Cache bounds.  A run checks over a few posets at a few arities each,
 # with one threshold; the pools, which the counts read, share the poset
 # bound.
 _POSET_CACHE_SIZE = 16
 _PLAN_CACHE_SIZE = 64
+# A projection table past this many entries is built for its check alone.
+_PROJECTION_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -356,7 +349,12 @@ def _two_element_closure(poset: PosetModel, arity: int, n: int) -> tuple:
     on the n tables laid out index by index, entry idx of sample b in byte
     lane ``idx * n + b``.  Along the coordinate of stride s the top is bit
     s equal to ``1 - bottom``, and a top index's predecessor lies s indices
-    down (bottom 0) or up (bottom 1)."""
+    down (bottom 0) or up (bottom 1).  Only n tables of at most
+    BLOCK_ENTRIES entries (8,192) in all are kept, so an entry holds at
+    most 13 masks of 8,192 byte lanes (8.8 KB each as an int) and 8,192
+    places (36 bytes each, a tuple slot and an int, and 8 more in the
+    ``itemgetter`` of a block of one), about 474 KB, and the cache at
+    most 64 of them, about 30 MB."""
     top = 1 - poset.bottom
     length = 2 ** arity
     positions = [0] * length
@@ -405,7 +403,8 @@ def _two_element_blocks(poset: PosetModel, arities: tuple, samples: int, getrand
             tops = getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
             pending += tops.translate(draws, _REJECTED)
         if n not in closures:
-            closures[n] = [_two_element_closure(poset, a, n) for a in arities]
+            closures[n] = [(_two_element_closure if n << a <= BLOCK_ENTRIES else
+                            _two_element_closure.__wrapped__)(poset, a, n) for a in arities]
         tables = []
         for offset, (positions, pick, steps) in zip(offsets, closures[n]):
             own = pending[offset:need]
@@ -472,7 +471,7 @@ def _compile(m: Morphism, poset: PosetModel, slots: dict, count: int,
     size = poset.size
     if isinstance(m, Proj):
         width = _width(size, m.n, count, widths)
-        project = _projection if width <= BLOCK_ENTRIES else _projection.__wrapped__
+        project = _projection if width <= _PROJECTION_ENTRIES else _projection.__wrapped__
         compiled = [kernel.table(project(kernel, size, m.i, width)), None, m.n, 1]
     elif isinstance(m, Tup) and not m.parts:
         compiled = [kernel.table([0] * _width(size, m.source, count, widths)), None, m.source, 0]
@@ -535,7 +534,10 @@ class _OncePerBlock:
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _projection(kernel, size: int, i: int, width: int):
     """The table of ``pi(i, n)`` for |P|^n = width, read-only: bytes on
-    ``Bytes``, a tuple on ``Lists``, which ``kernel.table`` copies."""
+    ``Bytes``, a tuple on ``Lists``, which ``kernel.table`` copies.  Only
+    tables of at most _PROJECTION_ENTRIES entries are kept, so the cache
+    holds at most 64 x 1,024 x 36 bytes (a tuple slot and an int), about
+    2.4 MB."""
     span = width // size ** i
     return (bytes if kernel is Bytes else tuple)((idx // span) % size for idx in range(width))
 
@@ -675,9 +677,9 @@ def prepare_check(eq: Equation, poset: PosetModel, mode: str = "auto", seed: int
     mode: the threshold picks the mode, the cap refuses.
     Both sides are compiled once; each interpretation is then a sequence
     of symbol tables in ``eq.symbols`` order, and the sides are evaluated
-    on blocks of up to BLOCK consecutive interpretations, of at most
-    BLOCK_ENTRIES entries of symbol tables or of widest tables unless one
-    interpretation has more.  The first block whose sides differ gives the
+    on blocks of consecutive interpretations, as many as fit in
+    BLOCK_ENTRIES entries of their symbol tables and of their widest
+    tables, and at least one.  The first block whose sides differ gives the
     first interpretation that refutes the equation, so the result is the
     one a check of one interpretation at a time would give.
     """
@@ -710,7 +712,7 @@ def prepare_check(eq: Equation, poset: PosetModel, mode: str = "auto", seed: int
     slots = {s.name: k for k, s in enumerate(eq.symbols)}
     widths = [entries]
     kernel, (lhs, rhs) = _compile_sides([eq.lhs, eq.rhs], poset, slots, count, widths)
-    block_size = max(1, min(BLOCK, BLOCK_ENTRIES // max(widths)))
+    block_size = max(1, BLOCK_ENTRIES // max(widths))
 
     def run() -> CheckResult:
         if mode == "sampled":

@@ -15,33 +15,72 @@ a byte, at most 256 of each, in a few C calls per block: tupling is
 arithmetic on the tables read as ints, one byte lane per entry, which
 no lane carries out of, and a gather adds every interpretation's offset
 in one int, then reads with one ``bytes.translate`` per run of
-interpretations whose tables fill at most 256 bytes.  The offsets depend
-on shapes alone, so every check of a process shares them.
+interpretations whose tables fill at most 256 bytes.
+
+The index vectors depend on shapes alone, so every check of a process
+shares them, in caches bounded in memory as well as in count.  A block
+holds at most ``BLOCK_ENTRIES`` entries in each of its tables, unless one
+interpretation alone has more, and no cached vector is longer: at most
+entries cached x BLOCK_ENTRIES x bytes per entry, which is 32 x 8,192 x
+36 bytes (a tuple slot and an int past 256), about 9.4 MB, for
+``offsets``, and 256 x 8,192 x 1.07 bytes (a byte lane in an int's
+30-bit digits), about 2.2 MB, for ``lanes``.
 """
 
 from functools import lru_cache
 from itertools import chain as concat
 from operator import add
 
-# A check-library pass asks for about 220 shapes of index vectors.
-OFFSETS_CACHE_SIZE = 256
+# The most entries in each table of a block: a check evaluates
+# max(1, BLOCK_ENTRIES // w) interpretations at a time, w being its
+# widest table or the sum of its symbol tables.  Measured on a 2-core
+# x86-64 box against blocks of at most 32 interpretations and 1,024
+# entries, in forked cold passes: a check-library pass (each op's best of
+# 20 passes, seeds 21-22) reads op p90 0.277/0.269 ms there and
+# 0.233/0.205 ms at 4,096, 0.231/0.202 ms at 8,192 and 0.232/0.231 ms at
+# 16,384 entries; `fpal check --builtin conway` (10,000 samples) takes
+# 1.67-1.78 s there, 1.20-1.26 s at 4,096, 1.08-1.17 s at 8,192 and
+# 1.13-1.21 s at 16,384.
+BLOCK_ENTRIES = 8192
+
+# Shapes kept per process.  The library on chain(3) asks for 7 shapes of
+# list offsets and 262 (block length, shape) pairs of lanes, on chain(4)
+# 15 and 146; a check-library pass on chain(2) asks for 137 lanes.
+OFFSETS_CACHE_SIZE = 32
+LANES_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=OFFSETS_CACHE_SIZE)
-def offsets(n: int, width: int, stride: int, step: int) -> tuple:
-    """The index vector ``b * stride + c * step`` for b < n and c < width,
-    where each of n interpretations owns ``width`` entries of one block
-    and ``stride`` of another."""
+def offsets(width: int, stride: int, step: int) -> tuple:
+    """The index vector ``b * stride + c * step`` for c < width and
+    b < BLOCK_ENTRIES // width, where each interpretation of a block owns
+    ``width`` entries of one table and ``stride`` of another: built for
+    the longest block of its shape, whose first n * width entries serve
+    a block of n, since ``map`` stops at its shorter input."""
+    return _index_vector(BLOCK_ENTRIES // width, width, stride, step)
+
+
+def _index_vector(n: int, width: int, stride: int, step: int) -> tuple:
     vec = []
     for b in range(0, n * stride, stride):
         vec += range(b, b + width * step, step) if step else [b] * width
     return tuple(vec)
 
 
-@lru_cache(maxsize=OFFSETS_CACHE_SIZE)
+def _block_offsets(n: int, width: int, stride: int, step: int) -> tuple:
+    """``offsets`` for a block of n, built for it alone past BLOCK_ENTRIES
+    entries, which only a block of one wider interpretation has."""
+    vec = offsets(width, stride, step)
+    return vec if n * width <= len(vec) else _index_vector(n, width, stride, step)
+
+
+@lru_cache(maxsize=LANES_CACHE_SIZE)
 def lanes(n: int, width: int, stride: int, step: int) -> int:
-    """``offsets`` on byte lanes, entry i in byte i of the int, with b
-    counted afresh in every run of ``256 // stride`` interpretations."""
+    """The index vector of a block of n on byte lanes, entry i in byte i
+    of the int, with b counted afresh in every run of ``256 // stride``
+    interpretations.  The block length stays in the key: reading a prefix
+    of one vector per shape, a mask per call, made a check-library pass no
+    faster than the builds it saves (137 for 40 shapes)."""
     run = b"".join([bytes(range(b, b + width * step, step)) if step else bytes((b,)) * width
                     for b in range(0, min(n, 256 // stride) * stride, stride)])
     return int.from_bytes((run * -(-n * width // len(run)))[:n * width], "little")
@@ -70,12 +109,14 @@ class Lists:
 
     def gather(outer: list, idx: list, w: int, n: int = 1, k: int = 0) -> list:
         # interpretation b's idx reads b's outer table, at b * w in the block
-        return list(map(outer.__getitem__, idx if n == 1 else map(add, idx, offsets(n, k, w, 0))))
+        if n > 1:
+            idx = map(add, idx, _block_offsets(n, k, w, 0))
+        return list(map(outer.__getitem__, idx))
 
     def step(body: list, xs: list, n: int, span: int, w: int) -> list:
         # entry b * span + c reads body b at x * span + c
         rows = xs if span == 1 else map(span.__mul__, xs)
-        return list(map(body.__getitem__, map(add, rows, offsets(n, span, w, 1))))
+        return list(map(body.__getitem__, map(add, rows, _block_offsets(n, span, w, 1))))
 
 
 class Bytes:

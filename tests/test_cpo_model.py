@@ -297,6 +297,8 @@ def test_each_distinct_dagger_is_solved_once_per_block(monkeypatch):
                         lambda body, xs, *rest: solves.append(not any(xs)) or step(body, xs, *rest))
     monkeypatch.setattr(cpo_model, "_blocks", lambda *args: (
         blocks.append(n) or (n, tables) for n, tables in real_blocks(*args)))
+    # blocks of 3 interpretations
+    monkeypatch.setattr(cpo_model, "BLOCK_ENTRIES", 3 * widest(eq, C2))
     run = cpo_model.prepare_check(eq, C2, mode="exhaustive")
     solves.clear()
     assert run().holds and len(blocks) > 1
@@ -304,10 +306,16 @@ def test_each_distinct_dagger_is_solved_once_per_block(monkeypatch):
 
 
 def test_index_vectors_are_shared_by_the_checks_of_a_process():
-    # read-only tuples, since every check of the process reads them
-    assert type(offsets(2, 3, 4, 1)) is tuple
-    assert offsets(2, 3, 4, 1) == (0, 1, 2, 4, 5, 6)
-    assert offsets(2, 3, 4, 0) == (0, 0, 0, 4, 4, 4)
+    # read-only tuples, since every check of the process reads them,
+    # built for the longest block of their shape, whose prefix a block reads
+    assert type(offsets(3, 4, 1)) is tuple
+    assert len(offsets(3, 4, 1)) == kernels.BLOCK_ENTRIES // 3 * 3
+    assert offsets(3, 4, 1)[:9] == (0, 1, 2, 4, 5, 6, 8, 9, 10)
+    assert offsets(3, 4, 0)[:6] == (0, 0, 0, 4, 4, 4)
+    # a block of one table past the budget reads a vector of its own
+    wide = kernels.BLOCK_ENTRIES + 1
+    assert offsets(wide, 1, 1) == ()
+    assert kernels._block_offsets(1, wide, 1, 1) == tuple(range(wide))
     # on byte lanes, ints whose offsets start over every 256 // stride
     # interpretations
     assert lanes(3, 2, 100, 1).to_bytes(6, "little") == bytes([0, 1, 100, 101, 0, 1])
@@ -322,6 +330,59 @@ def test_index_vectors_are_shared_by_the_checks_of_a_process():
     second = lanes.cache_info()
     assert second.misses == first.misses
     assert second.hits > first.hits
+
+
+def test_vector_caches_stay_within_their_stated_memory(monkeypatch):
+    # every vector a check keeps in a per-process cache has at most
+    # BLOCK_ENTRIES entries (a projection at most _PROJECTION_ENTRIES), and
+    # no cache passes its maxsize, which bounds each cache's memory as its
+    # docstring states
+    budget = kernels.BLOCK_ENTRIES
+    kept, lists_blocks = {}, set()
+
+    def recording(module, name):
+        real = getattr(module, name)
+        cache = kept.setdefault(name, (real, []))[1]
+
+        def record(*args):
+            cache.append(real(*args))
+            return cache[-1]
+
+        record.__wrapped__ = real.__wrapped__
+        monkeypatch.setattr(module, name, record)
+
+    for module, name in ((kernels, "offsets"), (kernels, "lanes"),
+                         (cpo_model, "_projection"), (cpo_model, "_two_element_closure")):
+        getattr(module, name).cache_clear()
+        recording(module, name)
+    offsets_for_a_block = kernels._block_offsets
+    monkeypatch.setattr(kernels, "_block_offsets", lambda n, *shape: (
+        lists_blocks.add((n, shape)) or offsets_for_a_block(n, *shape)))
+    # the library on byte lanes and on lists, 25 samples ending in a short
+    # block for narrow checks, and tables past the budget: f of arity 14 on
+    # chain(2), and a dagger of 3^9 parameters on chain(3)
+    for eq in library_equations():
+        for poset in (C2, C3, chain(4)):
+            check_equation(eq, poset, "sampled", samples=25 if poset.size < 4 else 3)
+    f = Sym(Symbol("f", 14))
+    assert check_equation(Equation.of("past the budget", f, f), C2, "sampled", samples=2).holds
+    f = Sym(Symbol("f", 1))
+    wide_dagger = Dagger(Comp(f, Proj(1, 10)), 1)
+    assert check_equation(Equation.of("wide dagger", wide_dagger, wide_dagger), C3,
+                          "sampled", samples=1).holds
+    for name, (cache, vectors) in kept.items():
+        assert vectors, name
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize, name
+    assert max(map(len, kept["offsets"][1])) <= budget
+    assert max(-(-v.bit_length() // 8) for v in kept["lanes"][1]) <= budget
+    assert max(map(len, kept["_projection"][1])) <= cpo_model._PROJECTION_ENTRIES
+    for positions, _, steps in kept["_two_element_closure"][1]:
+        assert len(positions) <= budget
+        assert all(-(-mask.bit_length() // 8) <= budget for _, _, mask in steps)
+    # list offsets are keyed by shape alone: one vector serves blocks of
+    # every length
+    shapes = {shape for _, shape in lists_blocks}
+    assert len(lists_blocks) > len(shapes) == kept["offsets"][0].cache_info().misses
 
 
 def test_exhaustive_pools_are_enumerated_once_per_poset_and_arity(monkeypatch):
@@ -651,9 +712,21 @@ def test_dagger_of_non_monotone_table_raises():
 
 # -- blocks of interpretations against the one-at-a-time oracle ---------------
 
-# 36 samples: a block of 32 and a short last block of 4
-DIFFERENTIAL_SAMPLES = 36
+# Under a budget of 256 entries, 36 samples of a check whose widest table
+# has 8 entries are a block of 32 and a short last block of 4
+DIFFERENTIAL_ENTRIES = 256
+DIFFERENTIAL_SAMPLES = DIFFERENTIAL_ENTRIES // 8 + 4
 DIFFERENTIAL_THRESHOLD = 250
+
+
+def widest(eq, poset) -> int:
+    """The widest table of a check of ``eq`` on ``poset``, or the sum of
+    its symbol tables if wider: under a budget of k times it, the check
+    runs blocks of k interpretations."""
+    widths = [sum(poset.size ** s.in_arity for s in eq.symbols)]
+    cpo_model._compile_sides([eq.lhs, eq.rhs], poset,
+                             {s.name: k for k, s in enumerate(eq.symbols)}, 1, widths)
+    return max(widths)
 
 
 def zero_symbol_equations() -> list:
@@ -674,8 +747,8 @@ def assert_matches_oracle(eq, poset, mode, seed, samples=DIFFERENTIAL_SAMPLES):
 
 
 @pytest.mark.parametrize("poset", [C2, C3, B1], ids=["chain2", "chain3", "bottom1"])
-def test_block_checks_match_the_one_at_a_time_oracle(poset):
-    assert cpo_model.BLOCK == 32
+def test_block_checks_match_the_one_at_a_time_oracle(poset, monkeypatch):
+    monkeypatch.setattr(cpo_model, "BLOCK_ENTRIES", DIFFERENTIAL_ENTRIES)
     refuted_at = []
     for seed, eq in enumerate(library_equations() + zero_symbol_equations()):
         modes = ["sampled"]
@@ -686,21 +759,47 @@ def test_block_checks_match_the_one_at_a_time_oracle(poset):
             if not r.holds:
                 refuted_at.append(r.interpretations_checked)
     # refutations inside the first block, past its first interpretation
-    assert any(1 < k < cpo_model.BLOCK for k in refuted_at)
+    assert any(1 < k < DIFFERENTIAL_ENTRIES // 8 for k in refuted_at)
+
+
+@pytest.mark.parametrize("poset", [C2, C3], ids=["chain2", "chain3"])
+def test_block_size_never_changes_a_result(poset, monkeypatch):
+    # a block only batches the same interpretations in the same order:
+    # blocks of 1, 2 and 3 interpretations and the default budget give
+    # every library identity and corrupted equation the same result bytes,
+    # sampled and, where the pool is small, exhaustive
+    default = cpo_model.BLOCK_ENTRIES
+    refuted_late = 0
+    for k, eq in enumerate(library_equations()):
+        settings = [("sampled", k, 25)]
+        if interpretation_count(eq, poset, DIFFERENTIAL_THRESHOLD) <= DIFFERENTIAL_THRESHOLD:
+            settings.append(("exhaustive", None, None))
+        width = widest(eq, poset)
+        for mode, seed, samples in settings:
+            results = set()
+            for budget in (width, 2 * width, 3 * width, default):
+                monkeypatch.setattr(cpo_model, "BLOCK_ENTRIES", budget)
+                r = check_equation(eq, poset, mode, seed, samples, DIFFERENTIAL_THRESHOLD)
+                results.add(json.dumps(r.to_json()))
+            assert len(results) == 1, (eq.name, mode)
+            refuted_late += not r.holds and r.interpretations_checked > 3
+    assert refuted_late
 
 
 def test_refutations_in_later_blocks(monkeypatch):
     # with blocks of 3, 40 samples end in a block of one, and refutations
     # fall at every position of blocks after the first
-    monkeypatch.setattr(cpo_model, "BLOCK", 3)
     positions = set()
     for poset in (C2, C3):
         for make in CORRUPTED:
+            eq = make()
+            monkeypatch.setattr(cpo_model, "BLOCK_ENTRIES", 3 * widest(eq, poset))
             for seed in (1, 2, 3):
-                r = assert_matches_oracle(make(), poset, "sampled", seed, samples=40)
+                r = assert_matches_oracle(eq, poset, "sampled", seed, samples=40)
                 if r.interpretations_checked > 3:
                     positions.add((r.interpretations_checked - 1) % 3)
         for eq in library_equations()[:6] + zero_symbol_equations():
+            monkeypatch.setattr(cpo_model, "BLOCK_ENTRIES", 3 * widest(eq, poset))
             assert_matches_oracle(eq, poset, "sampled", 0, samples=40)
     assert positions == {0, 1, 2}
 
@@ -715,9 +814,13 @@ def test_block_size_shrinks_for_wide_symbols(monkeypatch):
             return source(*args)
 
         monkeypatch.setattr(cpo_model, name, recorded)
-    # one interpretation of f and g on chain(2) holds 2 * 2**9 entries
-    f, g = Sym(Symbol("f", 9)), Sym(Symbol("g", 9))
-    eq = Equation.of("wide pair", Comp(g, Tup((f,) * 9, 9)), Comp(g, Tup((f,) * 9, 9)))
+    # one interpretation of f and g on chain(2) holds 2 * 2**a entries,
+    # the whole budget
+    budget = cpo_model.BLOCK_ENTRIES
+    a = budget.bit_length() - 2
+    assert 2 * 2 ** a == budget
+    f, g = Sym(Symbol("f", a)), Sym(Symbol("g", a))
+    eq = Equation.of("wide pair", Comp(g, Tup((f,) * a, a)), Comp(g, Tup((f,) * a, a)))
     assert_matches_oracle(eq, C2, "sampled", 4, samples=3)
     # f of arity 3 on chain(5) has 125 entries
     assert_matches_oracle(corrupted_double_dagger(), chain(5), "sampled", 4, samples=5)
@@ -726,8 +829,8 @@ def test_block_size_shrinks_for_wide_symbols(monkeypatch):
     f = Sym(Symbol("f", 1))
     eq = Equation.of("wide term", Comp(f, Proj(1, 6)), Comp(f, Proj(1, 6)))
     assert_matches_oracle(eq, C3, "sampled", 4, samples=3)
-    # BLOCK_ENTRIES is 1024: blocks of 1, of 1024 // 125 = 8 and of 1
-    assert sizes == [1, 8, 1]
+    # blocks of 1, of budget // 125 and of budget // 729
+    assert sizes == [1, budget // 125, budget // 729]
 
 
 # single symbols of every arity 0-9, and pairs and triples of mixed arities
@@ -746,7 +849,7 @@ def test_two_element_blocks_match_randrange(poset):
     for seed, arities in enumerate(TWO_ELEMENT_ARITIES):
         plans = [_fill_plan(poset, a) for a in arities]
         entries = sum(2 ** a for a in arities)
-        wide = max(1, min(cpo_model.BLOCK, cpo_model.BLOCK_ENTRIES // entries))
+        wide = max(1, cpo_model.BLOCK_ENTRIES // entries)
         for samples, size in ((1, wide), (wide + 1, wide), (2 * wide + 1, wide), (9, 1), (7, 3)):
             ref = random.Random(seed)
             drawn = [[random_table_by_randrange(plan, bounds, ref.randrange) for plan in plans]
