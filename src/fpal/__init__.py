@@ -74,8 +74,6 @@ from .term import (
     TermError,
     TermTypeError,
     Tup,
-    compose,
-    dagger,
     identity,
     parse,
     parse_equation,
@@ -83,7 +81,6 @@ from .term import (
     render,
     render_equation,
     tup,
-    validate,
 )
 
 __version__ = "0.1.0"

@@ -104,7 +104,7 @@ class TransformationMonoid:
         return self.index[self.then(self.maps[i], self.padded[j])]
 
 
-def transition_monoid(q: Automaton, cap: int = DEFAULT_MONOID_CAP) -> TransformationMonoid:
+def transition_monoid(q: Automaton, cap: int | None = DEFAULT_MONOID_CAP) -> TransformationMonoid:
     """Breadth-first closure of the letter actions under composition."""
     witness = _map_closure(q, cap)
     maps = sorted(witness)
@@ -160,10 +160,12 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(range(n), 0, lambda y, x: (y + x) % n)
 
 
-def _permutation_closure(perms) -> list:
-    """The permutations generated by ``perms`` (1-based image tuples), as
-    the sorted maps of the monoid they generate, which for permutations
-    is the group."""
+def group_from_permutations(perms) -> FiniteGroup:
+    """The group generated by a set of permutations (1-based image
+    tuples): the transition monoid of the automaton whose letters act as
+    them, which for permutations is a group.  Element i is the i-th
+    permutation in sorted order, which is its label, and the product is
+    the monoid's."""
     gens = [tuple(p) for p in perms]
     if not gens:
         raise ValueError("need at least one permutation")
@@ -172,20 +174,9 @@ def _permutation_closure(perms) -> list:
         if sorted(p) != list(range(1, n + 1)):
             raise ValueError(f"{p} is not a permutation of [1..{n}]")
     letters = tuple(f"g{k}" for k in range(len(gens)))
-    return sorted(_map_closure(Automaton(n, letters, tuple(zip(*gens)))))
-
-
-def group_from_permutations(perms) -> FiniteGroup:
-    """Close a set of permutations (1-based image tuples) under
-    composition and present the result as a FiniteGroup on 0, ..., order
-    - 1, element i being the i-th permutation in sorted order, which is
-    its label.  A product composes two maps and looks up the result."""
-    maps = _permutation_closure(perms)
-    encode, pad, then, _ = map_form(len(maps[0]))
-    padded, pos = [pad(p) for p in maps], {t: i for i, t in enumerate(maps)}
-    return FiniteGroup(range(len(maps)), pos[encode(range(len(maps[0])))],
-                       lambda y, x: pos[then(maps[y], padded[x])],
-                       tuple(tuple(v + 1 for v in p) for p in maps))
+    m = transition_monoid(Automaton(n, letters, tuple(zip(*gens))), cap=None)
+    return FiniteGroup(range(m.order), m.identity_index, m.product,
+                       tuple(tuple(v + 1 for v in p) for p in m.maps))
 
 
 def symmetric_group(n: int) -> FiniteGroup:

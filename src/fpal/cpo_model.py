@@ -609,7 +609,7 @@ class CheckResult:
     interpretations_checked: int
     holds: bool
     counterexample: dict | None
-    refutation_only: bool = True
+    refutation_only = True
 
     def to_json(self) -> dict:
         out = {

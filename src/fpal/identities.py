@@ -27,13 +27,9 @@ from .term import (
 )
 
 
-def _sel(values, n: int) -> Morphism:
-    return base_from_function(values, n)
-
-
 def _block(start: int, length: int, n: int) -> Morphism:
     """Select ``length`` consecutive coordinates starting at ``start``."""
-    return _sel(range(start, start + length), n)
+    return base_from_function(range(start, start + length), n)
 
 
 def schematic(name: str, source: int, target: int) -> Morphism:
@@ -69,7 +65,7 @@ def double_dagger_identity(a: int = 1, c: int = 1) -> Equation:
     """Solving twice equals solving once after merging the two recursion
     blocks through the diagonal."""
     f = schematic("f", 2 * a + c, a)
-    merge = _sel(list(range(1, a + 1)) * 2 + list(range(a + 1, a + c + 1)), a + c)
+    merge = base_from_function(list(range(1, a + 1)) * 2 + list(range(a + 1, a + c + 1)), a + c)
     lhs = Dagger(Dagger(f, a), a)
     rhs = Dagger(Comp(f, merge), a)
     return Equation.of(f"double-dagger[a={a},c={c}]", lhs, rhs)
@@ -130,7 +126,7 @@ def pairing_dual_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     block first."""
     f = schematic("f", a + b + c, a)
     g = schematic("g", a + b + c, b)
-    swap = _sel(
+    swap = base_from_function(
         list(range(b + 1, b + a + 1)) + list(range(1, b + 1))
         + list(range(b + a + 1, b + a + c + 1)),
         b + a + c,
@@ -150,7 +146,7 @@ def separated_pairing_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     separately."""
     f = schematic("f", a + c, a)
     g = schematic("g", b + c, b)
-    drop_b = _sel(
+    drop_b = base_from_function(
         list(range(1, a + 1)) + list(range(a + b + 1, a + b + c + 1)), a + b + c
     )
     drop_a = _block(a + 1, b + c, a + b + c)
@@ -164,7 +160,7 @@ def c1_identity(a: int = 1, b: int = 1, c: int = 1) -> Equation:
     block gives that block's own solution."""
     f = schematic("f", a + c, a)
     g = schematic("g", a + b + c, b)
-    drop_b = _sel(
+    drop_b = base_from_function(
         list(range(1, a + 1)) + list(range(a + b + 1, a + b + c + 1)), a + b + c
     )
     joint = Dagger(tup([Comp(f, drop_b), g]), a + b)
@@ -224,8 +220,8 @@ def permutation_identity(sigma, a: int = 1, c: int = 1) -> Equation:
         return out
 
     f = schematic("f", k * a + c, k * a)
-    apply_perm = _sel(blocks(sigma), k * a)
-    undo_args = _sel(
+    apply_perm = base_from_function(blocks(sigma), k * a)
+    undo_args = base_from_function(
         blocks(inverse) + list(range(k * a + 1, k * a + c + 1)), k * a + c
     )
     lhs = Dagger(Comp(apply_perm, Comp(f, undo_args)), k * a)
@@ -242,7 +238,7 @@ def n_dagger_identity(n: int, a: int = 1, c: int = 1) -> Equation:
     lhs: Morphism = f
     for _ in range(n):
         lhs = Dagger(lhs, a)
-    merge = _sel(list(range(1, a + 1)) * n + list(range(a + 1, a + c + 1)), a + c)
+    merge = base_from_function(list(range(1, a + 1)) * n + list(range(a + 1, a + c + 1)), a + c)
     rhs = Dagger(Comp(f, merge), a)
     return Equation.of(f"n-dagger[n={n},a={a},c={c}]", lhs, rhs)
 
@@ -292,13 +288,13 @@ def _system_morphism(q: Automaton, sym_f: Morphism, p: int) -> Morphism:
     comps = []
     for s in range(1, n + 1):
         row = [q.delta[s - 1][j] for j in range(m)] + list(range(n + 1, n + p + 1))
-        comps.append(Comp(sym_f, _sel(row, n + p)))
+        comps.append(Comp(sym_f, base_from_function(row, n + p)))
     return tup(comps, source=n + p)
 
 
 def _diagonal_solution(sym_f: Morphism, m: int, p: int) -> Morphism:
     """Solve the one-variable system got by identifying all inputs."""
-    merge = _sel([1] * m + list(range(2, p + 2)), 1 + p)
+    merge = base_from_function([1] * m + list(range(2, p + 2)), 1 + p)
     return Dagger(Comp(sym_f, merge), 1)
 
 
@@ -378,7 +374,7 @@ def cycle_transposition_identity(n: int, p: int = 1) -> Equation:
     if n < 3:
         raise ValueError(f"this family starts at n = 3, got {n}")
     sym_f = schematic("f", 2 + p, 1)
-    merge = _sel([1, 1] + list(range(2, p + 2)), 1 + p)
+    merge = base_from_function([1, 1] + list(range(2, p + 2)), 1 + p)
     diag = Comp(sym_f, merge)
     partial = Dagger(sym_f, 1)
     iterated = power(partial, n - 2)
@@ -398,7 +394,7 @@ def adding_id_instance(n: int, p: int = 1) -> Equation:
     syms = [Symbol(f"f{i}", 1 + n + p) for i in range(1, n + 1)]
     comps = []
     for i in range(1, n + 1):
-        feed = _sel([i] + list(range(1, n + p + 1)), n + p)
+        feed = base_from_function([i] + list(range(1, n + p + 1)), n + p)
         comps.append(Comp(Sym(syms[i - 1]), feed))
     g = tup(comps, source=n + p)
     lhs = Dagger(g, n)

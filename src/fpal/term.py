@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 
 class TermError(ValueError):
@@ -21,14 +21,7 @@ class TermError(ValueError):
 
 
 class TermTypeError(TermError):
-    """An ill-typed term.  ``path`` locates the offending subterm as a
-    sequence of child positions from the root."""
-
-    def __init__(self, message: str, path: Sequence[int] = ()):
-        self.path = tuple(path)
-        if self.path:
-            message = f"{message} (at subterm {'.'.join(map(str, self.path))})"
-        super().__init__(message)
+    """An ill-typed term."""
 
 
 class ParseError(TermError):
@@ -209,15 +202,6 @@ def tup(parts: Iterable[Morphism], source: int | None = None) -> Morphism:
     return Tup(parts, parts[0].source)
 
 
-def compose(g: Morphism, f: Morphism) -> Morphism:
-    """``g`` after ``f``; the target of ``f`` must equal the source of ``g``."""
-    return Comp(g, f)
-
-
-def dagger(body: Morphism, m: int) -> Morphism:
-    return Dagger(body, m)
-
-
 def power(f: Morphism, n: int) -> Morphism:
     """Iterate ``f: 1 + p -> 1`` in its first input: the first power is
     ``f`` itself and each next power feeds the previous one back in."""
@@ -233,49 +217,6 @@ def power(f: Morphism, n: int) -> Morphism:
     for _ in range(n - 1):
         acc = Comp(f, Tup((acc, params), 1 + p))
     return acc
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def validate(m: Morphism, _path: tuple = ()) -> tuple:
-    """Recompute and return ``(source, target)``, raising TermTypeError with
-    a path to the first ill-typed subterm."""
-    if isinstance(m, Proj):
-        if not 1 <= m.i <= m.n:
-            raise TermTypeError(f"index {m.i} exceeds arity {m.n}", _path)
-        return (m.n, 1)
-    if isinstance(m, Sym):
-        if m.symbol.in_arity < 0:
-            raise TermTypeError(f"symbol {m.symbol.name!r} has negative arity", _path)
-        return (m.symbol.in_arity, 1)
-    if isinstance(m, Tup):
-        tgt = 0
-        for k, part in enumerate(m.parts):
-            src_k, tgt_k = validate(part, _path + (k,))
-            if src_k != m.source:
-                raise TermTypeError(
-                    f"tupling component {k + 1} has source {src_k}, expected {m.source}", _path
-                )
-            tgt += tgt_k
-        return (m.source, tgt)
-    if isinstance(m, Comp):
-        g_src, g_tgt = validate(m.g, _path + (0,))
-        f_src, f_tgt = validate(m.f, _path + (1,))
-        if f_tgt != g_src:
-            raise TermTypeError(
-                f"cannot compose: inner target {f_tgt} differs from outer source {g_src}", _path
-            )
-        return (f_src, g_tgt)
-    if isinstance(m, Dagger):
-        src, tgt = validate(m.body, _path + (0,))
-        if tgt != m.m or src < m.m:
-            raise TermTypeError(
-                f"dagger of width {m.m} applied to a morphism {src} -> {tgt}", _path
-            )
-        return (src - m.m, m.m)
-    raise TermTypeError(f"not a morphism term: {m!r}", _path)
 
 
 def symbols_of(m: Morphism) -> dict:

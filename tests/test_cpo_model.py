@@ -40,7 +40,6 @@ from fpal.term import (
     Symbol,
     Tup,
     base_from_function,
-    dagger,
     identity,
     parse_equation,
     power,
@@ -584,35 +583,35 @@ def test_check_auto_respects_threshold():
 
 def corrupted_fixed_point() -> Equation:
     f = Sym(Symbol("f", 2))
-    good_lhs = dagger(f, 1)
-    swapped = Comp(f, Tup((Proj(1, 1), dagger(f, 1)), 1))
+    good_lhs = Dagger(f, 1)
+    swapped = Comp(f, Tup((Proj(1, 1), Dagger(f, 1)), 1))
     return Equation.of("corrupt: swapped recursion args", good_lhs, swapped)
 
 
 def corrupted_left_zero() -> Equation:
     f = Sym(Symbol("f", 1))
-    lhs = dagger(Comp(f, Tup((Proj(1, 2),), 2)), 1)  # reads the state slot
+    lhs = Dagger(Comp(f, Tup((Proj(1, 2),), 2)), 1)  # reads the state slot
     return Equation.of("corrupt: feedback on the wrong slot", lhs, f)
 
 
 def corrupted_drop_params() -> Equation:
     f = Sym(Symbol("f", 2))
-    lhs = dagger(Comp(f, base_from_function([1, 2], 3)), 1)
-    rhs = Comp(dagger(f, 1), Proj(2, 2))  # projects the wrong parameter
+    lhs = Dagger(Comp(f, base_from_function([1, 2], 3)), 1)
+    rhs = Comp(Dagger(f, 1), Proj(2, 2))  # projects the wrong parameter
     return Equation.of("corrupt: wrong parameter kept", lhs, rhs)
 
 
 def corrupted_double_dagger() -> Equation:
     f = Sym(Symbol("f", 3))
-    lhs = dagger(dagger(f, 1), 1)
-    rhs = dagger(Comp(f, base_from_function([1, 2, 2], 2)), 1)
+    lhs = Dagger(Dagger(f, 1), 1)
+    rhs = Dagger(Comp(f, base_from_function([1, 2, 2], 2)), 1)
     return Equation.of("corrupt: diagonal folds the parameter", lhs, rhs)
 
 
 def corrupted_diagonal() -> Equation:
     f = Sym(Symbol("f", 2))
     diagonal = Comp(f, Tup((Proj(1, 1), Proj(1, 1)), 1))
-    return Equation.of("corrupt: least fixed point replaced by the diagonal", dagger(f, 1), diagonal)
+    return Equation.of("corrupt: least fixed point replaced by the diagonal", Dagger(f, 1), diagonal)
 
 
 CORRUPTED = [

@@ -33,7 +33,7 @@ from fpal.identities import (
     separated_pairing_identity,
     system_view,
 )
-from fpal.term import render, validate
+from fpal.term import render
 
 C2 = chain(2)
 
@@ -54,7 +54,7 @@ def test_every_builder_validates_across_arities():
     for build in ALL_BUILDERS:
         for a, b, c in itertools.product((1, 2), (1, 2), (0, 1, 2)):
             eq = build(a, b, c)
-            assert validate(eq.lhs) == validate(eq.rhs)
+            assert (eq.lhs.source, eq.lhs.target) == (eq.rhs.source, eq.rhs.target)
             # the dropped block of right-zero stays a parameter of the equation
             expected = b + c if build is right_zero_identity else c
             assert eq.param_arity == expected
@@ -62,7 +62,7 @@ def test_every_builder_validates_across_arities():
         for build in (double_dagger_identity, fixed_point_identity,
                       left_zero_identity):
             eq = build(a, c)
-            assert validate(eq.lhs) == validate(eq.rhs)
+            assert (eq.lhs.source, eq.lhs.target) == (eq.rhs.source, eq.rhs.target)
 
 
 def test_fixed_point_render_is_stable():
@@ -88,7 +88,7 @@ def test_conway_library_inventory():
         "separated-pairing", "c1", "c2", "c22", "permutation", "n-dagger",
     }
     for eq in lib:
-        assert validate(eq.lhs) == validate(eq.rhs)
+        assert (eq.lhs.source, eq.lhs.target) == (eq.rhs.source, eq.rhs.target)
 
 
 def test_permutation_identity_validates_input():
@@ -206,7 +206,7 @@ def test_power_identity_inventory():
 def test_cycle_transposition_identity_types_and_range():
     for n in (3, 4, 5):
         eq = cycle_transposition_identity(n, 1)
-        assert validate(eq.lhs) == validate(eq.rhs) == (1, 1)
+        assert (eq.lhs.source, eq.lhs.target) == (eq.rhs.source, eq.rhs.target) == (1, 1)
     eq0 = cycle_transposition_identity(3, 0)
     assert eq0.param_arity == 0
     with pytest.raises(ValueError):
@@ -216,7 +216,7 @@ def test_cycle_transposition_identity_types_and_range():
 def test_adding_id_types():
     for n, p in [(1, 0), (1, 1), (2, 0), (2, 1)]:
         eq = adding_id_instance(n, p)
-        assert validate(eq.lhs) == validate(eq.rhs) == (p, n)
+        assert (eq.lhs.source, eq.lhs.target) == (eq.rhs.source, eq.rhs.target) == (p, n)
         assert all(s.in_arity == 1 + n + p for s in eq.symbols)
     with pytest.raises(ValueError):
         adding_id_instance(0, 1)
@@ -225,4 +225,4 @@ def test_adding_id_types():
 def test_all_small_gammas_validate(corpus):
     for q in corpus[:40]:
         eq = gamma(q, 1)
-        assert validate(eq.lhs) == validate(eq.rhs)
+        assert (eq.lhs.source, eq.lhs.target) == (eq.rhs.source, eq.rhs.target)

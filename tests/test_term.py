@@ -13,8 +13,6 @@ from fpal.term import (
     TermTypeError,
     Tup,
     base_from_function,
-    compose,
-    dagger,
     identity,
     parse,
     parse_equation,
@@ -23,7 +21,6 @@ from fpal.term import (
     render_equation,
     symbols_of,
     tup,
-    validate,
 )
 
 
@@ -98,9 +95,9 @@ def test_power_shape():
 
 def test_render_examples():
     f = Sym(Symbol("f", 2))
-    t = dagger(f, 1)
+    t = Dagger(f, 1)
     assert render(t) == "dagger(sym(f),1)"
-    u = compose(Proj(1, 2), Tup((t, identity(1)), 1))
+    u = Comp(Proj(1, 2), Tup((t, identity(1)), 1))
     assert render(u) == "comp(pi(1,2),tup(dagger(sym(f),1),pi(1,1)))"
 
 
@@ -126,15 +123,13 @@ def test_parse_rejects_garbage():
         parse("pi(0,2)", [])
 
 
-def test_validate_reports_path():
-    bad = Tup((Proj(1, 2), Proj(1, 2)), 2)
-    # hand-build an ill-typed composite bypassing constructor checks
-    evil = object.__new__(Comp)
-    object.__setattr__(evil, "g", Proj(1, 3))
-    object.__setattr__(evil, "f", Proj(1, 2))
-    with pytest.raises(TermTypeError):
-        validate(evil)
-    assert validate(bad) == (2, 2)
+def test_constructors_type_each_node():
+    # a term that exists is well typed: the constructor refuses the bad node
+    with pytest.raises(TermTypeError,
+                       match="cannot compose: inner morphism has target 1, outer expects source 3"):
+        Comp(Proj(1, 3), Proj(1, 2))
+    good = Tup((Proj(1, 2), Proj(1, 2)), 2)
+    assert (good.source, good.target) == (2, 2)
 
 
 def test_symbols_of_conflicting_arity():
@@ -188,7 +183,7 @@ def test_render_parse_round_trip(t):
     text = render(t)
     back = parse(text, symbols_of(t).values())
     assert back == t
-    assert validate(back) == (t.source, t.target)
+    assert (back.source, back.target) == (t.source, t.target)
 
 
 @given(_terms())
@@ -203,20 +198,20 @@ def test_render_has_no_whitespace(t):
 def test_equation_requires_parallel_sides():
     f = Sym(Symbol("f", 2))
     with pytest.raises(TermTypeError, match="sides disagree"):
-        Equation.of("bad", dagger(f, 1), f)
+        Equation.of("bad", Dagger(f, 1), f)
 
 
 def test_equation_collects_symbols():
     f = Sym(Symbol("f", 2))
-    eq = Equation.of("fp", dagger(f, 1), compose(f, Tup((dagger(f, 1), identity(1)), 1)))
+    eq = Equation.of("fp", Dagger(f, 1), Comp(f, Tup((Dagger(f, 1), identity(1)), 1)))
     assert [s.name for s in eq.symbols] == ["f"]
     assert eq.param_arity == 1
 
 
 def test_equation_file_round_trip():
     f = Sym(Symbol("f", 2))
-    eq = Equation.of("fixed point", dagger(f, 1),
-                     compose(f, Tup((dagger(f, 1), identity(1)), 1)))
+    eq = Equation.of("fixed point", Dagger(f, 1),
+                     Comp(f, Tup((Dagger(f, 1), identity(1)), 1)))
     text = render_equation(eq)
     back = parse_equation(text)
     assert back.name == eq.name
