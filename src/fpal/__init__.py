@@ -25,7 +25,6 @@ from .automaton import (
     Transformation,
     counter,
     full_T2,
-    induced,
     is_extension,
     is_initially_connected,
     is_restriction,

@@ -149,10 +149,6 @@ class FiniteGroup:
     def element_orders(self) -> tuple:
         return tuple(sorted(map(self.element_order, self.elements)))
 
-    def is_abelian(self) -> bool:
-        mul, gens = self.mul, _generate(self, self.elements)[2]
-        return all(mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[:i])
-
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:

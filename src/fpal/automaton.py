@@ -1,14 +1,14 @@
 """Complete deterministic automata over named input letters.
 
 States are numbered 1..n.  ``delta[s - 1][j]`` is the state reached from
-state ``s`` on the ``j``-th letter.  Each letter induces a transformation
-of the state set, and words act by composing those transformations left
-to right.
+state ``s`` on the ``j``-th letter.  Each letter induces a map of the
+state set, and words act by composing those maps left to right; the
+maps are composed in the form of ``map_form``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -25,7 +25,9 @@ def _is_int(v) -> bool:
 
 @dataclass(frozen=True)
 class Transformation:
-    """A map on states 1..n, stored as the tuple of images."""
+    """A map on states 1..n, stored as the tuple of images: the 1-based
+    view of a monoid element that ``TransformationMonoid.elements``
+    gives."""
 
     map: tuple
 
@@ -37,26 +39,6 @@ class Transformation:
         for v in self.map:
             if not 1 <= v <= n:
                 raise ValueError(f"transformation value {v} out of range [1..{n}]")
-
-    @property
-    def n(self) -> int:
-        return len(self.map)
-
-    def apply(self, state: int) -> int:
-        return self.map[state - 1]
-
-    def then(self, other: "Transformation") -> "Transformation":
-        """The transformation acting as self first, then other."""
-        if other.n != self.n:
-            raise ValueError(f"cannot chain maps on {self.n} and {other.n} states")
-        return Transformation(tuple(other.map[v - 1] for v in self.map))
-
-    def is_identity(self) -> bool:
-        return all(v == s + 1 for s, v in enumerate(self.map))
-
-    @staticmethod
-    def identity(n: int) -> "Transformation":
-        return Transformation(tuple(range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -86,30 +68,19 @@ class Automaton:
             for v in row:
                 if not _is_int(v) or not 1 <= v <= self.n_states:
                     raise ValueError(f"delta row {s} target {v!r} out of range [1..{self.n_states}]")
-        object.__setattr__(
-            self, "_letter_pos", {name: j for j, name in enumerate(self.letters)}
-        )
-
-    _letter_pos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_letters(self) -> int:
         return len(self.letters)
 
-    def letter_index(self, name: str) -> int:
-        try:
-            return self._letter_pos[name]
-        except KeyError:
-            raise ValueError(f"unknown letter {name!r}") from None
-
     def step(self, state: int, letter: str) -> int:
-        return self.delta[state - 1][self.letter_index(letter)]
-
-    def letter_transformation(self, j: int) -> Transformation:
-        return Transformation(tuple(self.delta[s][j] for s in range(self.n_states)))
-
-    def letter_transformations(self) -> tuple:
-        return tuple(self.letter_transformation(j) for j in range(self.n_letters))
+        """The state reached from ``state`` on ``letter``; a word acts as
+        ``functools.reduce(q.step, word, state)``."""
+        try:
+            j = self.letters.index(letter)
+        except ValueError:
+            raise ValueError(f"unknown letter {letter!r}") from None
+        return self.delta[state - 1][j]
 
 
 @dataclass(frozen=True)
@@ -122,15 +93,6 @@ class InitializedAutomaton:
             raise ValueError(
                 f"initial state {self.initial} out of range [1..{self.automaton.n_states}]"
             )
-
-
-def induced(q: Automaton, word) -> Transformation:
-    """The state transformation induced by a word (empty word: identity).
-    A plain string is read one letter per character."""
-    t = Transformation.identity(q.n_states)
-    for name in word:
-        t = t.then(q.letter_transformation(q.letter_index(name)))
-    return t
 
 
 # Maps on up to this many states are bytes strings; wider ones are tuples.
@@ -193,17 +155,13 @@ def is_extension(qp: Automaton, q: Automaton) -> bool:
         raise ValueError(
             f"state counts differ: {qp.n_states} vs {q.n_states}"
         )
-    for j, name in enumerate(q.letters):
-        if name not in qp.letters:
-            return False
-        if qp.letter_transformation(qp.letter_index(name)).map != q.letter_transformation(j).map:
-            return False
+    if not is_restriction(q, qp):
+        return False
     available = _map_closure(q)
     encode = map_form(q.n_states)[0]
-    for name in qp.letters:
+    for j, name in enumerate(qp.letters):
         if name in q.letters:
             continue
-        j = qp.letter_index(name)
         if encode(row[j] - 1 for row in qp.delta) not in available:
             return False
     return True
@@ -219,7 +177,8 @@ def is_restriction(qp: Automaton, q: Automaton) -> bool:
     for j, name in enumerate(qp.letters):
         if name not in q.letters:
             return False
-        if q.letter_transformation(q.letter_index(name)).map != qp.letter_transformation(j).map:
+        k = q.letters.index(name)
+        if any(row[j] != q_row[k] for row, q_row in zip(qp.delta, q.delta)):
             return False
     return True
 

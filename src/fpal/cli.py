@@ -176,8 +176,8 @@ def cmd_monoid(args, config: Config) -> int:
             "order": m.order,
             "identity": m.identity_index,
             "elements": [
-                {"map": list(t.map), "witness": list(w)}
-                for t, w in zip(m.elements, m.witnesses)
+                {"map": [v + 1 for v in t], "witness": list(w)}
+                for t, w in zip(m.maps, m.witnesses)
             ],
         },
         config,

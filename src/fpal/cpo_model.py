@@ -173,7 +173,6 @@ def _decode(code: int, size: int, width: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _cover_preds(poset: PosetModel, arity: int) -> tuple:
     """For every point of P^arity, the indices of its immediate
     predecessors (one coordinate lowered to a cover)."""

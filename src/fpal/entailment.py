@@ -10,6 +10,7 @@ reports witnesses for each covered divisor and the divisors left over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 from . import algebra
@@ -26,7 +27,6 @@ from .automaton import (
     DEFAULT_MONOID_CAP,
     Automaton,
     InitializedAutomaton,
-    induced,
     is_initially_connected,
     reachable_part,
 )
@@ -204,8 +204,7 @@ def initial_shift_check(iq: InitializedAutomaton, word, *,
                         subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> ShiftReport:
     """Compare an initialized automaton against the same automaton started
     at the state the word leads to."""
-    trans = induced(iq.automaton, word)
-    shifted = InitializedAutomaton(iq.automaton, trans.apply(iq.initial))
+    shifted = InitializedAutomaton(iq.automaton, reduce(iq.automaton.step, word, iq.initial))
     notes = []
     tables = []
     for label, machine in (("base", iq), ("shifted", shifted)):

@@ -41,6 +41,7 @@ from fpal.algebra import (
     _group_divisors_with_witnesses,
     _IdempotentWalk,
     _check_cap,
+    _generate,
     _join,
     _section_id,
     idempotents,
@@ -137,6 +138,13 @@ def is_associative(g: FiniteGroup) -> bool:
     t = group_table(g).rows
     return all(t[ab] == tuple(row[bc] for bc in t[b])
                for row in t for b, ab in enumerate(row))
+
+
+def is_abelian(g: FiniteGroup) -> bool:
+    """Whether ``g`` is abelian: whether the generators that
+    ``fpal.algebra`` picks from its elements commute."""
+    mul, gens = g.mul, _generate(g, g.elements)[2]
+    return all(mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[:i])
 
 
 def table_idempotents(table: np.ndarray) -> list:

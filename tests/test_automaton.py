@@ -1,5 +1,6 @@
 import json
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,10 @@ from fpal.automaton import (
     counter,
     from_dict,
     full_T2,
-    induced,
     is_extension,
     is_initially_connected,
     is_restriction,
+    map_form,
     monoid_automaton,
     reachable_part,
     saturate,
@@ -28,10 +29,11 @@ from fpal.errors import CapExceededError
 
 
 def test_transformation_composition_order():
-    f = Transformation((2, 3, 1))
-    g = Transformation((1, 1, 2))
+    f, g = (2, 3, 1), (1, 1, 2)
+    encode, pad, then, _ = map_form(3)
     # "then" applies f first
-    assert f.then(g).map == tuple(g.apply(f.apply(s)) for s in (1, 2, 3))
+    fg = then(encode(v - 1 for v in f), pad(encode(v - 1 for v in g)))
+    assert [v + 1 for v in fg] == [g[f[s] - 1] for s in range(3)] == [1, 2, 1]
 
 
 def test_transformation_validation():
@@ -62,27 +64,30 @@ def test_counter_structure():
 
 def test_symmetric_automaton_letters():
     q = symmetric_automaton(3)
-    assert q.letter_transformation(0).map == (2, 3, 1)
-    assert q.letter_transformation(1).map == (2, 1, 3)
+    # each letter's map is its column of delta
+    assert list(zip(*q.delta)) == [(2, 3, 1), (2, 1, 3)]
     with pytest.raises(ValueError):
         symmetric_automaton(2)
 
 
 def test_full_t2_letter_actions():
     q = full_T2()
-    maps = sorted(t.map for t in q.letter_transformations())
+    maps = sorted(zip(*q.delta))
     assert maps == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def word_map(q: Automaton, word) -> tuple:
+    """The images of states 1..n under a word, read left to right."""
+    return tuple(reduce(q.step, word, s) for s in range(1, q.n_states + 1))
 
 
 def test_induced_word_action():
     q = symmetric_automaton(3)
-    t = induced(q, "ab")
     # first a (rotate), then b (swap top two)
-    rot, swap = q.letter_transformations()
-    assert t == rot.then(swap)
-    assert induced(q, "").is_identity()
-    with pytest.raises(ValueError):
-        induced(q, "ax")
+    assert word_map(q, "ab") == (1, 3, 2)
+    assert word_map(q, "") == (1, 2, 3)
+    with pytest.raises(ValueError, match="unknown letter 'x'"):
+        word_map(q, "ax")
 
 
 @given(st.integers(0, 400), st.integers(0, 6), st.integers(0, 6))
@@ -95,7 +100,9 @@ def test_induced_concatenation_is_composition(seed, i, j):
     v = rng.choice(words)
     u = "".join(c for c in u if c in q.letters)
     v = "".join(c for c in v if c in q.letters)
-    assert induced(q, u + v) == induced(q, u).then(induced(q, v))
+    m = transition_monoid(q)
+    uv = [m.elements.index(Transformation(word_map(q, w))) for w in (u, v, u + v)]
+    assert m.product(uv[0], uv[1]) == uv[2]
 
 
 def test_extension_and_restriction():

@@ -10,7 +10,6 @@ from fpal import cpo_model, kernels
 from fpal.cli import main
 from fpal.cpo_model import (
     PosetModel,
-    _cover_preds,
     _decode,
     _encode,
     _fill_plan,
@@ -392,7 +391,7 @@ def test_exhaustive_pools_are_enumerated_once_per_poset_and_arity(monkeypatch):
     eq = Equation.of("fg", Comp(f, g), Comp(f, g))
     _monotone_pool.cache_clear()
     # a poset computes its covers and ranks when it is made; the checks
-    # read them back and ask for covers only through _cover_preds
+    # read them back and ask for covers only through _fill_plan
     covers = []
     covers_below = PosetModel.covers_below
     monkeypatch.setattr(PosetModel, "covers_below",
@@ -400,7 +399,7 @@ def test_exhaustive_pools_are_enumerated_once_per_poset_and_arity(monkeypatch):
     posets = [chain(2), PosetModel(V.size, V.leq, V.bottom, V.name)]
     ranks = [poset.ranks() for poset in posets]
     for poset in posets:
-        _cover_preds(poset, 1), _cover_preds(poset, 2)
+        _fill_plan(poset, 1), _fill_plan(poset, 2)
     covers.clear()
     for poset in posets + posets:
         assert check_equation(eq, poset, mode="exhaustive").holds

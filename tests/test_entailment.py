@@ -175,7 +175,7 @@ def test_initial_shift_check_identical():
 
 def test_initial_shift_check_rejects_unknown_letter():
     iq = InitializedAutomaton(counter(3), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown letter 'z'"):
         initial_shift_check(iq, "z")
 
 

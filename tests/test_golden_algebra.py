@@ -10,8 +10,9 @@ search moved from numpy index arrays to integer bitsets;
 its whole subgroup lattice searched, and ``divisors_cli_large.json`` while
 the solvable residual of a maximal subgroup still had its lattice
 searched.  ``divisors_cli_cauchy.json`` was recorded while every maximal
-subgroup that can add a prime still had its Cayley table built.  The
-monoid and divisor output of
+subgroup that can add a prime still had its Cayley table built, and
+``monoid_cli.json`` while ``fpal monoid`` still printed each element
+through its own ``Transformation``.  The monoid and divisor output of
 the CLI, the entailment reports, the group divisors with their witnesses
 and the subgroup lattices must stay identical.
 Rerun this module as a script to rewrite them from the current code.
@@ -62,6 +63,7 @@ DIVISORS_GOLDEN = GOLDEN / "divisors_cli.json"
 LARGE_DIVISORS_GOLDEN = GOLDEN / "divisors_cli_large.json"
 CAUCHY_DIVISORS_GOLDEN = GOLDEN / "divisors_cli_cauchy.json"
 LATTICES_GOLDEN = GOLDEN / "subgroup_lattices.json"
+MONOID_GOLDEN = GOLDEN / "monoid_cli.json"
 
 RANDOM_SEEDS = (0, 3, 5, 9, 11)
 PSL27_GENERATORS = ((2, 3, 4, 5, 6, 7, 1, 8), (8, 7, 4, 3, 6, 5, 2, 1))
@@ -122,8 +124,15 @@ def cauchy_divisors_inputs() -> dict:
     }
 
 
-def divisors_cli_output(q: Automaton, tmp_path, config=None) -> dict:
-    """Stdout, stderr and exit code of ``fpal divisors`` on ``q``, with
+def monoid_inputs() -> dict:
+    """S4, whose maps are bytes strings, and 257 states with one letter
+    swapping states 1 and 2, whose maps are tuples (order 2)."""
+    swap = tuple(({1: 2, 2: 1}.get(s, s),) for s in range(1, 258))
+    return {"S4": symmetric_automaton(4), "swap on 257 states": Automaton(257, ("a",), swap)}
+
+
+def cli_output(command: str, q: Automaton, tmp_path, config=None) -> dict:
+    """Stdout, stderr and exit code of ``fpal <command>`` on ``q``, with
     ``FPAL_CONFIG`` naming a file that holds ``config``, or unset."""
     path = tmp_path / "q.json"
     path.write_text(json.dumps(to_dict(q)))
@@ -134,22 +143,27 @@ def divisors_cli_output(q: Automaton, tmp_path, config=None) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, env, clear=True), contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
-        code = main(["divisors", str(path)])
+        code = main([command, str(path)])
     return {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "exit": code}
 
 
 def divisors_cli_outputs(tmp_path) -> dict:
-    """``divisors_cli_output`` per input."""
-    return {name: divisors_cli_output(q, tmp_path) for name, q in divisors_inputs().items()}
+    """``cli_output`` of ``fpal divisors`` per input."""
+    return {name: cli_output("divisors", q, tmp_path) for name, q in divisors_inputs().items()}
 
 
 def large_divisors_cli_outputs(tmp_path) -> dict:
-    return {name: divisors_cli_output(q, tmp_path, config)
+    return {name: cli_output("divisors", q, tmp_path, config)
             for name, (q, config) in large_divisors_inputs().items()}
 
 
 def cauchy_divisors_cli_outputs(tmp_path) -> dict:
-    return {name: divisors_cli_output(q, tmp_path) for name, q in cauchy_divisors_inputs().items()}
+    return {name: cli_output("divisors", q, tmp_path)
+            for name, q in cauchy_divisors_inputs().items()}
+
+
+def monoid_cli_outputs(tmp_path) -> dict:
+    return {name: cli_output("monoid", q, tmp_path) for name, q in monoid_inputs().items()}
 
 
 def split_cycles() -> InitializedAutomaton:
@@ -233,6 +247,12 @@ def test_golden_monoid_and_divisors(tmp_path, monkeypatch):
             assert got[name][command] == golden[name][command], (name, command)
 
 
+def test_golden_monoid_of_byte_and_tuple_maps(tmp_path, monkeypatch):
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    got = json.dumps(monoid_cli_outputs(tmp_path), indent=2) + "\n"
+    assert got == MONOID_GOLDEN.read_text()
+
+
 def test_golden_divisors_of_nonsolvable_automata(tmp_path, monkeypatch):
     monkeypatch.delenv("FPAL_CONFIG", raising=False)
     got = json.dumps(divisors_cli_outputs(tmp_path), indent=2) + "\n"
@@ -288,5 +308,7 @@ if __name__ == "__main__":
             json.dumps(large_divisors_cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
         CAUCHY_DIVISORS_GOLDEN.write_text(
             json.dumps(cauchy_divisors_cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
+        MONOID_GOLDEN.write_text(
+            json.dumps(monoid_cli_outputs(pathlib.Path(tmp)), indent=2) + "\n")
     ENTAILS_GOLDEN.write_text(json.dumps(entails_outputs(), indent=2) + "\n")
     LATTICES_GOLDEN.write_text(lattice_text())
