@@ -148,23 +148,23 @@ def _map_closure(q: Automaton, cap: int | None = None) -> dict:
     return witness
 
 
-def is_extension(qp: Automaton, q: Automaton) -> bool:
+def is_extension(qp: Automaton, q: Automaton, cap: int = DEFAULT_MONOID_CAP) -> bool:
     """True when ``qp`` has the same states, keeps every letter of ``q``
-    with its action, and every extra letter acts as some word of ``q``."""
+    with its action, and every extra letter acts as some word of ``q``.
+    Only extra letters need the maps of ``q``'s words, and closing them
+    past ``cap`` maps raises ``CapExceededError``."""
     if qp.n_states != q.n_states:
         raise ValueError(
             f"state counts differ: {qp.n_states} vs {q.n_states}"
         )
     if not is_restriction(q, qp):
         return False
-    available = _map_closure(q)
+    extra = [j for j, name in enumerate(qp.letters) if name not in q.letters]
+    if not extra:
+        return True
+    available = _map_closure(q, cap)
     encode = map_form(q.n_states)[0]
-    for j, name in enumerate(qp.letters):
-        if name in q.letters:
-            continue
-        if encode(row[j] - 1 for row in qp.delta) not in available:
-            return False
-    return True
+    return all(encode(row[j] - 1 for row in qp.delta) in available for j in extra)
 
 
 def is_restriction(qp: Automaton, q: Automaton) -> bool:

@@ -10,7 +10,10 @@ Subcommands::
     fpal family KIND [FILES]    completeness of a family of automata
 
 In JSON mode (the default) stdout is exactly ``json.dumps(result,
-indent=2)`` and a newline; help and usage text come from argparse.
+indent=2)`` and a newline.  Each command's arguments are declared once, in
+``_COMMANDS``.  ``main`` reads a well-formed argv from that table and hands
+any other (help, a usage error, a rarer form) to the argparse parser built
+from it, so help and usage text come from argparse.
 
 Exit status: 0 when the requested property holds (or the command is purely
 informational), 1 when it fails, 2 on any error.  Errors print a single
@@ -23,13 +26,13 @@ of the keys ``monoid_cap``, ``subgroup_cap``, ``exhaustive_threshold``,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _escape
+from types import SimpleNamespace
 
 from . import algebra, automaton, cpo_model, entailment, identities
 from .errors import (
@@ -311,90 +314,139 @@ def cmd_family(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _automaton_args(p) -> None:
-    p.add_argument("automaton", help="automaton JSON file")
+def _arg(*flags, exclusive: bool = False, **kwargs) -> tuple:
+    """One argument of a command: the arguments of its ``add_argument``
+    call, and whether it is in the command's mutually exclusive group."""
+    return flags, kwargs, exclusive
 
 
-def _gamma_args(p) -> None:
-    _automaton_args(p)
-    p.add_argument("-p", "--params", type=int, default=1,
-                   help="parameter arity (default 1)")
-    p.add_argument("--initial", type=int, metavar="STATE",
-                   help="emit the single-component identity at this state "
-                   "(defaults to the file's marked initial state, if any)")
+_AUTOMATON = _arg("automaton", help="automaton JSON file")
 
-
-def _entails_args(p) -> None:
-    p.add_argument("--hyp", action="append", required=True, metavar="FILE",
-                   help="hypothesis automaton (repeatable)")
-    p.add_argument("--concl", required=True, metavar="FILE",
-                   help="conclusion automaton")
-    p.add_argument("--reduce-reachable", action="store_true",
-                   help="restrict initialized hypotheses to reachable states")
-
-
-def _check_args(p) -> None:
-    p.add_argument("equations", nargs="?", help="equation file")
-    p.add_argument("--builtin", choices=["conway"],
-                   help="check the built-in identity library")
-    p.add_argument("--gamma", metavar="FILE",
-                   help="check the identity of this automaton")
-    p.add_argument("-p", "--params", type=int, default=1,
-                   help="parameter arity for --gamma (default 1)")
-    p.add_argument("--poset", default="chain:2",
-                   help="model to check over (default chain:2)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true",
-                       help="enumerate every interpretation")
-    group.add_argument("--samples", type=int,
-                       help="number of random interpretations")
-    p.add_argument("--seed", type=int, help="seed for sampling")
-
-
-def _family_args(p) -> None:
-    p.add_argument("kind", choices=["cyclic", "symmetric", "alternating", "list"])
-    p.add_argument("files", nargs="*", help="automaton files (kind 'list' only)")
-    p.add_argument("--reduce-reachable", action="store_true",
-                   help="restrict initialized members to reachable states")
-
-
-# name -> (help, the function that adds the command's arguments)
+# name -> (help, arguments): the one declaration of each command's
+# arguments, which ``_read`` reads argv by and ``build_parser`` builds from
 _COMMANDS = {
-    "monoid": ("transition monoid of an automaton", _automaton_args),
-    "divisors": ("simple-group divisors of an automaton", _automaton_args),
-    "gamma": ("the identity attached to an automaton", _gamma_args),
-    "entails": ("decide consequence between identities", _entails_args),
-    "check": ("model-check equations over a poset", _check_args),
-    "family": ("completeness of a family of automata", _family_args),
+    "monoid": ("transition monoid of an automaton", [_AUTOMATON]),
+    "divisors": ("simple-group divisors of an automaton", [_AUTOMATON]),
+    "gamma": ("the identity attached to an automaton", [
+        _AUTOMATON,
+        _arg("-p", "--params", type=int, default=1, help="parameter arity (default 1)"),
+        _arg("--initial", type=int, metavar="STATE",
+             help="emit the single-component identity at this state "
+             "(defaults to the file's marked initial state, if any)"),
+    ]),
+    "entails": ("decide consequence between identities", [
+        _arg("--hyp", action="append", required=True, metavar="FILE",
+             help="hypothesis automaton (repeatable)"),
+        _arg("--concl", required=True, metavar="FILE", help="conclusion automaton"),
+        _arg("--reduce-reachable", action="store_true",
+             help="restrict initialized hypotheses to reachable states"),
+    ]),
+    "check": ("model-check equations over a poset", [
+        _arg("equations", nargs="?", help="equation file"),
+        _arg("--builtin", choices=["conway"], help="check the built-in identity library"),
+        _arg("--gamma", metavar="FILE", help="check the identity of this automaton"),
+        _arg("-p", "--params", type=int, default=1,
+             help="parameter arity for --gamma (default 1)"),
+        _arg("--poset", default="chain:2", help="model to check over (default chain:2)"),
+        _arg("--exhaustive", action="store_true", exclusive=True,
+             help="enumerate every interpretation"),
+        _arg("--samples", type=int, exclusive=True, help="number of random interpretations"),
+        _arg("--seed", type=int, help="seed for sampling"),
+    ]),
+    "family": ("completeness of a family of automata", [
+        _arg("kind", choices=["cyclic", "symmetric", "alternating", "list"]),
+        _arg("files", nargs="*", help="automaton files (kind 'list' only)"),
+        _arg("--reduce-reachable", action="store_true",
+             help="restrict initialized members to reachable states"),
+    ]),
 }
 
 
-def _command_arguments(name: str, parser) -> argparse.ArgumentParser:
-    """``parser`` with the arguments of ``fpal <name>``.  It runs the module's
-    ``cmd_<name>`` as of now, so a wrapper put there beforehand is what runs."""
-    _COMMANDS[name][1](parser)
-    parser.set_defaults(run=globals()[f"cmd_{name}"])
-    return parser
+def _read(argv: list):
+    """The namespace ``build_parser().parse_args(argv)`` gives, read from
+    the table alone, or None for an argv not read here: help, a usage
+    error, or a form this reader leaves to argparse (an abbreviated
+    option, ``--opt=value``, ``-p2``, ``--``, a value or positional that
+    starts with ``-``, a positional after an option).  ``run`` is the
+    module's ``cmd_<name>`` as of now, so a wrapper put there is what runs."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    name, options, positionals, values, words = argv[0], {}, [], {}, []
+    for flags, kwargs, exclusive in _COMMANDS[name][1]:
+        entry = (flags[-1].lstrip("-").replace("-", "_"), kwargs, exclusive)
+        if flags[0][0] == "-":
+            options.update(dict.fromkeys(flags, entry))
+        else:
+            positionals.append(entry)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if values:  # argparse refuses some positionals after an option
+                return None
+            words.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, kwargs, _ = options[token]
+        action = kwargs.get("action")
+        if action == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if value not in kwargs.get("choices", [value]):
+            return None
+        values[dest] = values.get(dest, []) + [value] if action == "append" else value
+    for dest, kwargs, _ in positionals:
+        nargs = kwargs.get("nargs")
+        if nargs == "*":
+            values[dest], words = words, []
+        elif words:
+            values[dest] = words.pop(0)
+            if values[dest] not in kwargs.get("choices", [values[dest]]):
+                return None
+        elif nargs == "?":
+            values[dest] = None
+        else:
+            return None
+    if words or sum(dest in values for dest, _, exclusive in options.values()
+                    if exclusive) > 1:
+        return None
+    for dest, kwargs, _ in options.values():
+        if dest not in values:
+            if kwargs.get("required"):
+                return None
+            values[dest] = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+    return SimpleNamespace(command=name, **values, run=globals()[f"cmd_{name}"])
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``fpal`` argument parser, built once per process."""
+def build_parser():
+    """The ``fpal`` argument parser, built once per process, from the
+    table: it writes help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fpal",
         description="Fixed-point identities of finite automata: monoids, "
         "divisors, entailment and model checking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
-        _command_arguments(name, sub.add_parser(name, help=help_text))
+    for name, (help_text, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        group = None
+        for flags, kwargs, exclusive in arguments:
+            if exclusive and group is None:
+                group = command.add_mutually_exclusive_group()
+            (group if exclusive else command).add_argument(*flags, **kwargs)
+        command.set_defaults(run=globals()[f"cmd_{name}"])
     return parser
-
-
-@functools.lru_cache(maxsize=len(_COMMANDS))
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser ``build_parser`` hands ``fpal <name>``'s arguments to."""
-    return _command_arguments(name, argparse.ArgumentParser(prog=f"fpal {name}"))
 
 
 _ERROR_CODES = (
@@ -413,13 +465,7 @@ _ERROR_CODES = (
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the named command's parser if it takes every argument, else the full one
-    args, rest = None, None
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-    if args is None or rest:
-        args = build_parser().parse_args(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         config = load_config(os.environ.get("FPAL_CONFIG"))
         return args.run(args, config)

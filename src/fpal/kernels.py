@@ -23,8 +23,8 @@ holds at most ``BLOCK_ENTRIES`` entries in each of its tables, unless one
 interpretation alone has more, and no cached vector is longer: at most
 entries cached x BLOCK_ENTRIES x bytes per entry, which is 32 x 8,192 x
 36 bytes (a tuple slot and an int past 256), about 9.4 MB, for
-``offsets``, and 256 x 8,192 x 1.07 bytes (a byte lane in an int's
-30-bit digits), about 2.2 MB, for ``lanes``.
+``offsets``, and 512 x 8,192 x 1.07 bytes (a byte lane in an int's
+30-bit digits), about 4.5 MB, for ``lanes``.
 """
 
 from functools import lru_cache
@@ -44,10 +44,12 @@ from operator import add
 BLOCK_ENTRIES = 8192
 
 # Shapes kept per process.  The library on chain(3) asks for 7 shapes of
-# list offsets and 262 (block length, shape) pairs of lanes, on chain(4)
-# 15 and 146; a check-library pass on chain(2) asks for 137 lanes.
+# list offsets and, with 200 samples, 262 (block length, shape) pairs of
+# lanes (381 with 914, the most its cap lets it draw), on chain(4) 15 and
+# 146; a check-library pass on chain(2) asks for 137 lanes.  The lanes
+# hold at most 512 x 8,192 x 1.07 bytes, about 4.5 MB.
 OFFSETS_CACHE_SIZE = 32
-LANES_CACHE_SIZE = 256
+LANES_CACHE_SIZE = 512
 
 
 @lru_cache(maxsize=OFFSETS_CACHE_SIZE)

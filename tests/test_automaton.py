@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import extend_with_word_actions, random_automaton
+from fpal import automaton
 from fpal.algebra import transition_monoid
 from fpal.automaton import (
     Automaton,
@@ -115,6 +116,23 @@ def test_extension_and_restriction():
     # a genuinely new action is not an extension
     alien = Automaton(2, ("a", "z"), ((2, 1), (1, 1)))
     assert not is_extension(alien, q)
+
+
+def test_extension_without_extra_letters_builds_no_closure(monkeypatch):
+    # S10's monoid holds 3,628,800 maps; no extra letter needs any of them
+    monkeypatch.setattr(automaton, "_map_closure", None)
+    s10 = symmetric_automaton(10)
+    assert is_extension(s10, s10)
+
+
+def test_extension_past_the_cap_is_refused():
+    # S8 (order 40,320) with a letter acting as the word ab
+    s8 = symmetric_automaton(8)
+    ab = Automaton(8, ("a", "b", "c"), tuple(row + (s8.delta[row[0] - 1][1],)
+                                              for row in s8.delta))
+    with pytest.raises(CapExceededError):
+        is_extension(ab, s8)
+    assert is_extension(ab, s8, cap=40_320)
 
 
 def test_extension_requires_same_states():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import subprocess
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WIDE_TERMS, run_limited
-from fpal import cli, cpo_model
+from fpal import cli, cpo_model, kernels
 from fpal.automaton import (
     Automaton,
     InitializedAutomaton,
@@ -183,6 +184,17 @@ def test_golden_library_check_on_chain3(capsys, monkeypatch):
                               "--poset", "chain:3", "--seed", "1729"], capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "check_conway_samples50_chain3_seed1729.json").read_text()
+
+
+def test_library_check_on_chain3_keeps_every_lane_vector(capsys, monkeypatch):
+    # 200 samples ask for 262 lane vectors, and every one stays cached
+    monkeypatch.delenv("FPAL_CONFIG", raising=False)
+    kernels.lanes.cache_clear()
+    code, out, err = run_cli(["check", "--builtin", "conway", "--samples", "200",
+                              "--poset", "chain:3"], capsys)
+    assert (code, err) == (0, "")
+    info = kernels.lanes.cache_info()
+    assert info.misses == info.currsize > 256
 
 
 def test_check_sizes_every_equation_before_checking_any(monkeypatch, capsys):
@@ -596,6 +608,23 @@ print(json.dumps([codes, "numpy" in sys.modules]))
 
 COMMANDS = ("monoid", "divisors", "gamma", "entails", "check", "family")
 
+# Command lines main reads from its argument table alone, building no parser.
+WELL_FORMED = [
+    ["monoid", "a.json"],
+    ["divisors", "a.json"],
+    ["divisors", ""],
+    ["gamma", "a.json", "-p", "2", "--initial", "3"],
+    ["entails", "--hyp", "a.json", "--hyp", "b.json", "--concl", "c.json",
+     "--reduce-reachable"],
+    ["entails", "--concl", "c.json", "--hyp", "a.json"],
+    ["check", "x.eq", "--poset", "chain:3", "--samples", "5", "--seed", "7"],
+    ["check", "--seed", "1", "--seed", "2"],
+    ["check", "--builtin", "conway", "--exhaustive"],
+    ["check", "--gamma", "a.json", "-p", "2"],
+    ["family", "list", "a.json", "b.json", "--reduce-reachable"],
+    ["family", "symmetric"],
+]
+
 # Help, usage errors and parsed namespaces that main must reproduce exactly
 # as build_parser().parse_args gives them.  Files need not exist: the
 # commands are replaced by stand-ins that only record their namespace.
@@ -616,8 +645,15 @@ ARGVS = [
     ["monoid", "a.json", "--frobnicate"],
     ["monoid", "--frobnicate", "a.json"],
     ["gamma", "a.json", "-p", "x"],
+    ["gamma", "a.json", "-p", "-3"],
+    ["gamma", "a.json", "-p2"],
+    ["gamma", "a.json", "-p=2"],
     ["check", "--builtin", "nope"],
+    ["check", "--poset", "--seed"],
+    ["check", "--samples", "0x10"],
+    ["check", "x.eq", "y.eq"],
     ["family", "bogus"],
+    ["family", "list", "a", "--reduce-reachable", "b"],
     ["--", "divisors", "a.json"],
     ["divisors", "--", "a.json"],
     ["family", "cyclic", "--", "-x.json"],
@@ -625,28 +661,14 @@ ARGVS = [
     ["gamma", "a.json", "--par", "2"],
     ["entails", "--hyp=F", "--concl=F"],
     ["check", "--exhaustive", "--samples", "3"],
-    ["monoid", "a.json"],
-    ["divisors", "a.json"],
-    ["gamma", "a.json", "-p", "2", "--initial", "3"],
-    ["entails", "--hyp", "a.json", "--hyp", "b.json", "--concl", "c.json",
-     "--reduce-reachable"],
-    ["check", "x.eq", "--poset", "chain:3", "--samples", "5", "--seed", "7"],
-    ["check", "--builtin", "conway", "--exhaustive"],
-    ["check", "--gamma", "a.json", "-p", "2"],
-    ["family", "list", "a.json", "b.json", "--reduce-reachable"],
-    ["family", "symmetric"],
+    *WELL_FORMED,
 ]
-
-
-def _clear_parsers():
-    cli.build_parser.cache_clear()
-    cli._command_parser.cache_clear()
 
 
 @pytest.fixture
 def recorded(monkeypatch):
     """Stand-ins for every ``cmd_*`` that record the namespace they get.
-    The parser caches are emptied before and after, so no cached parser
+    The parser cache is emptied before and after, so no cached parser
     keeps a stand-in."""
     seen = []
 
@@ -658,9 +680,9 @@ def recorded(monkeypatch):
         monkeypatch.setattr(cli, f"cmd_{command}", record)
     monkeypatch.delenv("FPAL_CONFIG", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
-    _clear_parsers()
+    cli.build_parser.cache_clear()
     yield seen
-    _clear_parsers()
+    cli.build_parser.cache_clear()
 
 
 def _outcome(call, capsys):
@@ -682,19 +704,35 @@ def test_main_parses_as_the_full_parser(argv, recorded, capsys):
     assert recorded == []
 
 
-def test_parser_caches_are_bounded(recorded, capsys):
-    # a command line that names a command builds that command's parser
-    # alone, once per process: at most one parser per command
-    for _ in range(2):
-        for command in COMMANDS:
-            with pytest.raises(SystemExit):
-                main([command, "-h"])
-    capsys.readouterr()
-    assert cli._command_parser.cache_info().maxsize == len(COMMANDS)
-    assert cli._command_parser.cache_info().currsize == len(COMMANDS)
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_a_well_formed_argv_builds_no_parser(argv, recorded, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argument parser was built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert main(argv) == 0
+    assert recorded[0]["command"] == argv[0]
     assert cli.build_parser.cache_info().currsize == 0
-    assert main(["divisors", "a.json"]) == 0
-    assert cli._command_parser.cache_info().currsize == len(COMMANDS)
+
+
+def test_a_divisors_run_imports_no_argparse(write_aut):
+    # argparse, and the gettext and locale modules its messages import,
+    # are loaded only for help and usage errors
+    script = """import runpy, sys
+try:
+    runpy.run_module("fpal", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    if done.code:
+        raise
+print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, "divisors",
+                           write_aut(symmetric_automaton(4))],
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report, modules = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    assert json.loads(report)["order"] == 24
+    assert modules == "[]"
 
 
 # ---------------------------------------------------------------------------
